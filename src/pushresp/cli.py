@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages (ingest, clean, surface,
-decompose, synth, render) plus `pipeline` for the orchestrated run and
-`validate` for static config checks. Exit codes: 0 success,
+Subcommands run the pipeline's stage functions (ingest and synth run
+the source stage; clean, surface, decompose, render the rest), always
+rerunning, plus `pipeline` for the orchestrated run and `validate` for
+static config checks. A subcommand needs its input's manifest and
+writes the same manifests as the pipeline. Exit codes: 0 success,
 1 validation failure, 2 stage failure, 3 I/O failure.
 """
 
@@ -24,26 +26,19 @@ from . import ingest as ingest_mod
 from . import lags as lags_mod
 from . import surface as surface_mod
 from . import synthetic as synth_mod
-from .errors import (
-    ArtifactIOError,
-    MissingArtifact,
-    PushRespError,
-    StageFailure,
-    ValidationFailed,
-)
+from .errors import ArtifactIOError, PushRespError, ValidationFailed
 from .pipeline import (
+    IngestOptions,
     apply_override,
+    clean_stage,
     config_from_dict,
+    decompose_stage,
+    render_stage,
     run_pipeline,
+    run_stage,
+    source_stage,
+    surface_stage,
     validate_config_dict,
-)
-from .series import (
-    canonical_json,
-    read_manifest,
-    read_prms,
-    series_summary,
-    write_manifest,
-    write_prms,
 )
 
 logger = logging.getLogger(__name__)
@@ -63,6 +58,20 @@ def cli():
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _run(stage) -> None:
+    """Run one stage regardless of freshness, as its subcommand always does."""
+    status = run_stage(stage, force=True)
+    click.echo(f"wrote {', '.join(status.outputs)}")
+
+
+def _checked(make):
+    """Build a config object whose constructor raises ValueError on bad input."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ValidationFailed([str(exc)]) from exc
+
+
 @cli.command()
 @click.option("--venues", "venues_dir", type=click.Path(), default=None,
               help="Directory of per-venue quote CSV files.")
@@ -74,25 +83,9 @@ def cli():
 @click.option("--out", required=True, type=click.Path())
 def ingest(venues_dir, consolidated, tz, strict, out):
     """Parse quote feeds, consolidate the best bid/offer, emit mid series."""
-    if bool(venues_dir) == bool(consolidated):
-        raise ValidationFailed(["pass exactly one of --venues or --consolidated"])
-    if consolidated:
-        if not Path(consolidated).exists():
-            raise StageFailure("ingest", f"input {consolidated} does not exist")
-        series, report = ingest_mod.ingest_consolidated(consolidated, tz=tz, strict=strict)
-        source = {"consolidated": str(consolidated)}
-    else:
-        files = {p.stem.upper(): p for p in sorted(Path(venues_dir).glob("*.csv"))}
-        if not files:
-            raise StageFailure("ingest", f"no quote files in {venues_dir}")
-        series, report = ingest_mod.ingest_files(files, tz=tz, strict=strict)
-        source = {"venues_dir": str(venues_dir)}
-    write_prms(series, out)
-    payload = dict(series_summary(series))
-    payload.update({"stage": "ingest", "config": {"tz": tz, "strict": strict, **source},
-                    "quality": report.to_dict()})
-    write_manifest(out, payload)
-    click.echo(f"wrote {out}: {len(series)} events in {len(series.sessions)} sessions")
+    opts = IngestOptions(venues_dir=venues_dir, consolidated=consolidated,
+                         tz=tz, strict=strict)
+    _run(source_stage(Path(out), ingest=opts))
 
 
 @cli.command()
@@ -101,32 +94,14 @@ def ingest(venues_dir, consolidated, tz, strict, out):
 @click.option("--upper-q", default=0.99999, show_default=True)
 @click.option("--jump", default=1.50, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-@click.option("--report", "report_path", type=click.Path(), default=None)
+@click.option("--report", "report_path", type=click.Path(), default=None,
+              help="Cleaning report path (default: <out> with .report.json).")
 def clean(input_path, lower_q, upper_q, jump, out, report_path):
     """Winsorize increments, then drop intraday jumps."""
-    try:
-        cfg = cleaning_mod.CleaningConfig(lower_q=lower_q, upper_q=upper_q,
-                                          jump_threshold=jump)
-    except ValueError as exc:
-        raise ValidationFailed([str(exc)]) from exc
-    series = read_prms(input_path)
-    cleaned, rep = cleaning_mod.clean(series, cfg)
-    write_prms(cleaned, out)
-    payload = dict(series_summary(cleaned))
-    payload.update({
-        "stage": "clean",
-        "config": {"lower_q": lower_q, "upper_q": upper_q, "jump_threshold": jump},
-        "report": rep.to_dict(),
-    })
-    write_manifest(out, payload)
-    if report_path:
-        Path(report_path).write_text(
-            canonical_json(rep.to_dict()) + "\n", encoding="utf-8"
-        )
-    click.echo(
-        f"wrote {out}: kept {rep.n_output}/{rep.n_input} events "
-        f"(retention {rep.retention_ratio:.6f})"
-    )
+    cfg = _checked(lambda: cleaning_mod.CleaningConfig(
+        lower_q=lower_q, upper_q=upper_q, jump_threshold=jump))
+    report = report_path or str(Path(out).with_suffix("")) + ".report.json"
+    _run(clean_stage(Path(input_path), Path(out), Path(report), cfg))
 
 
 @cli.command()
@@ -143,28 +118,11 @@ def clean(input_path, lower_q, upper_q, jump, out, report_path):
               help="Moments CSV path (default: <out> with .moments.csv).")
 def surface(input_path, grid, lags, nmin, threads, out, out_moments):
     """Bin standardized pushes and aggregate conditional response means."""
-    bin_grid = _parse_grid(grid, nmin)
-    lag_list = lags_mod.parse_lag_selector(lags)
-    threads = threads if threads is not None else _default_threads()
-    series = read_prms(input_path)
-    rows = lags_mod.compute_moments_table(series, lag_list)
-    moments_path = out_moments or str(Path(out).with_suffix("")) + ".moments.csv"
-    lags_mod.write_moments_csv(rows, moments_path)
-    surf = surface_mod.accumulate_surface(series, rows, bin_grid, threads=threads)
-    surface_mod.write_surface_csv(surf, out)
-    stage_cfg = {"grid": bin_grid.to_dict(), "lags": list(lag_list)}
-    payload = surface_mod.surface_manifest(surf)
-    payload.update({"stage": "surface", "config": stage_cfg})
-    write_manifest(out, payload)
-    blocks_out = surface_mod.blocks_path(out)
-    surface_mod.write_surface_blocks(surf.blocks, blocks_out)
-    blocks_meta = surface_mod.blocks_manifest(surf.blocks)
-    blocks_meta.update({"stage": "surface", "config": stage_cfg})
-    write_manifest(blocks_out, blocks_meta)
-    click.echo(
-        f"wrote {out}: {len(surf.lags)} lags, "
-        f"{int(surf.valid.sum())} valid cells"
-    )
+    moments = out_moments or str(Path(out).with_suffix("")) + ".moments.csv"
+    _run(surface_stage(
+        Path(input_path), Path(out), Path(moments), lags_mod.parse_lag_selector(lags),
+        _parse_grid(grid, nmin), threads if threads is not None else _default_threads(),
+    ))
 
 
 def _parse_grid(grid: str, nmin: int) -> surface_mod.BinGrid:
@@ -194,26 +152,9 @@ def decompose(surface_path, n_replicates, seed, local_index, out_heatmap, out_su
     The bands resample anchor blocks from the block artifact that
     `pushresp surface` writes beside the surface CSV (`<stem>.blocks`).
     """
-    surf = surface_mod.read_surface_csv(surface_path, read_manifest(surface_path))
-    pairs = decomp_mod.decompose(surf, local_index)
-    boot = decomp_mod.BootstrapConfig(n_replicates=n_replicates, seed=seed)
-    blocks = surface_mod.read_surface_blocks(surface_mod.blocks_path(surface_path))
-    summaries = decomp_mod.summarize(pairs, boot, blocks)
-    decomp_mod.write_heatmap_csv(pairs, out_heatmap)
-    decomp_mod.write_summary_csv(summaries, out_summary)
-    meta = {
-        "stage": "decompose",
-        "config": {
-            "local_index": local_index,
-            "bootstrap": {"n_replicates": n_replicates, "seed": seed},
-        },
-    }
-    write_manifest(out_heatmap, meta)
-    write_manifest(out_summary, meta)
-    click.echo(
-        f"wrote {out_heatmap} ({len(pairs)} pairs) and "
-        f"{out_summary} ({len(summaries)} lags)"
-    )
+    boot = _checked(lambda: decomp_mod.BootstrapConfig(n_replicates=n_replicates, seed=seed))
+    _run(decompose_stage(Path(surface_path), Path(out_heatmap), Path(out_summary),
+                         local_index, boot))
 
 
 @cli.command()
@@ -236,12 +177,7 @@ def synth(kind, n_events, n_sessions, inject_lag, phi, asym_gain, tick,
         inject_lag=inject_lag, phi=phi, asym_gain=asym_gain, seed=seed,
         increments=increments,
     )
-    series = synth_mod.generate(spec)
-    write_prms(series, out)
-    payload = dict(series_summary(series))
-    payload.update({"stage": "synth", "config": {"synth": spec.to_dict()}})
-    write_manifest(out, payload)
-    click.echo(f"wrote {out}: {len(series)} events in {len(series.sessions)} sessions")
+    _run(source_stage(Path(out), synth=spec))
 
 
 @cli.command()
@@ -254,12 +190,10 @@ def synth(kind, n_events, n_sessions, inject_lag, phi, asym_gain, tick,
 @click.option("--out", required=True, type=click.Path())
 def render(kind, surface_path, heatmap_path, summary_path, vmax, out):
     """Draw one figure as a self-contained SVG from CSV artifacts."""
-    spec = figures_mod.FigureSpec(
+    _run(render_stage(figures_mod.FigureSpec(
         kind=kind, out=out, surface=surface_path, heatmap=heatmap_path,
         summary=summary_path, vmax=vmax,
-    )
-    figures_mod.render_figure(spec)
-    click.echo(f"wrote {out}")
+    )))
 
 
 @cli.command()
@@ -268,9 +202,8 @@ def render(kind, surface_path, heatmap_path, summary_path, vmax, out):
               help="Override a config entry, e.g. --set synth.seed=9 "
                    "(values parsed as JSON when possible).")
 @click.option("--threads", default=None, type=int)
-@click.option("--deterministic/--no-deterministic", default=None)
 @click.option("--force", is_flag=True, help="Re-run every stage even if fresh.")
-def pipeline(config_path, overrides, threads, deterministic, force):
+def pipeline(config_path, overrides, threads, force):
     """Run source -> clean -> surface -> decompose -> render, resumably."""
     raw = _load_raw_config(config_path)
     for item in overrides:
@@ -279,8 +212,6 @@ def pipeline(config_path, overrides, threads, deterministic, force):
         raw["threads"] = threads
     elif "threads" not in raw:
         raw["threads"] = _default_threads()
-    if deterministic is not None:
-        raw["deterministic"] = deterministic
     cfg = config_from_dict(raw)
     statuses = run_pipeline(cfg, force=force)
     for s in statuses:
@@ -302,11 +233,14 @@ def validate(config_path):
 
 def _load_raw_config(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ArtifactIOError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationFailed([f"config {path} is not valid JSON: {exc}"]) from exc
+    if not isinstance(raw, dict):
+        raise ValidationFailed([f"config {path} is not a JSON object"])
+    return raw
 
 
 def main(argv=None) -> int:
@@ -319,9 +253,6 @@ def main(argv=None) -> int:
         return exc.exit_code
     except click.Abort:
         return 1
-    except (ValidationFailed, ArtifactIOError, MissingArtifact, StageFailure) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return exc.exit_code
     except PushRespError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cleaning import empirical_quantile
 from .errors import ArtifactIOError, IndexOutOfRange, InvalidGrid, NoSupportedPairs
-from .surface import BlockTables, LagBlocks, Surface
+from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
 EPSILON = 1e-12
 
@@ -126,6 +126,18 @@ def pair_terms(
     return support, 0.5 * (zr_pos - zr_neg), 0.5 * (zr_pos + zr_neg)
 
 
+def check_mirror_grid(grid: BinGrid) -> None:
+    """Bin half + k and bin half - k + 1 mirror each other across 0 only on
+    a grid symmetric about 0 with an even bin count."""
+    if grid.z_min != -grid.z_max:
+        raise InvalidGrid(
+            f"mirror decomposition needs a grid symmetric about 0, "
+            f"got [{grid.z_min}, {grid.z_max})"
+        )
+    if grid.n_bins % 2 != 0:
+        raise InvalidGrid(f"mirror decomposition needs an even bin count, got {grid.n_bins}")
+
+
 def decompose(surface: Surface, local_index: str = "eq319") -> list[MirrorPair]:
     """Mirror pairs with both cells valid, in (lag, abs_index) order.
 
@@ -133,10 +145,8 @@ def decompose(surface: Surface, local_index: str = "eq319") -> list[MirrorPair]:
     """
     if local_index not in LOCAL_INDEX_CHOICES:
         raise InvalidGrid(f"unknown local index '{local_index}'")
-    n_bins = surface.grid.n_bins
-    if n_bins % 2 != 0:
-        raise InvalidGrid(f"mirror decomposition needs an even bin count, got {n_bins}")
-    half = n_bins // 2
+    check_mirror_grid(surface.grid)
+    half = surface.grid.n_bins // 2
     pairs: list[MirrorPair] = []
     for i, m in enumerate(surface.moments):
         support, A, S = pair_terms(

@@ -1,9 +1,11 @@
 """Deterministic SVG figures rendered from CSV artifacts.
 
 Figures never touch in-memory pipeline state: they are drawn from the
-exported CSV files alone, so the published tables fully determine the
-published pictures. All coordinates and colors are formatted with
-fixed precision, making the output byte-stable for identical inputs.
+exported CSV files alone, with the bin layout of the surface views and
+the heatmap taken from the grid in the CSV's manifest, so the published
+tables fully determine the published pictures. All coordinates and
+colors are formatted with fixed precision, making the output
+byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidGrid, MissingArtifact
+from .series import read_manifest
 
 WIDTH = 960
 HEIGHT = 560
@@ -44,16 +47,6 @@ class FigureSpec:
             raise InvalidGrid(f"unknown figure kind '{self.kind}'")
         if self.vmax <= 0:
             raise InvalidGrid(f"vmax must be > 0, got {self.vmax}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "out": self.out,
-            "surface": self.surface,
-            "heatmap": self.heatmap,
-            "summary": self.summary,
-            "vmax": self.vmax,
-        }
 
 
 def _fmt(x: float) -> str:
@@ -176,11 +169,17 @@ def _surface_rows(path) -> tuple[list[int], dict]:
     return lags, cells
 
 
+def _grid(path) -> dict:
+    """The bin grid an artifact was built on, from its manifest."""
+    return read_manifest(path)["grid"]
+
+
 def render_surface_top(spec: FigureSpec) -> str:
     lags, cells = _surface_rows(spec.surface)
     svg = _Svg("conditional response surface (top view)")
     if lags:
-        n_bins = 320
+        grid = _grid(spec.surface)
+        n_bins = grid["n_bins"]
         cw = (WIDTH - MARGIN_L - MARGIN_R) / n_bins
         ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
         for row, lag in enumerate(lags):
@@ -196,7 +195,7 @@ def render_surface_top(spec: FigureSpec) -> str:
                     ch + 0.1,
                     color,
                 )
-        frame = _Frame(-4.0, 4.0, 0, len(lags))
+        frame = _Frame(grid["z_min"], grid["z_max"], 0, len(lags))
         _axes(svg, frame, "standardized push", "lag rank (top to bottom)")
     return svg.to_string()
 
@@ -211,16 +210,17 @@ def render_surface_side(spec: FigureSpec) -> str:
             if rec["valid"] == "true"
         ]
         if vals:
+            grid = _grid(spec.surface)
             lo, hi = min(vals), max(vals)
             pad = 0.05 * (hi - lo) if hi > lo else 0.1
-            frame = _Frame(-4.0, 4.0, lo - pad, hi + pad)
+            frame = _Frame(grid["z_min"], grid["z_max"], lo - pad, hi + pad)
             _axes(svg, frame, "standardized push", "mean standardized response")
             if frame.y_min < 0 < frame.y_max:
-                svg.line(frame.x(-4), frame.y(0), frame.x(4), frame.y(0),
-                         "#bbbbbb", dash="4,3")
+                svg.line(frame.x(frame.x_min), frame.y(0), frame.x(frame.x_max),
+                         frame.y(0), "#bbbbbb", dash="4,3")
             for i, lag in enumerate(lags):
                 points = []
-                for b in range(1, 321):
+                for b in range(1, grid["n_bins"] + 1):
                     rec = cells.get((lag, b))
                     if rec is None or rec["valid"] != "true":
                         continue
@@ -237,7 +237,8 @@ def render_dominance_heatmap(spec: FigureSpec) -> str:
     if rows:
         lags = sorted({int(r["lag"]) for r in rows})
         table = {(int(r["lag"]), int(r["abs_index"])): float(r["rho_local"]) for r in rows}
-        n_half = 160
+        grid = _grid(spec.heatmap)
+        n_half = grid["n_bins"] // 2
         cw = (WIDTH - MARGIN_L - MARGIN_R) / n_half
         ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
         for row, lag in enumerate(lags):
@@ -252,7 +253,7 @@ def render_dominance_heatmap(spec: FigureSpec) -> str:
                     ch + 0.1,
                     _diverging_color(v, 1.0),
                 )
-        frame = _Frame(0.0, 4.0, 0, len(lags))
+        frame = _Frame(0.0, grid["z_max"], 0, len(lags))
         _axes(svg, frame, "absolute standardized push", "lag rank (top to bottom)")
     return svg.to_string()
 

@@ -68,19 +68,6 @@ class QualityReport:
     n_emitted: int = 0
     empty_session_dates: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "n_malformed_skipped": self.n_malformed_skipped,
-            "n_dropped_condition": self.n_dropped_condition,
-            "n_dropped_outside_rth": self.n_dropped_outside_rth,
-            "n_crossed_dropped": self.n_crossed_dropped,
-            "n_locked_kept": self.n_locked_kept,
-            "n_unchanged_suppressed": self.n_unchanged_suppressed,
-            "n_emitted": self.n_emitted,
-            "empty_session_dates": self.empty_session_dates,
-        }
-
 
 def parse_quote_record(
     line: str, line_no: int, venues: tuple[str, ...] = DEFAULT_VENUES

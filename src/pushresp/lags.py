@@ -34,30 +34,6 @@ def validate_lags(lags) -> tuple[int, ...]:
     return lags
 
 
-@dataclass(frozen=True)
-class LagGrid:
-    short_family: tuple[int, ...] = DEFAULT_SHORT_LAGS
-    long_family: tuple[int, ...] = DEFAULT_LONG_LAGS
-
-    def __post_init__(self):
-        object.__setattr__(self, "short_family", validate_lags(self.short_family))
-        object.__setattr__(self, "long_family", validate_lags(self.long_family))
-
-    def family(self, name: str) -> tuple[int, ...]:
-        if name == "short":
-            return self.short_family
-        if name == "long":
-            return self.long_family
-        raise InvalidGrid(f"unknown lag family '{name}'")
-
-
-def build_lag_grid(short=None, long=None) -> LagGrid:
-    return LagGrid(
-        short_family=DEFAULT_SHORT_LAGS if short is None else tuple(short),
-        long_family=DEFAULT_LONG_LAGS if long is None else tuple(long),
-    )
-
-
 def admissible_anchors(session: Session, lag: int) -> range:
     """Anchor indices t with t-L and t+L inside the session (may be empty)."""
     if lag < 1:
@@ -67,19 +43,6 @@ def admissible_anchors(session: Session, lag: int) -> range:
 
 def anchor_count(sessions: list[Session], lag: int) -> int:
     return sum(max(0, len(s) - 2 * lag) for s in sessions)
-
-
-@dataclass(frozen=True)
-class PushResponsePair:
-    anchor: int
-    push: float
-    response: float
-
-
-@dataclass(frozen=True)
-class StandardizedPair:
-    z_p: float
-    z_r: float
 
 
 @dataclass(frozen=True)
@@ -133,13 +96,6 @@ def compute_moments(series: MidSeries, lag: int) -> LagMoments:
         sigma_p=sigma_p,
         mu_r=acc_r.mean,
         sigma_r=sigma_r,
-    )
-
-
-def standardize(pair: PushResponsePair, m: LagMoments) -> StandardizedPair:
-    return StandardizedPair(
-        z_p=(pair.push - m.mu_p) / m.sigma_p,
-        z_r=(pair.response - m.mu_r) / m.sigma_r,
     )
 
 

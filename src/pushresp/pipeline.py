@@ -1,10 +1,15 @@
 """End-to-end orchestration: source -> clean -> surface -> decompose -> render.
 
-Every stage writes its artifact plus a sidecar manifest carrying the
-exact stage configuration, the hashes of its inputs' manifests, and a
-stage key derived from both. A rerun skips a stage when its outputs
-and manifests already exist with a matching stage key, so the pipeline
-is resumable and artifacts form a verifiable provenance chain.
+Each stage is one function here that takes explicit input paths, output
+paths and its section of the config, and returns a `Stage`: its name,
+outputs, key and producer. `run_pipeline` and the CLI subcommands run
+the same stage functions through `run_stage`, so a standalone artifact
+carries the same manifest as the pipeline's. Every stage writes its
+artifact plus a sidecar manifest carrying the exact stage
+configuration, the hashes of its inputs' manifests, and a stage key
+derived from both. A pipeline rerun skips a stage when its outputs and
+manifests already exist with a matching stage key, so the pipeline is
+resumable and artifacts form a verifiable provenance chain.
 
 Throughput knobs (thread count) are excluded from stage keys because
 they never change results.
@@ -15,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import cleaning as cleaning_mod
 from . import decomposition as decomp_mod
@@ -27,8 +33,8 @@ from . import surface as surface_mod
 from . import synthetic as synth_mod
 from .errors import (
     ArtifactIOError,
-    InvalidGrid,
-    InvalidSpec,
+    MissingArtifact,
+    PushRespError,
     StageFailure,
     ValidationFailed,
 )
@@ -51,13 +57,12 @@ class IngestOptions:
     tz: str = ingest_mod.DEFAULT_TZ
     strict: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "venues_dir": self.venues_dir,
-            "consolidated": self.consolidated,
-            "tz": self.tz,
-            "strict": self.strict,
-        }
+    def __post_init__(self):
+        if bool(self.venues_dir) == bool(self.consolidated):
+            raise ValidationFailed(
+                "ingest needs exactly one of venues_dir (--venues) "
+                "or consolidated (--consolidated)"
+            )
 
 
 @dataclass
@@ -75,7 +80,6 @@ class PipelineConfig:
     local_index: str = "eq319"
     figures: list[figures_mod.FigureSpec] = field(default_factory=list)
     workdir: str = "."
-    deterministic: bool = True
     threads: int = 1
     paths: dict = field(default_factory=dict)
 
@@ -98,159 +102,114 @@ class PipelineConfig:
             return lags_mod.parse_lag_selector(self.lags)
         return lags_mod.validate_lags(self.lags)
 
-    def to_dict(self) -> dict:
-        return {
-            "synth": self.synth.to_dict() if self.synth else None,
-            "ingest": self.ingest.to_dict() if self.ingest else None,
-            "cleaning": {
-                "lower_q": self.cleaning.lower_q,
-                "upper_q": self.cleaning.upper_q,
-                "jump_threshold": self.cleaning.jump_threshold,
-            },
-            "lags": self.lags if isinstance(self.lags, str) else list(self.lags),
-            "grid": self.grid.to_dict(),
-            "bootstrap": {
-                "n_replicates": self.bootstrap.n_replicates,
-                "seed": self.bootstrap.seed,
-                "quantiles": list(self.bootstrap.quantiles),
-            },
-            "local_index": self.local_index,
-            "figures": [f.to_dict() for f in self.figures],
-            "workdir": self.workdir,
-            "deterministic": self.deterministic,
-            "threads": self.threads,
-            "paths": dict(self.paths),
-        }
-
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    problems = validate_config_dict(raw)
-    if problems:
-        raise ValidationFailed(problems)
-    synth = None
-    if raw.get("synth"):
-        synth = synth_mod.SyntheticSpec(**raw["synth"])
-    ing = None
-    if raw.get("ingest"):
-        ing = IngestOptions(**raw["ingest"])
-    clean_raw = raw.get("cleaning", {})
-    boot_raw = dict(raw.get("bootstrap", {}))
-    if "quantiles" in boot_raw:
-        boot_raw["quantiles"] = tuple(boot_raw["quantiles"])
-    grid_raw = dict(raw.get("grid", {}))
-    grid_raw.pop("n_bins", None)  # derived field, accepted on input for convenience
-    figures = [figures_mod.FigureSpec(**f) for f in raw.get("figures", [])]
-    return PipelineConfig(
-        synth=synth,
-        ingest=ing,
-        cleaning=cleaning_mod.CleaningConfig(**clean_raw),
-        lags=raw.get("lags", "short"),
-        grid=surface_mod.BinGrid(**grid_raw),
-        bootstrap=decomp_mod.BootstrapConfig(**boot_raw),
-        local_index=raw.get("local_index", "eq319"),
-        figures=figures,
-        workdir=raw.get("workdir", "."),
-        deterministic=raw.get("deterministic", True),
-        threads=raw.get("threads", 1),
-        paths=dict(raw.get("paths", {})),
-    )
+    """Build the pipeline config from its JSON form without touching data.
 
-
-def load_config(path: str | Path) -> PipelineConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationFailed([f"config {path} is not valid JSON: {exc}"]) from exc
-    return config_from_dict(raw)
-
-
-def validate_config_dict(raw: dict) -> list[str]:
-    """Static checks that never touch data files."""
+    Each section is built by its own constructor, which holds that
+    section's checks; every error a constructor raises becomes one
+    problem. The checks that span sections follow, and one
+    ValidationFailed lists every problem found. Top-level keys the
+    config does not know are ignored.
+    """
     problems: list[str] = []
-    has_synth = bool(raw.get("synth"))
-    has_ingest = bool(raw.get("ingest"))
+
+    def build(section: str, make: Callable):
+        try:
+            return make()
+        except (ValueError, TypeError, PushRespError) as exc:
+            problems.append(f"{section}: {exc}")
+            return None
+
+    has_synth, has_ingest = bool(raw.get("synth")), bool(raw.get("ingest"))
     if has_synth and has_ingest:
         problems.append("config sets both 'synth' and 'ingest'; pick one source")
     if not has_synth and not has_ingest:
         problems.append("config needs a source: either 'synth' or 'ingest'")
+    figures = raw.get("figures", [])
+    if not isinstance(figures, list):
+        problems.append(f"figures must be a list, got {figures!r}")
+        figures = []
+    cfg = PipelineConfig(
+        synth=build("synth", lambda: synth_mod.SyntheticSpec(**raw["synth"]))
+        if has_synth else None,
+        ingest=build("ingest", lambda: IngestOptions(**raw["ingest"]))
+        if has_ingest else None,
+        cleaning=build(
+            "cleaning", lambda: cleaning_mod.CleaningConfig(**raw.get("cleaning", {}))
+        ),
+        lags=raw.get("lags", "short"),
+        grid=build("grid", lambda: _bin_grid(raw.get("grid", {}))),
+        bootstrap=build("bootstrap", lambda: _bootstrap(raw.get("bootstrap", {}))),
+        local_index=raw.get("local_index", "eq319"),
+        figures=[
+            build(f"figures[{i}]", lambda f=f: figures_mod.FigureSpec(**f))
+            for i, f in enumerate(figures)
+        ],
+        workdir=raw.get("workdir", "."),
+        threads=raw.get("threads", 1),
+        paths=build("paths", lambda: _paths(raw.get("paths", {}))) or {},
+    )
 
-    grid = raw.get("grid", {})
-    z_min = grid.get("z_min", -4.0)
-    z_max = grid.get("z_max", 4.0)
-    step = grid.get("step", 0.025)
-    n_min = grid.get("n_min_support", 200)
-    if step <= 0:
-        problems.append(f"grid step must be > 0, got {step}")
-    elif z_min >= z_max:
-        problems.append(f"grid needs z_min < z_max, got {z_min}, {z_max}")
-    else:
-        ratio = (z_max - z_min) / step
-        if abs(ratio - round(ratio)) > 1e-9:
-            problems.append(
-                f"grid step {step} yields a non-integer bin count {ratio:.6g}"
-            )
-    if n_min < 1:
-        problems.append(f"n_min_support must be >= 1, got {n_min}")
-
-    cl = raw.get("cleaning", {})
-    lower_q = cl.get("lower_q", 0.00001)
-    upper_q = cl.get("upper_q", 0.99999)
-    if not (0.0 < lower_q < upper_q < 1.0):
-        problems.append(f"need 0 < lower_q < upper_q < 1, got {lower_q}, {upper_q}")
-    if cl.get("jump_threshold", 1.5) <= 0:
-        problems.append("jump_threshold must be > 0")
-
-    lags = raw.get("lags", "short")
-    try:
-        if isinstance(lags, str):
-            if not lags.startswith("file:"):
-                lags_mod.parse_lag_selector(lags)
-        else:
-            lags_mod.validate_lags(lags)
-    except (InvalidGrid, ValidationFailed) as exc:
-        problems.append(str(exc))
-
-    boot = raw.get("bootstrap", {})
-    if boot.get("n_replicates", 1000) < 1:
-        problems.append("bootstrap needs at least 1 replicate")
-    q = boot.get("quantiles", (0.025, 0.975))
-    if not (0.0 < q[0] < q[1] < 1.0):
-        problems.append(f"bad bootstrap quantiles {q}")
-    if "recompute_weights" in boot:
+    if not (isinstance(cfg.lags, str) and cfg.lags.startswith("file:")):
+        build("lags", cfg.lag_list)  # a lag file is read when the surface stage runs
+    if cfg.grid is not None:
+        build("grid", lambda: decomp_mod.check_mirror_grid(cfg.grid))
+    boot_raw = raw.get("bootstrap", {})
+    if isinstance(boot_raw, dict) and "recompute_weights" in boot_raw:
         problems.append(
             "bootstrap.recompute_weights applies only to the pair band; "
             "the pipeline reports the block band"
         )
+    if cfg.local_index not in decomp_mod.LOCAL_INDEX_CHOICES:
+        problems.append(f"unknown local_index '{cfg.local_index}'")
+    if not isinstance(cfg.threads, int) or cfg.threads < 1:
+        problems.append(f"threads must be an integer >= 1, got {cfg.threads!r}")
 
-    if raw.get("local_index", "eq319") not in decomp_mod.LOCAL_INDEX_CHOICES:
-        problems.append(f"unknown local_index '{raw.get('local_index')}'")
+    if problems:
+        raise ValidationFailed(problems)
+    return cfg
 
-    if raw.get("threads", 1) < 1:
-        problems.append("threads must be >= 1")
 
-    for f in raw.get("figures", []):
-        if f.get("kind") not in figures_mod.FIGURE_KINDS:
-            problems.append(f"unknown figure kind '{f.get('kind')}'")
+def _bin_grid(raw: dict) -> surface_mod.BinGrid:
+    fields = dict(raw)
+    fields.pop("n_bins", None)  # derived field, accepted on input for convenience
+    return surface_mod.BinGrid(**fields)
 
-    if raw.get("synth"):
-        try:
-            synth_mod.SyntheticSpec(**raw["synth"])
-        except (InvalidSpec, TypeError) as exc:
-            problems.append(f"synth spec invalid: {exc}")
 
-    paths = dict(PipelineConfig.DEFAULT_PATHS)
-    paths.update(raw.get("paths", {}))
+def _bootstrap(raw: dict) -> decomp_mod.BootstrapConfig:
+    fields = dict(raw)
+    if "quantiles" in fields:
+        fields["quantiles"] = tuple(fields["quantiles"])
+    return decomp_mod.BootstrapConfig(**fields)
+
+
+def _paths(raw: dict) -> dict:
+    """The path overrides; two artifacts at one path, the derived block
+    artifact included, are rejected."""
+    paths = {**PipelineConfig.DEFAULT_PATHS, **raw}
     paths["surface blocks"] = str(surface_mod.blocks_path(paths["surface"]))
     seen: dict[str, str] = {}
+    clashes = []
     for name, rel in sorted(paths.items()):
         if rel in seen:
-            problems.append(
-                f"paths '{seen[rel]}' and '{name}' both point to '{rel}'"
-            )
+            clashes.append(f"'{seen[rel]}' and '{name}' both point to '{rel}'")
         seen[rel] = name
-    return problems
+    if clashes:
+        raise ValidationFailed(clashes)
+    return dict(raw)
+
+
+def validate_config_dict(raw: dict) -> list[str]:
+    """Every problem `config_from_dict` finds; empty when the config is valid."""
+    try:
+        config_from_dict(raw)
+    except ValidationFailed as exc:
+        return exc.problems
+    return []
+
+
+# -- stages --------------------------------------------------------------
 
 
 @dataclass
@@ -260,14 +219,32 @@ class StageStatus:
     outputs: list[str]
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One stage over fixed paths: `produce` writes `outputs` and their
+    manifests, each carrying `key`."""
+
+    name: str
+    outputs: list[Path]
+    key: str
+    produce: Callable[[], None]
+
+
 def _key_of(stage: str, cfg: dict, inputs: dict[str, str]) -> str:
     payload = canonical_json({"stage": stage, "config": cfg, "inputs": inputs})
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _manifest_hash(artifact: Path) -> str:
-    payload = canonical_json(read_manifest(artifact))
-    return hashlib.sha256(payload.encode()).hexdigest()
+def _input_hashes(stage: str, paths: dict[str, Path]) -> dict[str, str]:
+    """SHA-256 of each input's manifest."""
+    hashes = {}
+    for name, path in paths.items():
+        try:
+            payload = canonical_json(read_manifest(path))
+        except ArtifactIOError as exc:
+            raise MissingArtifact(f"stage '{stage}' needs input '{name}': {exc}") from exc
+        hashes[name] = hashlib.sha256(payload.encode()).hexdigest()
+    return hashes
 
 
 def _stage_fresh(outputs: list[Path], key: str) -> bool:
@@ -277,269 +254,211 @@ def _stage_fresh(outputs: list[Path], key: str) -> bool:
         try:
             if read_manifest(out).get("stage_key") != key:
                 return False
-        except (ArtifactIOError, json.JSONDecodeError):
+        except ArtifactIOError:
             return False
     return True
 
 
-class Pipeline:
-    def __init__(self, config: PipelineConfig, force: bool = False):
-        self.config = config
-        self.force = force
-        self.statuses: list[StageStatus] = []
+def _remove_partial(outputs: list[Path]) -> None:
+    for out in outputs:
+        out.unlink(missing_ok=True)
+        manifest_path(out).unlink(missing_ok=True)
 
-    def run(self) -> list[StageStatus]:
-        Path(self.config.workdir).mkdir(parents=True, exist_ok=True)
-        self._source()
-        self._clean()
-        self._surface()
-        self._decompose()
-        self._render()
-        return self.statuses
 
-    # -- stage driver ------------------------------------------------
+def run_stage(stage: Stage, force: bool = False) -> StageStatus:
+    """Run a stage unless `force` is off and its outputs are fresh.
 
-    def _run_stage(self, stage, outputs, key, producer):
-        if not self.force and _stage_fresh(outputs, key):
-            self.statuses.append(
-                StageStatus(stage, "skipped", [str(o) for o in outputs])
-            )
-            logger.info("stage %s: outputs fresh, skipped", stage)
-            return
-        try:
-            producer()
-        except (StageFailure, ValidationFailed):
-            self._remove_partial(outputs)
-            raise
-        except Exception as exc:  # noqa: BLE001 - boundary to exit-code contract
-            self._remove_partial(outputs)
-            raise StageFailure(stage, str(exc)) from exc
-        self.statuses.append(StageStatus(stage, "ran", [str(o) for o in outputs]))
+    A failed run removes the stage's outputs. Errors of this package keep
+    their own exit codes; any other exception becomes a StageFailure.
+    """
+    outputs = [str(o) for o in stage.outputs]
+    if not force and _stage_fresh(stage.outputs, stage.key):
+        logger.info("stage %s: outputs fresh, skipped", stage.name)
+        return StageStatus(stage.name, "skipped", outputs)
+    try:
+        stage.produce()
+    except PushRespError:
+        _remove_partial(stage.outputs)
+        raise
+    except Exception as exc:  # noqa: BLE001 - boundary to exit-code contract
+        _remove_partial(stage.outputs)
+        raise StageFailure(stage.name, str(exc)) from exc
+    return StageStatus(stage.name, "ran", outputs)
 
-    @staticmethod
-    def _input_hashes(stage: str, paths: dict[str, Path]) -> dict[str, str]:
-        hashes = {}
-        for name, path in paths.items():
-            try:
-                hashes[name] = _manifest_hash(path)
-            except ArtifactIOError as exc:
-                raise StageFailure(stage, f"missing input '{name}': {exc}") from exc
-        return hashes
 
-    @staticmethod
-    def _remove_partial(outputs):
-        for out in outputs:
-            out.unlink(missing_ok=True)
-            manifest_path(out).unlink(missing_ok=True)
+def source_stage(
+    out: Path,
+    synth: synth_mod.SyntheticSpec | None = None,
+    ingest: IngestOptions | None = None,
+) -> Stage:
+    """The mid series at `out`, generated from `synth` or ingested per `ingest`."""
+    stage_cfg = {"synth": asdict(synth)} if synth is not None else {"ingest": asdict(ingest)}
+    key = _key_of("source", stage_cfg, {})
 
-    # -- stages -------------------------------------------------------
-
-    def _source(self):
-        cfg = self.config
-        out = cfg.path("mids")
-        if cfg.synth is not None:
-            stage_cfg = {"synth": cfg.synth.to_dict()}
+    def produce():
+        payload = {"stage": "source", "stage_key": key, "config": stage_cfg}
+        if synth is not None:
+            series = synth_mod.generate(synth)
         else:
-            stage_cfg = {"ingest": cfg.ingest.to_dict()}
-        key = _key_of("source", stage_cfg, {})
+            series, report = _ingest(ingest)
+            payload["quality"] = asdict(report)
+        write_prms(series, out)
+        write_manifest(out, {**series_summary(series), **payload})
 
-        def produce():
-            if cfg.synth is not None:
-                series = synth_mod.generate(cfg.synth)
-                quality = None
-            else:
-                opts = cfg.ingest
-                if opts.consolidated:
-                    series, report = ingest_mod.ingest_consolidated(
-                        opts.consolidated, tz=opts.tz, strict=opts.strict
-                    )
-                elif opts.venues_dir:
-                    files = {
-                        p.stem.upper(): p
-                        for p in sorted(Path(opts.venues_dir).glob("*.csv"))
-                    }
-                    if not files:
-                        raise StageFailure(
-                            "source", f"no quote files in {opts.venues_dir}"
-                        )
-                    series, report = ingest_mod.ingest_files(
-                        files, tz=opts.tz, strict=opts.strict
-                    )
-                else:
-                    raise StageFailure(
-                        "source", "ingest needs venues_dir or consolidated"
-                    )
-                quality = report.to_dict()
-            write_prms(series, out)
-            payload = dict(series_summary(series))
-            payload.update({"stage": "source", "stage_key": key, "config": stage_cfg})
-            if quality is not None:
-                payload["quality"] = quality
-            write_manifest(out, payload)
+    return Stage("source", [out], key, produce)
 
-        self._run_stage("source", [out], key, produce)
 
-    def _clean(self):
-        cfg = self.config
-        src = cfg.path("mids")
-        out = cfg.path("clean")
-        report_path = cfg.path("clean_report")
-        stage_cfg = {
-            "lower_q": cfg.cleaning.lower_q,
-            "upper_q": cfg.cleaning.upper_q,
-            "jump_threshold": cfg.cleaning.jump_threshold,
-        }
-        inputs = self._input_hashes("clean", {"mids": src})
-        key = _key_of("clean", stage_cfg, inputs)
-
-        def produce():
-            series = read_prms(src)
-            cleaned, report = cleaning_mod.clean(series, cfg.cleaning)
-            write_prms(cleaned, out)
-            report_path.write_text(
-                canonical_json(report.to_dict()) + "\n", encoding="utf-8"
-            )
-            payload = dict(series_summary(cleaned))
-            payload.update(
-                {
-                    "stage": "clean",
-                    "stage_key": key,
-                    "config": stage_cfg,
-                    "inputs": inputs,
-                    "report": report.to_dict(),
-                }
-            )
-            write_manifest(out, payload)
-            write_manifest(report_path, {"stage": "clean", "stage_key": key})
-
-        self._run_stage("clean", [out, report_path], key, produce)
-
-    def _surface(self):
-        cfg = self.config
-        src = cfg.path("clean")
-        out = cfg.path("surface")
-        blocks_out = surface_mod.blocks_path(out)
-        moments_out = cfg.path("moments")
-        lag_list = cfg.lag_list()
-        stage_cfg = {"lags": list(lag_list), "grid": cfg.grid.to_dict()}
-        inputs = self._input_hashes("surface", {"clean": src})
-        key = _key_of("surface", stage_cfg, inputs)
-
-        def produce():
-            series = read_prms(src)
-            rows = lags_mod.compute_moments_table(series, lag_list)
-            lags_mod.write_moments_csv(rows, moments_out)
-            surf = surface_mod.accumulate_surface(
-                series, rows, cfg.grid, threads=cfg.threads
-            )
-            surface_mod.write_surface_csv(surf, out)
-            clean_cfg_hash = hashlib.sha256(
-                canonical_json(
-                    {
-                        "lower_q": cfg.cleaning.lower_q,
-                        "upper_q": cfg.cleaning.upper_q,
-                        "jump_threshold": cfg.cleaning.jump_threshold,
-                    }
-                ).encode()
-            ).hexdigest()
-            payload = surface_mod.surface_manifest(surf)
-            payload.update(
-                {
-                    "stage": "surface",
-                    "stage_key": key,
-                    "config": stage_cfg,
-                    "cleaning_config_sha256": clean_cfg_hash,
-                    "inputs": inputs,
-                }
-            )
-            write_manifest(out, payload)
-            surface_mod.write_surface_blocks(surf.blocks, blocks_out)
-            blocks_meta = surface_mod.blocks_manifest(surf.blocks)
-            blocks_meta.update({"stage": "surface", "stage_key": key})
-            write_manifest(blocks_out, blocks_meta)
-            write_manifest(moments_out, {"stage": "surface", "stage_key": key})
-
-        self._run_stage("surface", [out, blocks_out, moments_out], key, produce)
-
-    def _decompose(self):
-        cfg = self.config
-        src = cfg.path("surface")
-        blocks_src = surface_mod.blocks_path(src)
-        heat_out = cfg.path("heatmap")
-        summary_out = cfg.path("summary")
-        stage_cfg = {
-            "local_index": cfg.local_index,
-            "bootstrap": {
-                "n_replicates": cfg.bootstrap.n_replicates,
-                "seed": cfg.bootstrap.seed,
-                "quantiles": list(cfg.bootstrap.quantiles),
-            },
-        }
-        inputs = self._input_hashes(
-            "decompose", {"surface": src, "blocks": blocks_src}
+def _ingest(opts: IngestOptions):
+    if opts.consolidated:
+        if not Path(opts.consolidated).exists():
+            raise StageFailure("source", f"input {opts.consolidated} does not exist")
+        return ingest_mod.ingest_consolidated(
+            opts.consolidated, tz=opts.tz, strict=opts.strict
         )
-        key = _key_of("decompose", stage_cfg, inputs)
+    files = {p.stem.upper(): p for p in sorted(Path(opts.venues_dir).glob("*.csv"))}
+    if not files:
+        raise StageFailure("source", f"no quote files in {opts.venues_dir}")
+    return ingest_mod.ingest_files(files, tz=opts.tz, strict=opts.strict)
 
-        def produce():
-            surf = surface_mod.read_surface_csv(src, read_manifest(src))
-            pairs = decomp_mod.decompose(surf, cfg.local_index)
-            blocks = surface_mod.read_surface_blocks(blocks_src)
-            summaries = decomp_mod.summarize(pairs, cfg.bootstrap, blocks)
-            decomp_mod.write_heatmap_csv(pairs, heat_out)
-            decomp_mod.write_summary_csv(summaries, summary_out)
-            meta = {
-                "stage": "decompose",
-                "stage_key": key,
-                "config": stage_cfg,
-                "inputs": inputs,
-            }
-            write_manifest(heat_out, meta)
-            write_manifest(summary_out, meta)
 
-        self._run_stage("decompose", [heat_out, summary_out], key, produce)
+def clean_stage(
+    src: Path, out: Path, report_out: Path, cfg: cleaning_mod.CleaningConfig
+) -> Stage:
+    """The cleaned series at `out` and its cleaning report at `report_out`."""
+    stage_cfg = asdict(cfg)
+    inputs = _input_hashes("clean", {"mids": src})
+    key = _key_of("clean", stage_cfg, inputs)
 
-    def _render(self):
-        cfg = self.config
-        if not cfg.figures:
-            return
-        inputs = self._input_hashes(
-            "render",
-            {
-                "surface": cfg.path("surface"),
-                "heatmap": cfg.path("heatmap"),
-                "summary": cfg.path("summary"),
-            },
-        )
-        for fig in cfg.figures:
-            wired = figures_mod.FigureSpec(
-                kind=fig.kind,
-                out=str(Path(cfg.workdir) / fig.out),
-                surface=fig.surface or str(cfg.path("surface")),
-                heatmap=fig.heatmap or str(cfg.path("heatmap")),
-                summary=fig.summary or str(cfg.path("summary")),
-                vmax=fig.vmax,
-            )
-            out = Path(wired.out)
-            stage_cfg = wired.to_dict()
-            key = _key_of("render", stage_cfg, inputs)
+    def produce():
+        cleaned, report = cleaning_mod.clean(read_prms(src), cfg)
+        write_prms(cleaned, out)
+        report_out.write_text(canonical_json(report.to_dict()) + "\n", encoding="utf-8")
+        write_manifest(out, {
+            **series_summary(cleaned), "stage": "clean", "stage_key": key,
+            "config": stage_cfg, "inputs": inputs, "report": report.to_dict(),
+        })
+        write_manifest(report_out, {"stage": "clean", "stage_key": key})
 
-            def produce(spec=wired, key=key, stage_cfg=stage_cfg):
-                figures_mod.render_figure(spec)
-                write_manifest(
-                    Path(spec.out),
-                    {
-                        "stage": "render",
-                        "stage_key": key,
-                        "config": stage_cfg,
-                        "inputs": inputs,
-                    },
-                )
+    return Stage("clean", [out, report_out], key, produce)
 
-            self._run_stage(f"render:{fig.kind}", [out], key, produce)
+
+def surface_stage(
+    src: Path,
+    out: Path,
+    moments_out: Path,
+    lags: tuple[int, ...],
+    grid: surface_mod.BinGrid,
+    threads: int = 1,
+) -> Stage:
+    """The surface CSV at `out`, its block tables beside it, and the moments."""
+    blocks_out = surface_mod.blocks_path(out)
+    stage_cfg = {"lags": list(lags), "grid": grid.to_dict()}
+    inputs = _input_hashes("surface", {"clean": src})
+    key = _key_of("surface", stage_cfg, inputs)
+
+    def produce():
+        series = read_prms(src)
+        rows = lags_mod.compute_moments_table(series, lags)
+        lags_mod.write_moments_csv(rows, moments_out)
+        surf = surface_mod.accumulate_surface(series, rows, grid, threads=threads)
+        surface_mod.write_surface_csv(surf, out)
+        meta = {"stage": "surface", "stage_key": key}
+        write_manifest(out, {
+            **surface_mod.surface_manifest(surf), **meta,
+            "config": stage_cfg, "inputs": inputs,
+        })
+        surface_mod.write_surface_blocks(surf.blocks, blocks_out)
+        write_manifest(blocks_out, {**surface_mod.blocks_manifest(surf.blocks), **meta})
+        write_manifest(moments_out, meta)
+
+    return Stage("surface", [out, blocks_out, moments_out], key, produce)
+
+
+def decompose_stage(
+    src: Path,
+    heat_out: Path,
+    summary_out: Path,
+    local_index: str,
+    boot: decomp_mod.BootstrapConfig,
+) -> Stage:
+    """Mirror pairs of the surface at `src` and per-lag summaries with block
+    bands from the block tables beside it."""
+    blocks_src = surface_mod.blocks_path(src)
+    stage_cfg = {
+        "local_index": local_index,
+        "bootstrap": {
+            "n_replicates": boot.n_replicates,
+            "seed": boot.seed,
+            "quantiles": list(boot.quantiles),
+        },
+    }
+    inputs = _input_hashes("decompose", {"surface": src, "blocks": blocks_src})
+    key = _key_of("decompose", stage_cfg, inputs)
+
+    def produce():
+        surf = surface_mod.read_surface_csv(src, read_manifest(src))
+        pairs = decomp_mod.decompose(surf, local_index)
+        blocks = surface_mod.read_surface_blocks(blocks_src)
+        summaries = decomp_mod.summarize(pairs, boot, blocks)
+        decomp_mod.write_heatmap_csv(pairs, heat_out)
+        decomp_mod.write_summary_csv(summaries, summary_out)
+        meta = {"stage": "decompose", "stage_key": key, "config": stage_cfg, "inputs": inputs}
+        # the figures lay the heatmap out on the surface's grid
+        write_manifest(heat_out, {**meta, "grid": surf.grid.to_dict()})
+        write_manifest(summary_out, meta)
+
+    return Stage("decompose", [heat_out, summary_out], key, produce)
+
+
+def render_stage(spec: figures_mod.FigureSpec) -> Stage:
+    """The figure `spec` describes; its inputs are every CSV the spec names.
+
+    The pipeline names all three CSVs, so every figure reruns whenever
+    any of them changes.
+    """
+    inputs = _input_hashes("render", {
+        name: Path(getattr(spec, name))
+        for name in ("surface", "heatmap", "summary") if getattr(spec, name) is not None
+    })
+    stage_cfg = asdict(spec)
+    key = _key_of("render", stage_cfg, inputs)
+    out = Path(spec.out)
+
+    def produce():
+        figures_mod.render_figure(spec)
+        write_manifest(out, {"stage": "render", "stage_key": key,
+                             "config": stage_cfg, "inputs": inputs})
+
+    return Stage(f"render:{spec.kind}", [out], key, produce)
 
 
 def run_pipeline(config: PipelineConfig, force: bool = False) -> list[StageStatus]:
-    return Pipeline(config, force=force).run()
+    """Run every stage in order; each stage is built once its inputs exist."""
+    cfg = config
+    Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
+    statuses = [run_stage(source_stage(cfg.path("mids"), cfg.synth, cfg.ingest), force)]
+    statuses.append(run_stage(clean_stage(
+        cfg.path("mids"), cfg.path("clean"), cfg.path("clean_report"), cfg.cleaning
+    ), force))
+    statuses.append(run_stage(surface_stage(
+        cfg.path("clean"), cfg.path("surface"), cfg.path("moments"),
+        cfg.lag_list(), cfg.grid, cfg.threads,
+    ), force))
+    statuses.append(run_stage(decompose_stage(
+        cfg.path("surface"), cfg.path("heatmap"), cfg.path("summary"),
+        cfg.local_index, cfg.bootstrap,
+    ), force))
+    for fig in cfg.figures:
+        spec = figures_mod.FigureSpec(
+            kind=fig.kind,
+            out=str(Path(cfg.workdir) / fig.out),
+            surface=fig.surface or str(cfg.path("surface")),
+            heatmap=fig.heatmap or str(cfg.path("heatmap")),
+            summary=fig.summary or str(cfg.path("summary")),
+            vmax=fig.vmax,
+        )
+        statuses.append(run_stage(render_stage(spec), force))
+    return statuses
 
 
 def apply_override(raw: dict, item: str) -> None:

@@ -118,6 +118,9 @@ def write_prms(series: MidSeries, path: str | Path) -> None:
 
 
 def read_prms(path: str | Path) -> MidSeries:
+    """Read a PRMS file; a NaN or infinite mid is rejected, naming the
+    session and its global event index, because every lag statistic
+    downstream would turn it into plausible-looking numbers."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -141,7 +144,14 @@ def read_prms(path: str | Path) -> MidSeries:
         nbytes = count * 8
         if pos + nbytes > len(raw):
             raise ArtifactIOError(f"{path}: truncated session block at {pos}")
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=pos).copy())
+        block = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
+        if not np.isfinite(block).all():
+            i = int(np.flatnonzero(~np.isfinite(block))[0])
+            raise ArtifactIOError(
+                f"{path}: session {len(arrays)} holds a non-finite mid "
+                f"{block[i]!r} at event index {sum(map(len, arrays)) + i}"
+            )
+        arrays.append(block.copy())
         dates.append(date)
         pos += nbytes
     return from_session_arrays(dates, arrays)

@@ -77,8 +77,8 @@ class BinGrid:
         ratio = (self.z_max - self.z_min) / self.step
         if abs(ratio - round(ratio)) > 1e-9:
             raise InvalidGrid(
-                f"bin step {self.step} does not divide the range "
-                f"[{self.z_min}, {self.z_max}] into an integer bin count"
+                f"bin step {self.step} yields a non-integer bin count {ratio:.6g} "
+                f"over [{self.z_min}, {self.z_max})"
             )
         if self.n_min_support < 1:
             raise InvalidGrid(f"n_min_support must be >= 1, got {self.n_min_support}")
@@ -122,18 +122,6 @@ class BinGrid:
             "n_bins": self.n_bins,
             "n_min_support": self.n_min_support,
         }
-
-
-@dataclass(frozen=True)
-class SurfaceCell:
-    lag: int
-    bin: int  # 1-based
-    center: float
-    count: int
-    mean_zp: float  # nan when count == 0
-    mean_zr: float
-    mean_r_raw: float
-    valid: bool
 
 
 @dataclass(frozen=True)
@@ -193,23 +181,6 @@ class Surface:
             return self.lags.index(lag)
         except ValueError:
             raise MissingMoments(lag) from None
-
-    def cell(self, lag: int, j: int) -> SurfaceCell:
-        row = self.lag_row(lag)
-        col = j - 1
-        if not (1 <= j <= self.grid.n_bins):
-            raise IndexOutOfRange(f"bin index {j} outside 1..{self.grid.n_bins}")
-        count = int(self.counts[row, col])
-        return SurfaceCell(
-            lag=lag,
-            bin=j,
-            center=self.grid.bin_center(j),
-            count=count,
-            mean_zp=float(self.mean_zp[row, col]),
-            mean_zr=float(self.mean_zr[row, col]),
-            mean_r_raw=float(self.mean_r_raw[row, col]),
-            valid=count >= self.grid.n_min_support,
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Surface):

@@ -79,19 +79,6 @@ class SyntheticSpec:
         if problems:
             raise InvalidSpec("; ".join(problems))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_events": self.n_events,
-            "n_sessions": self.n_sessions,
-            "tick": self.tick,
-            "inject_lag": self.inject_lag,
-            "phi": self.phi,
-            "asym_gain": self.asym_gain,
-            "seed": self.seed,
-            "increments": self.increments,
-        }
-
 
 def echo_cancel_coefficient(phi: float) -> float:
     """Second-tap weight that zeroes cov(push, response) for lags >= 2*L0."""
@@ -147,18 +134,6 @@ def generate(spec: SyntheticSpec) -> MidSeries:
         dates.append(BASE_DATE + i)
         arrays.append(prices)
     return from_session_arrays(dates, arrays)
-
-
-def gen_null_walk(spec: SyntheticSpec) -> MidSeries:
-    if spec.kind != "null_walk":
-        raise InvalidSpec(f"gen_null_walk called with kind '{spec.kind}'")
-    return generate(spec)
-
-
-def gen_injected(spec: SyntheticSpec) -> MidSeries:
-    if spec.kind == "null_walk":
-        raise InvalidSpec("gen_injected called with kind 'null_walk'")
-    return generate(spec)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from pushresp.decomposition import (
     write_summary_csv,
 )
 from pushresp.cleaning import empirical_quantile
-from pushresp.errors import IndexOutOfRange
+from pushresp.errors import IndexOutOfRange, InvalidGrid
 from pushresp.lags import LagMoments, compute_moments_table
 from pushresp.surface import BinGrid, BlockTables, LagBlocks, Surface, accumulate_surface
 
@@ -105,6 +106,13 @@ class TestDecompose:
         assert pair.A == pytest.approx(0.2, rel=1e-15)
         assert pair.S + pair.A == pytest.approx(0.5, rel=1e-15)
         assert pair.S - pair.A == pytest.approx(0.1, rel=1e-15)
+
+    def test_asymmetric_grid_rejected(self):
+        # 320 bins over [-3, 5): bin 160 + k and bin 161 - k are not mirrors
+        surf = build_surface(mirror_cells(40, 300, 300, 0.4, -0.4))
+        shifted = dataclasses.replace(surf, grid=BinGrid(z_min=-3.0, z_max=5.0))
+        with pytest.raises(InvalidGrid, match="symmetric about 0"):
+            decompose(shifted)
 
     def test_unsupported_side_blanks_pair(self):
         cells = mirror_cells(10, 300, 199, 0.2, 0.1)  # negative side below n_min

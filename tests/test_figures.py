@@ -10,7 +10,13 @@ from pushresp.decomposition import (
 from pushresp.errors import InvalidGrid, MissingArtifact
 from pushresp.figures import FigureSpec, render_figure
 from pushresp.lags import compute_moments_table
-from pushresp.surface import BinGrid, accumulate_surface, write_surface_csv
+from pushresp.series import write_manifest
+from pushresp.surface import (
+    BinGrid,
+    accumulate_surface,
+    surface_manifest,
+    write_surface_csv,
+)
 from pushresp.synthetic import SyntheticSpec, generate
 
 from test_decomposition import build_surface, mirror_cells
@@ -18,15 +24,18 @@ from test_decomposition import build_surface, mirror_cells
 
 @pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory):
-    """A small end-to-end artifact set rendered from a null walk."""
+    """A small end-to-end artifact set rendered from a null walk; the
+    surface and heatmap manifests carry the grid the figures lay out."""
     d = tmp_path_factory.mktemp("artifacts")
     series = generate(SyntheticSpec(kind="null_walk", n_events=60000,
                                     n_sessions=2, seed=4))
     rows = compute_moments_table(series, [1, 5, 20])
     surf = accumulate_surface(series, rows, BinGrid(n_min_support=50))
     write_surface_csv(surf, d / "surface.csv")
+    write_manifest(d / "surface.csv", surface_manifest(surf))
     pairs = decompose(surf)
     write_heatmap_csv(pairs, d / "heat.csv")
+    write_manifest(d / "heat.csv", {"grid": surf.grid.to_dict()})
     write_summary_csv(summarize(pairs, BootstrapConfig(n_replicates=100, seed=1)),
                       d / "lags.csv")
     return d
@@ -55,11 +64,38 @@ def test_all_kinds_render_deterministically(artifact_dir, tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_layout_follows_the_grid(tmp_path):
+    # an 80-bin grid over [-2, 2) fills the plot width under a -2..2 axis
+    grid = BinGrid(z_min=-2.0, z_max=2.0, step=0.05, n_min_support=20)
+    series = generate(SyntheticSpec(kind="null_walk", n_events=20000, seed=4))
+    surf = accumulate_surface(series, compute_moments_table(series, [1, 5]), grid)
+    write_surface_csv(surf, tmp_path / "surface.csv")
+    write_manifest(tmp_path / "surface.csv", surface_manifest(surf))
+    write_heatmap_csv(decompose(surf), tmp_path / "heat.csv")
+    write_manifest(tmp_path / "heat.csv", {"grid": grid.to_dict()})
+    plot_w = 960 - 70 - 30
+    for kind, src, n_cells in (
+        ("surface_top", "surface", 80),
+        ("surface_side", "surface", None),
+        ("dominance_heatmap", "heatmap", 40),
+    ):
+        out = tmp_path / f"{kind}.svg"
+        csv_name = "surface.csv" if src == "surface" else "heat.csv"
+        render_figure(FigureSpec(kind=kind, out=str(out), **{src: str(tmp_path / csv_name)}))
+        body = out.read_text()
+        if n_cells is not None:
+            assert f'width="{plot_w / n_cells + 0.1:.3f}"' in body
+        if src == "surface":
+            assert ">-2</text>" in body and ">2</text>" in body
+            assert ">-4</text>" not in body
+
+
 def test_heatmap_single_pair_single_cell(tmp_path):
     surf = build_surface(mirror_cells(30, 400, 400, 0.2, -0.3))
     pairs = decompose(surf)
     heat = tmp_path / "heat.csv"
     write_heatmap_csv(pairs, heat)
+    write_manifest(heat, {"grid": surf.grid.to_dict()})
     out = tmp_path / "heat.svg"
     render_figure(FigureSpec(kind="dominance_heatmap", out=str(out), heatmap=str(heat)))
     body = out.read_text()

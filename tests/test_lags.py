@@ -9,17 +9,14 @@ from pushresp.errors import InsufficientSupport, InvalidGrid, ZeroVariance
 from pushresp.lags import (
     DEFAULT_LONG_LAGS,
     DEFAULT_SHORT_LAGS,
-    LagGrid,
-    LagMoments,
-    PushResponsePair,
     admissible_anchors,
     anchor_count,
-    build_lag_grid,
     compute_moments,
     compute_moments_table,
     parse_lag_selector,
     read_moments_csv,
-    standardize,
+    session_pushes_responses,
+    validate_lags,
     write_moments_csv,
 )
 from pushresp.series import Session
@@ -47,30 +44,30 @@ def naive_moments(series, lag):
 
 class TestLagGrid:
     def test_default_families(self):
-        grid = build_lag_grid()
-        assert len(grid.short_family) == 101
-        assert len(grid.long_family) == 500
-        assert grid.short_family[0] == 1
-        assert grid.short_family[1] == 50
-        assert grid.short_family[-1] == 5000
-        assert grid.long_family[0] == 1000
-        assert grid.long_family[-1] == 500000
+        assert validate_lags(DEFAULT_SHORT_LAGS) == DEFAULT_SHORT_LAGS
+        assert validate_lags(DEFAULT_LONG_LAGS) == DEFAULT_LONG_LAGS
+        assert len(DEFAULT_SHORT_LAGS) == 101
+        assert len(DEFAULT_LONG_LAGS) == 500
+        assert DEFAULT_SHORT_LAGS[0] == 1
+        assert DEFAULT_SHORT_LAGS[1] == 50
+        assert DEFAULT_SHORT_LAGS[-1] == 5000
+        assert DEFAULT_LONG_LAGS[0] == 1000
+        assert DEFAULT_LONG_LAGS[-1] == 500000
 
     def test_custom_family(self):
-        grid = build_lag_grid(short=[10, 20])
-        assert grid.short_family == (10, 20)
+        assert validate_lags([10, 20]) == (10, 20)
 
     def test_zero_lag_rejected(self):
         with pytest.raises(InvalidGrid):
-            build_lag_grid(short=[0])
+            validate_lags([0])
 
     def test_unsorted_rejected(self):
         with pytest.raises(InvalidGrid):
-            build_lag_grid(short=[10, 5])
+            validate_lags([10, 5])
 
     def test_unknown_family_name(self):
         with pytest.raises(InvalidGrid):
-            LagGrid().family("medium")
+            parse_lag_selector("medium")
 
     def test_selector_parsing(self, tmp_path):
         assert parse_lag_selector("short") == DEFAULT_SHORT_LAGS
@@ -160,45 +157,13 @@ class TestMoments:
         series = make_series([mids[:25000], mids[25000:]])
         lag = 40
         m = compute_moments(series, lag)
-        zs_p, zs_r = [], []
-        for s in series.sessions:
-            for t in range(s.start + lag, s.end - lag + 1):
-                pair = PushResponsePair(
-                    anchor=t,
-                    push=series.mids[t] - series.mids[t - lag],
-                    response=series.mids[t + lag] - series.mids[t],
-                )
-                z = standardize(pair, m)
-                zs_p.append(z.z_p)
-                zs_r.append(z.z_r)
-        zp = np.array(zs_p)
-        zr = np.array(zs_r)
+        parts = [session_pushes_responses(series.mids, s, lag) for s in series.sessions]
+        zp = (np.concatenate([p for p, _ in parts]) - m.mu_p) / m.sigma_p
+        zr = (np.concatenate([r for _, r in parts]) - m.mu_r) / m.sigma_r
         assert abs(zp.mean()) < 1e-8
         assert abs(zp.var() - 1.0) < 1e-8
         assert abs(zr.mean()) < 1e-8
         assert abs(zr.var() - 1.0) < 1e-8
-
-
-class TestStandardize:
-    def setup_method(self):
-        # dyadic moments keep the forced examples exact in floating point
-        self.m = LagMoments(lag=5, n_pairs=100, mu_p=0.25, sigma_p=0.5, mu_r=-0.25, sigma_r=2.0)
-
-    def test_centering(self):
-        z = standardize(PushResponsePair(0, push=0.25, response=-0.25), self.m)
-        assert z.z_p == 0.0
-        assert z.z_r == 0.0
-
-    def test_unit_scaling(self):
-        z = standardize(PushResponsePair(0, push=0.75, response=1.75), self.m)
-        assert z.z_p == 1.0
-        assert z.z_r == 1.0
-
-    @given(st.floats(-10, 10), st.floats(-10, 10))
-    def test_direct_formula(self, push, response):
-        z = standardize(PushResponsePair(0, push=push, response=response), self.m)
-        assert z.z_p == (push - 0.25) / 0.5
-        assert z.z_r == (response - (-0.25)) / 2.0
 
 
 class TestMomentsTable:

@@ -12,7 +12,9 @@ from pushresp.pipeline import (
     run_pipeline,
     validate_config_dict,
 )
-from pushresp.series import canonical_json, read_manifest
+from pushresp.series import canonical_json, read_manifest, write_manifest, write_prms
+
+from conftest import make_series
 
 
 def base_config(workdir, n_events=40000, figures=None):
@@ -79,6 +81,42 @@ class TestValidate:
         assert any("s.blocks" in p for p in validate_config_dict(cfg))
 
 
+class TestConfigFaults:
+    @pytest.mark.parametrize("section, value, word", [
+        ("grid", {"stepp": 0.05}, "stepp"),
+        ("figures", [{"kind": "rho_curve"}], "'out'"),
+        ("ingest", {"tz": "America/New_York"}, "venues_dir"),
+        ("grid", {"step": "0.05"}, "'str'"),
+        ("grid", {"z_min": -2.0, "z_max": 4.0, "step": 0.025}, "symmetric about 0"),
+    ], ids=["grid_key", "figure_out", "ingest_input", "grid_step_type", "grid_asymmetric"])
+    def test_validate_and_pipeline_exit_1(self, tmp_path, capsys, section, value, word):
+        workdir = tmp_path / "wd"
+        raw = base_config(workdir)
+        if section == "ingest":
+            del raw["synth"]  # so the ingest section is the one source
+        raw[section] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert any(word in line for line in out.splitlines() if line.startswith("problem:"))
+        assert main(["pipeline", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert word in err and "Traceback" not in err
+        assert not workdir.exists()
+
+    def test_every_problem_reported(self, tmp_path):
+        raw = base_config(tmp_path)
+        raw["grid"] = {"stepp": 0.05}
+        raw["figures"] = [{"kind": "rho_curve"}]
+        problems = validate_config_dict(raw)
+        assert len(problems) == 2
+        assert "stepp" in problems[0] and "figures[0]" in problems[1]
+        with pytest.raises(ValidationFailed) as err:
+            config_from_dict(raw)
+        assert err.value.problems == problems
+
+
 class TestPipeline:
     def test_full_run_artifacts_and_provenance(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
@@ -95,7 +133,6 @@ class TestPipeline:
         surface_m = read_manifest(tmp_path / "surface.csv")
         want = hashlib.sha256(canonical_json(clean_m).encode()).hexdigest()
         assert surface_m["inputs"]["clean"] == want
-        assert "cleaning_config_sha256" in surface_m
         heat_m = read_manifest(tmp_path / "heat.csv")
         want = hashlib.sha256(canonical_json(surface_m).encode()).hexdigest()
         assert heat_m["inputs"]["surface"] == want
@@ -182,6 +219,14 @@ class TestCliExitCodes:
             "--out", str(tmp_path / "out.prms"),
         ]) == 3
 
+    def test_non_finite_mid_exit_3(self, tmp_path):
+        mids, out = tmp_path / "mids.prms", tmp_path / "s.csv"
+        write_prms(make_series([[100.0, float("nan"), 100.02, 100.03]]), mids)
+        write_manifest(mids, {})
+        out.write_text("stale")
+        assert main(["surface", "--in", str(mids), "--lags", "1", "--out", str(out)]) == 3
+        assert not out.exists()  # a failed stage leaves none of its outputs
+
     def test_usage_error_exit_1(self):
         assert main(["clean"]) == 1
 
@@ -224,6 +269,41 @@ class TestCliSubcommands:
         assert (tmp_path / "clean.json").exists()
         assert (tmp_path / "surface.moments.csv").exists()
         assert (tmp_path / "surface.blocks").exists()
+
+    def test_subcommands_match_pipeline_bytes(self, tmp_path):
+        # the subcommands run the pipeline's stage functions: same settings,
+        # same data and manifests, byte for byte
+        piped, alone = tmp_path / "pipeline", tmp_path / "alone"
+        raw = base_config(piped, figures=[])
+        raw["lags"] = "1,10,20"
+        run_pipeline(config_from_dict(raw))
+        alone.mkdir()
+        assert main([
+            "synth", "--kind", "momentum", "--n", "40000", "--sessions", "2",
+            "--lag", "20", "--phi", "0.3", "--seed", "11",
+            "--out", str(alone / "mids.prms"),
+        ]) == 0
+        assert main([
+            "clean", "--in", str(alone / "mids.prms"), "--lower-q", "1e-5",
+            "--upper-q", "0.99999", "--jump", "1.5", "--out", str(alone / "clean.prms"),
+            "--report", str(alone / "clean.json"),
+        ]) == 0
+        assert main([
+            "surface", "--in", str(alone / "clean.prms"), "--lags", "1,10,20",
+            "--nmin", "50", "--out", str(alone / "surface.csv"),
+            "--out-moments", str(alone / "moments.csv"),
+        ]) == 0
+        assert main([
+            "decompose", "--surface", str(alone / "surface.csv"), "--bootstrap", "100",
+            "--seed", "42", "--out-heatmap", str(alone / "heat.csv"),
+            "--out-summary", str(alone / "lags.csv"),
+        ]) == 0
+        names = sorted(p.name for p in piped.iterdir())
+        assert names == sorted(p.name for p in alone.iterdir())
+        assert len(names) == 16  # 8 artifacts, each with its manifest
+        for name in names:
+            assert (alone / name).read_bytes() == (piped / name).read_bytes(), name
+        assert read_manifest(alone / "mids.prms")["stage"] == "source"
 
     def test_decompose_needs_block_artifact(self, tmp_path):
         mids = tmp_path / "mids.prms"

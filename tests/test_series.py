@@ -79,6 +79,16 @@ def test_prms_rejects_truncated(tmp_path):
         read_prms(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prms_rejects_non_finite_mid(tmp_path, bad):
+    # one poisoned mid would turn into nan moments downstream
+    series = make_series([[100.0, 100.01, 100.02], [101.0, bad, 101.02]])
+    path = tmp_path / "bad.prms"
+    write_prms(series, path)
+    with pytest.raises(ArtifactIOError, match="session 1 .* at event index 4"):
+        read_prms(path)
+
+
 def test_manifest_round_trip(tmp_path):
     series = make_series([[1.0, 2.0]])
     path = tmp_path / "m.prms"

@@ -139,9 +139,8 @@ class TestAccumulateSurface:
         nonzero = np.nonzero(surf.counts[0])[0]
         assert len(nonzero) == 2  # two increment values -> two bins
         for col in nonzero:
-            cell = surf.cell(1, int(col) + 1)
-            if cell.valid:
-                assert cell.count >= 200
+            if surf.valid[0, col]:
+                assert surf.counts[0, col] >= 200
 
     def test_count_199_is_invalid(self, rng):
         mids = 100 + np.cumsum(rng.standard_normal(403) * 0.01)
@@ -151,8 +150,7 @@ class TestAccumulateSurface:
         surf = accumulate_surface(series, rows, grid)
         # total pairs 401 over ~320 bins: no bin can reach 200 unless degenerate
         for col in np.nonzero(surf.counts[0])[0]:
-            cell = surf.cell(1, int(col) + 1)
-            assert cell.valid == (cell.count >= 200)
+            assert surf.valid[0, col] == (surf.counts[0, col] >= 200)
 
     def test_matches_brute_force_enumeration(self, rng):
         mids = 100 + np.cumsum(rng.standard_normal(4000) * 0.01)
@@ -168,14 +166,14 @@ class TestAccumulateSurface:
             got_nonzero = {int(c) + 1 for c in np.nonzero(surf.counts[i])[0]}
             assert got_nonzero == set(groups)
             for j, members in groups.items():
-                cell = surf.cell(lag, j)
-                assert cell.count == len(members)
+                col = j - 1
+                assert surf.counts[i, col] == len(members)
                 zp = [m[0] for m in members]
                 zr = [m[1] for m in members]
                 rw = [m[2] for m in members]
-                assert cell.mean_zp == pytest.approx(np.mean(zp), rel=1e-10, abs=1e-13)
-                assert cell.mean_zr == pytest.approx(np.mean(zr), rel=1e-10, abs=1e-13)
-                assert cell.mean_r_raw == pytest.approx(np.mean(rw), rel=1e-10, abs=1e-15)
+                assert surf.mean_zp[i, col] == pytest.approx(np.mean(zp), rel=1e-10, abs=1e-13)
+                assert surf.mean_zr[i, col] == pytest.approx(np.mean(zr), rel=1e-10, abs=1e-13)
+                assert surf.mean_r_raw[i, col] == pytest.approx(np.mean(rw), rel=1e-10, abs=1e-15)
 
     def test_partition_identity(self, rng):
         mids = 100 + np.cumsum(rng.standard_normal(20000) * 0.01)
@@ -194,11 +192,9 @@ class TestAccumulateSurface:
         rows = compute_moments_table(series, [5])
         surf = accumulate_surface(series, rows, grid)
         for col in np.nonzero(surf.valid[0])[0]:
-            j = int(col) + 1
-            cell = surf.cell(5, j)
-            lo = grid.z_min + (j - 1) * grid.step
-            hi = grid.z_min + j * grid.step
-            assert lo <= cell.mean_zp < hi
+            lo = grid.z_min + col * grid.step
+            hi = grid.z_min + (col + 1) * grid.step
+            assert lo <= surf.mean_zp[0, col] < hi
 
     def test_monotone_support(self, rng):
         mids = 100 + np.cumsum(rng.standard_normal(30000) * 0.01)

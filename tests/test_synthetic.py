@@ -8,8 +8,6 @@ from pushresp.synthetic import (
     SyntheticSpec,
     echo_cancel_coefficient,
     expected_response_oracle,
-    gen_injected,
-    gen_null_walk,
     generate,
 )
 
@@ -39,14 +37,6 @@ class TestSpecValidation:
     def test_phi_bounds(self):
         with pytest.raises(InvalidSpec):
             SyntheticSpec(kind="momentum", n_events=10**5, inject_lag=50, phi=1.0)
-
-    def test_wrong_generator_for_kind(self):
-        null = SyntheticSpec(kind="null_walk", n_events=100)
-        inj = SyntheticSpec(kind="momentum", n_events=10**4, inject_lag=10, phi=0.2)
-        with pytest.raises(InvalidSpec):
-            gen_injected(null)
-        with pytest.raises(InvalidSpec):
-            gen_null_walk(inj)
 
 
 class TestDeterminism:
@@ -106,7 +96,7 @@ class TestInjected:
     def test_momentum_correlation_localized(self):
         spec = SyntheticSpec(kind="momentum", n_events=2_000_000, n_sessions=2,
                              inject_lag=50, phi=0.3, seed=5)
-        s = gen_injected(spec)
+        s = generate(spec)
         corr50, n50 = sample_pair_correlation(s, 50)
         assert n50 > 1_000_000
         assert corr50 > 0.2  # analytic value ~ 0.236
@@ -118,21 +108,21 @@ class TestInjected:
     def test_reversal_flips_sign(self):
         spec = SyntheticSpec(kind="reversal", n_events=1_000_000, n_sessions=2,
                              inject_lag=50, phi=-0.3, seed=6)
-        s = gen_injected(spec)
+        s = generate(spec)
         corr, _ = sample_pair_correlation(s, 50)
         assert corr < -0.2
 
     def test_zero_phi_behaves_like_null(self):
         spec = SyntheticSpec(kind="momentum", n_events=500_000, inject_lag=50,
                              phi=0.0, seed=8)
-        s = gen_injected(spec)
+        s = generate(spec)
         corr, n = sample_pair_correlation(s, 50)
         assert abs(corr) < 5.0 * np.sqrt(50 / n)
 
     def test_momentum_oracle_slope_positive(self):
         spec = SyntheticSpec(kind="momentum", n_events=2_000_000, n_sessions=2,
                              inject_lag=50, phi=0.3, seed=9)
-        s = gen_injected(spec)
+        s = generate(spec)
         orc = expected_response_oracle(s, 50, BinGrid())
         good = orc.count >= 200
         centers = BinGrid().centers()[good]
@@ -146,7 +136,7 @@ class TestInjected:
     def test_asymmetric_even_component_positive(self):
         spec = SyntheticSpec(kind="asymmetric", n_events=2_000_000, n_sessions=2,
                              inject_lag=50, phi=0.0, asym_gain=1.0, seed=10)
-        s = gen_injected(spec)
+        s = generate(spec)
         orc = expected_response_oracle(s, 50, BinGrid())
         grid = BinGrid()
         centers = grid.centers()
@@ -165,7 +155,7 @@ class TestInjected:
     def test_injection_does_not_break_moments(self):
         spec = SyntheticSpec(kind="momentum", n_events=100_000, inject_lag=50,
                              phi=0.3, seed=12)
-        s = gen_injected(spec)
+        s = generate(spec)
         m = compute_moments(s, 50)
         assert m.sigma_p > 0 and m.sigma_r > 0
         assert m.n_pairs == len(s) - 100
@@ -179,7 +169,7 @@ class TestInjected:
 
         spec = SyntheticSpec(kind="momentum", n_events=10_000_000, n_sessions=5,
                              inject_lag=50, phi=0.3, seed=428)
-        s = gen_injected(spec)
+        s = generate(spec)
         lags = (50, 200, 500, 2000)
         rows = compute_moments_table(s, lags)
         surf = accumulate_surface(s, rows, BinGrid(), threads=2)
