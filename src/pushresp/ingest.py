@@ -4,27 +4,30 @@ Input is the documented quote CSV schema, one file per venue (or one
 combined file with a venue column). Records must carry the regular
 condition flag and fall inside regular trading hours, 09:30 inclusive
 to 16:00 exclusive Eastern, with DST handled by the zone database.
-Eligible per-venue streams are k-way merged by timestamp (ties broken
-by a fixed venue priority), the best bid/ask re-derived after every
-update, and an event emitted only when the consolidated top of book
-changes. Crossed books (bid > ask) are withheld from output; locked
-books (bid == ask) pass through; both are tallied in the quality
-report.
+
+Every step works on numpy columns (`Quotes`), not on one object per
+quote. Eligible quotes are ordered by timestamp (ties broken by a fixed
+venue priority), each venue's standing bid and ask are forward-filled,
+and the best bid/ask is the row max/min over venues; an event is emitted
+only when it changes. Crossed books (bid > ask) are withheld from
+output; locked books (bid == ask) pass through; both are tallied in the
+quality report.
 """
 
 from __future__ import annotations
 
 import datetime
-import heapq
 import logging
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
+from typing import NamedTuple
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
 from .errors import ArtifactIOError, MalformedRecord
-from .series import MidSeries, from_session_arrays
+from .series import MidSeries, Session
 
 logger = logging.getLogger(__name__)
 
@@ -34,26 +37,56 @@ QUOTE_HEADER = "timestamp_ns,venue,bid_price,bid_size,ask_price,ask_size,conditi
 
 RTH_OPEN = datetime.time(9, 30)
 RTH_CLOSE = datetime.time(16, 0)
+NS = 1_000_000_000
+DAY_NS = 86_400 * NS
+EPOCH = datetime.date(1970, 1, 1)
+
+# Lines parsed per batch (in characters): bounds the str objects alive at once.
+_BATCH_CHARS = 1 << 20
+# Rows per forward-fill chunk of the NBBO merge: bounds its temporaries.
+_FILL_ROWS = 1 << 16
+
+# The checks a record must pass, in the order they are made; a malformed
+# record is reported under the field of the first one it fails.
+_CHECKS = (
+    ("record", "expected 7 fields"),
+    ("timestamp_ns", "must be a positive integer"),
+    ("venue", "not a listed venue"),
+    ("bid_price/ask_price", "must be numbers > 0 and finite"),
+    ("bid_size/ask_size", "must be integers >= 0"),
+    ("condition", "must be one character"),
+    ("timestamp_ns", "out of order for its venue"),
+)
 
 
-@dataclass(frozen=True)
-class QuoteEvent:
-    timestamp: int  # ns since epoch
-    venue: str
-    bid_price: float
-    bid_size: int
-    ask_price: float
-    ask_size: int
-    condition: str
+class Quotes(NamedTuple):
+    """Quote records as columns, one entry per record."""
+
+    ts: np.ndarray  # int64 ns since epoch
+    venue: np.ndarray  # int16 rank of the venue in the priority order
+    bid: np.ndarray  # float64
+    ask: np.ndarray  # float64
+    regular: np.ndarray  # bool: the condition flag is "R"
+    line: np.ndarray  # int64 line number in the source file
+
+    def take(self, rows) -> Quotes:
+        return Quotes(*(col[rows] for col in self))
+
+    @staticmethod
+    def concat(parts: list[Quotes]) -> Quotes:
+        return Quotes(*map(np.concatenate, zip(NO_QUOTES, *parts)))
 
 
-@dataclass(frozen=True)
-class NbboEvent:
-    event_index: int
-    timestamp: int
-    best_bid: float
-    best_ask: float
-    mid: float
+NO_QUOTES = Quotes(*(np.empty(0, t) for t in (np.int64, np.int16, float, float, bool, np.int64)))
+
+
+class Nbbo(NamedTuple):
+    """Consolidated top-of-book events as columns."""
+
+    ts: np.ndarray
+    bid: np.ndarray
+    ask: np.ndarray
+    mid: np.ndarray
 
 
 @dataclass
@@ -69,41 +102,92 @@ class QualityReport:
     empty_session_dates: list[str] = field(default_factory=list)
 
 
-def parse_quote_record(
-    line: str, line_no: int, venues: tuple[str, ...] = DEFAULT_VENUES
-) -> QuoteEvent:
-    parts = line.rstrip("\n").split(",")
-    if len(parts) != 7:
-        raise MalformedRecord(line_no, "record", f"expected 7 fields, got {len(parts)}")
-    ts_s, venue, bid_s, bsz_s, ask_s, asz_s, cond = parts
+def _numbers(texts: list[str], kind, dtype, fallback) -> np.ndarray:
+    """`kind(text)` for every text as a column; a text that `kind` rejects,
+    or whose value the dtype cannot hold, gives `fallback`."""
     try:
-        ts = int(ts_s)
-    except ValueError:
-        raise MalformedRecord(line_no, "timestamp_ns", ts_s) from None
-    if ts <= 0:
-        raise MalformedRecord(line_no, "timestamp_ns", "must be positive")
-    if venue not in venues:
-        raise MalformedRecord(line_no, "venue", venue)
+        return np.fromiter(map(kind, texts), dtype, len(texts))
+    except (ValueError, OverflowError):
+        values = np.full(len(texts), fallback, dtype)
+        for i, text in enumerate(texts):
+            try:
+                values[i] = kind(text)
+            except (ValueError, OverflowError):
+                pass
+        return values
+
+
+def _flags(texts: list[str], test) -> np.ndarray:
+    """`test(text)` for every text, evaluated once per distinct text."""
+    hits = {text for text in set(texts) if test(text)}
+    if not hits:
+        return np.zeros(len(texts), bool)
+    return np.fromiter(map(hits.__contains__, texts), bool, len(texts))
+
+
+def _bad_size(text: str) -> bool:
     try:
-        bid = float(bid_s)
-        ask = float(ask_s)
+        return int(text) < 0
     except ValueError:
-        raise MalformedRecord(line_no, "bid_price/ask_price", line) from None
-    if not (bid > 0 and ask > 0) or not (np.isfinite(bid) and np.isfinite(ask)):
-        raise MalformedRecord(line_no, "bid_price/ask_price", "must be > 0 and finite")
-    try:
-        bsz = int(bsz_s)
-        asz = int(asz_s)
-    except ValueError:
-        raise MalformedRecord(line_no, "bid_size/ask_size", line) from None
-    if bsz < 0 or asz < 0:
-        raise MalformedRecord(line_no, "bid_size/ask_size", "must be >= 0")
-    if len(cond) != 1:
-        raise MalformedRecord(line_no, "condition", cond)
-    return QuoteEvent(
-        timestamp=ts, venue=venue, bid_price=bid, bid_size=bsz,
-        ask_price=ask, ask_size=asz, condition=cond,
+        return True
+
+
+def _parse_lines(
+    lines: list[str], first_line_no: int, rank: dict[str, int], clock: np.ndarray,
+    strict: bool, report: QualityReport,
+) -> Quotes:
+    """The well-formed records of a batch of lines as columns.
+
+    `clock` holds each venue's latest timestamp so far and is advanced in
+    place; a record earlier than its venue's clock is out of order.
+    """
+    line_no = np.arange(first_line_no, first_line_no + len(lines))
+    shaped = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines)) == 6
+    texts = lines
+    if not shaped.all():
+        # Blank lines are not records; misshapen ones get empty fields and
+        # fail the field-count check.
+        keep = shaped | np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
+        lines, line_no, shaped = list(compress(lines, keep)), line_no[keep], shaped[keep]
+        texts = [text if ok else ",,,,,," for text, ok in zip(lines, shaped)]
+    if not (n := len(texts)):
+        return NO_QUOTES
+    report.n_records += n
+    fields = ",".join(texts).split(",")  # a line's last field keeps its terminator
+    ts = _numbers(fields[0::7], int, np.int64, 0)
+    venue = np.fromiter(map(rank.get, fields[1::7], repeat(-1)), np.int16, n)
+    bid = _numbers(fields[2::7], float, np.float64, np.nan)
+    ask = _numbers(fields[4::7], float, np.float64, np.nan)
+    condition = fields[6::7]
+    bad = (  # in the order of _CHECKS
+        ~shaped,
+        ts <= 0,
+        venue < 0,
+        ~((bid > 0) & (ask > 0) & np.isfinite(bid) & np.isfinite(ask)),
+        _flags(fields[3::7], _bad_size) | _flags(fields[5::7], _bad_size),
+        _flags(condition, lambda c: len(c.rstrip("\n")) != 1),
     )
+    check = np.zeros(n, np.int8)  # 1 + index of the first failed check, 0 if none
+    for i in reversed(range(len(bad))):
+        check[bad[i]] = i + 1
+    ok = check == 0
+    for v in np.unique(venue[ok]):
+        rows = np.flatnonzero(ok & (venue == v))
+        latest = np.maximum(np.maximum.accumulate(ts[rows]), clock[v])
+        check[rows[ts[rows] < latest]] = len(_CHECKS)
+        clock[v] = latest[-1]
+    regular = _flags(condition, lambda c: c.rstrip("\n") == "R")
+    quotes = Quotes(ts, venue, bid, ask, regular, line_no)
+    failed = check != 0
+    if not failed.any():
+        return quotes
+    if strict:
+        first = int(failed.argmax())
+        name, detail = _CHECKS[check[first] - 1]
+        text = lines[first].rstrip("\n")
+        raise MalformedRecord(int(line_no[first]), name, f"{detail}: {text!r}")
+    report.n_malformed_skipped += int(failed.sum())
+    return quotes.take(~failed)
 
 
 def read_quote_csv(
@@ -111,189 +195,129 @@ def read_quote_csv(
     strict: bool = True,
     venues: tuple[str, ...] = DEFAULT_VENUES,
     report: QualityReport | None = None,
-) -> list[QuoteEvent]:
-    """Parse one quote file. In lenient mode malformed records are
-    skipped and tallied; strict mode raises on the first problem."""
+) -> Quotes:
+    """Parse one quote file into columns, venues ranked by their place in
+    `venues`. In lenient mode malformed records are skipped and tallied;
+    strict mode raises on the first problem. A skipped record does not
+    advance its venue's clock."""
     report = report if report is not None else QualityReport()
-    events: list[QuoteEvent] = []
-    last_ts: dict[str, int] = {}
+    rank = {v: i for i, v in enumerate(venues)}
+    clock = np.full(len(venues), np.iinfo(np.int64).min)
+    parts = []
     try:
         with open(path, encoding="utf-8", newline="") as f:
             header = f.readline().rstrip("\n")
             if header != QUOTE_HEADER:
                 raise MalformedRecord(1, "header", f"expected '{QUOTE_HEADER}'")
-            for line_no, line in enumerate(f, start=2):
-                if not line.strip():
-                    continue
-                report.n_records += 1
-                try:
-                    ev = parse_quote_record(line, line_no, venues)
-                    prev = last_ts.get(ev.venue)
-                    if prev is not None and ev.timestamp < prev:
-                        raise MalformedRecord(
-                            line_no, "timestamp_ns",
-                            f"out of order for venue {ev.venue}",
-                        )
-                except MalformedRecord:
-                    if strict:
-                        raise
-                    report.n_malformed_skipped += 1
-                    continue
-                last_ts[ev.venue] = ev.timestamp
-                events.append(ev)
+            line_no = 2
+            while lines := f.readlines(_BATCH_CHARS):
+                parts.append(_parse_lines(lines, line_no, rank, clock, strict, report))
+                line_no += len(lines)
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    return events
+    return Quotes.concat(parts)
 
 
-class RthCalendar:
-    """Memoized regular-trading-hours windows in epoch nanoseconds."""
+def _calendar(ts: np.ndarray, tz: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each timestamp's local date in days since the epoch, and whether it
+    falls in that date's regular trading hours [open, close).
 
-    def __init__(self, tz: str = DEFAULT_TZ):
-        self.zone = ZoneInfo(tz)
-        self._windows: dict[datetime.date, tuple[int, int]] = {}
-
-    def window(self, day: datetime.date) -> tuple[int, int]:
-        got = self._windows.get(day)
-        if got is None:
-            open_dt = datetime.datetime.combine(day, RTH_OPEN, tzinfo=self.zone)
-            close_dt = datetime.datetime.combine(day, RTH_CLOSE, tzinfo=self.zone)
-            got = (
-                int(open_dt.timestamp()) * 1_000_000_000,
-                int(close_dt.timestamp()) * 1_000_000_000,
-            )
-            self._windows[day] = got
-        return got
-
-    def local_date(self, ts_ns: int) -> datetime.date:
-        return datetime.datetime.fromtimestamp(ts_ns // 1_000_000_000, self.zone).date()
-
-    def in_rth(self, ts_ns: int) -> datetime.date | None:
-        """The session date when ts falls in [open, close), else None."""
-        day = self.local_date(ts_ns)
-        lo, hi = self.window(day)
-        if lo <= ts_ns < hi:
-            return day
-        return None
-
-    @staticmethod
-    def epoch_days(day: datetime.date) -> int:
-        return (day - datetime.date(1970, 1, 1)).days
+    A date's midnight, open and close come from the zone database, so DST
+    is handled; a timestamp belongs to the last date whose local midnight
+    is at or before it.
+    """
+    if not len(ts):
+        return np.empty(0, np.int64), np.empty(0, bool)
+    zone = ZoneInfo(tz)
+    days = np.arange(int(ts.min()) // DAY_NS - 1, int(ts.max()) // DAY_NS + 2)
+    dates = [EPOCH + datetime.timedelta(days=d) for d in days.tolist()]
+    bounds = np.array([
+        [int(datetime.datetime.combine(date, t, tzinfo=zone).timestamp()) * NS
+         for t in (datetime.time(0), RTH_OPEN, RTH_CLOSE)]
+        for date in dates
+    ], dtype=np.int64)
+    day = np.searchsorted(bounds[:, 0], ts, side="right") - 1
+    return days[day], (bounds[day, 1] <= ts) & (ts < bounds[day, 2])
 
 
 def filter_eligible(
-    events: list[QuoteEvent],
-    tz: str = DEFAULT_TZ,
-    report: QualityReport | None = None,
-    calendar: RthCalendar | None = None,
-) -> list[QuoteEvent]:
+    quotes: Quotes, tz: str = DEFAULT_TZ, report: QualityReport | None = None
+) -> Quotes:
     """Keep regular-condition quotes inside regular trading hours."""
-    cal = calendar if calendar is not None else RthCalendar(tz)
-    out = []
-    for ev in events:
-        if ev.condition != "R":
-            if report is not None:
-                report.n_dropped_condition += 1
-            continue
-        if cal.in_rth(ev.timestamp) is None:
-            if report is not None:
-                report.n_dropped_outside_rth += 1
-            continue
-        out.append(ev)
-    return out
+    _, in_rth = _calendar(quotes.ts, tz)
+    if report is not None:
+        report.n_dropped_condition += int((~quotes.regular).sum())
+        report.n_dropped_outside_rth += int((quotes.regular & ~in_rth).sum())
+    return quotes.take(quotes.regular & in_rth)
 
 
-def consolidate_nbbo(
-    per_venue: dict[str, list[QuoteEvent]],
-    priority: tuple[str, ...] = DEFAULT_VENUES,
-    report: QualityReport | None = None,
-) -> list[NbboEvent]:
-    """Merge per-venue streams into the consolidated best bid/offer.
+def consolidate_nbbo(quotes: Quotes, report: QualityReport | None = None) -> Nbbo:
+    """Merge the venues' quotes into the consolidated best bid/offer.
 
-    After each update best_bid is the max over venues' current bids and
-    best_ask the min over asks; an event is emitted only when the pair
-    changes. Timestamp ties resolve in priority order. Updates that
-    leave the book crossed are withheld from output.
+    Quotes apply in timestamp order, ties in venue-rank order and then in
+    record order. After each update best_bid is the max over the venues'
+    standing bids and best_ask the min over their asks; an update is
+    emitted only when the pair differs from the last uncrossed one, and
+    updates that leave the book crossed are withheld.
     """
     report = report if report is not None else QualityReport()
-    rank = {v: i for i, v in enumerate(priority)}
-    heap: list[tuple[int, int, int, str]] = []
-    streams = {}
-    for venue, events in per_venue.items():
-        if venue not in rank:
-            rank[venue] = len(rank)  # unknown venues go after the fixed list
-        if events:
-            streams[venue] = iter(events)
-    for venue, it in streams.items():
-        first = next(it, None)
-        if first is not None:
-            heapq.heappush(heap, (first.timestamp, rank[venue], 0, venue, first))
-
-    bids: dict[str, float] = {}
-    asks: dict[str, float] = {}
-    last_state: tuple[float, float] | None = None
-    out: list[NbboEvent] = []
-    seq = 0
-    while heap:
-        ts, _, _, venue, ev = heapq.heappop(heap)
-        nxt = next(streams[venue], None)
-        if nxt is not None:
-            seq += 1
-            heapq.heappush(heap, (nxt.timestamp, rank[venue], seq, venue, nxt))
-        bids[venue] = ev.bid_price
-        asks[venue] = ev.ask_price
-        best_bid = max(bids.values())
-        best_ask = min(asks.values())
-        if best_bid > best_ask:
-            report.n_crossed_dropped += 1
-            continue
-        if best_bid == best_ask:
-            report.n_locked_kept += 1
-        state = (best_bid, best_ask)
-        if state == last_state:
-            report.n_unchanged_suppressed += 1
-            continue
-        last_state = state
-        out.append(
-            NbboEvent(
-                event_index=len(out),
-                timestamp=ts,
-                best_bid=best_bid,
-                best_ask=best_ask,
-                mid=(best_bid + best_ask) / 2.0,
-            )
-        )
-    report.n_emitted = len(out)
-    return out
+    q = quotes.take(np.lexsort((quotes.venue, quotes.ts)))
+    venues = np.unique(q.venue)
+    bids = np.full(len(venues), -np.inf)  # each venue's standing quote
+    asks = np.full(len(venues), np.inf)
+    last = (np.nan, np.nan)  # the last uncrossed book
+    parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0))]
+    for lo in range(0, len(q.ts), _FILL_ROWS):
+        rows = slice(lo, lo + _FILL_ROWS)
+        venue, bid, ask = q.venue[rows], q.bid[rows], q.ask[rows]
+        pos = np.arange(len(venue))
+        best_bid, best_ask = np.full(len(venue), -np.inf), np.full(len(venue), np.inf)
+        for k, v in enumerate(venues):
+            latest = np.maximum.accumulate(np.where(venue == v, pos, -1))
+            quoted = latest >= 0
+            venue_bid = np.where(quoted, bid[latest], bids[k])
+            venue_ask = np.where(quoted, ask[latest], asks[k])
+            np.maximum(best_bid, venue_bid, out=best_bid)
+            np.minimum(best_ask, venue_ask, out=best_ask)
+            bids[k], asks[k] = venue_bid[-1], venue_ask[-1]
+        crossed = best_bid > best_ask
+        report.n_crossed_dropped += int(crossed.sum())
+        report.n_locked_kept += int((best_bid == best_ask).sum())
+        uncrossed = np.flatnonzero(~crossed)
+        bb, ba = best_bid[uncrossed], best_ask[uncrossed]
+        changed = (bb != np.r_[last[0], bb[:-1]]) | (ba != np.r_[last[1], ba[:-1]])
+        report.n_unchanged_suppressed += int(len(uncrossed) - changed.sum())
+        if len(uncrossed):
+            last = (bb[-1], ba[-1])
+        parts.append((q.ts[rows][uncrossed[changed]], bb[changed], ba[changed]))
+    ts, bid, ask = map(np.concatenate, zip(*parts))
+    report.n_emitted = len(ts)
+    return Nbbo(ts, bid, ask, (bid + ask) / 2.0)
 
 
-def build_mid_series(
-    nbbo: list[NbboEvent],
-    tz: str = DEFAULT_TZ,
-    calendar: RthCalendar | None = None,
-) -> MidSeries:
-    """Group consolidated events into per-date sessions with global indices."""
-    cal = calendar if calendar is not None else RthCalendar(tz)
-    if not nbbo:
+def build_mid_series(nbbo: Nbbo, tz: str = DEFAULT_TZ) -> MidSeries:
+    """Cut consolidated events into per-date sessions with global indices."""
+    if not len(nbbo.ts):
         logger.warning("build_mid_series: no events; empty series")
-        return from_session_arrays([], [])
-    dates: list[int] = []
-    arrays: list[np.ndarray] = []
-    current_day: datetime.date | None = None
-    bucket: list[float] = []
-    for ev in nbbo:
-        day = cal.local_date(ev.timestamp)
-        if day != current_day:
-            if bucket:
-                dates.append(RthCalendar.epoch_days(current_day))
-                arrays.append(np.array(bucket))
-            current_day = day
-            bucket = []
-        bucket.append(ev.mid)
-    if bucket:
-        dates.append(RthCalendar.epoch_days(current_day))
-        arrays.append(np.array(bucket))
-    return from_session_arrays(dates, arrays)
+        return MidSeries([], np.empty(0))
+    days, _ = _calendar(nbbo.ts, tz)
+    starts = np.flatnonzero(np.r_[True, days[1:] != days[:-1]])
+    ends = np.r_[starts[1:], len(days)] - 1
+    sessions = [Session(int(days[s]), int(s), int(e)) for s, e in zip(starts, ends)]
+    return MidSeries(sessions, nbbo.mid)
+
+
+def _series(quotes: Quotes, tz: str, report: QualityReport) -> MidSeries:
+    """Filter, consolidate and cut `quotes`; dates with records but no
+    session are logged and listed in the report."""
+    eligible = filter_eligible(quotes, tz, report=report)
+    series = build_mid_series(consolidate_nbbo(eligible, report), tz)
+    kept_days = [s.date for s in series.sessions]
+    for day in np.setdiff1d(_calendar(quotes.ts, tz)[0], kept_days).tolist():
+        date = EPOCH + datetime.timedelta(days=day)
+        report.empty_session_dates.append(date.isoformat())
+        logger.warning("no eligible events for %s; session omitted", date)
+    return series
 
 
 def ingest_files(
@@ -302,32 +326,17 @@ def ingest_files(
     strict: bool = True,
     priority: tuple[str, ...] = DEFAULT_VENUES,
 ) -> tuple[MidSeries, QualityReport]:
-    """Full ingest: parse each venue file, filter, consolidate, build series."""
+    """Full ingest: parse each venue file, filter, consolidate, build series.
+
+    Files are read in key order, so a venue split across files keeps its
+    records' order where their timestamps tie.
+    """
     report = QualityReport()
-    cal = RthCalendar(tz)
-    per_venue: dict[str, list[QuoteEvent]] = {}
-    raw_dates: set[datetime.date] = set()
-    for venue, path in sorted(venue_files.items()):
-        events = read_quote_csv(path, strict=strict, venues=priority, report=report)
-        for ev in events:
-            raw_dates.add(cal.local_date(ev.timestamp))
-        eligible = filter_eligible(events, tz, report=report, calendar=cal)
-        by_venue: dict[str, list[QuoteEvent]] = {}
-        for ev in eligible:
-            by_venue.setdefault(ev.venue, []).append(ev)
-        for v, evs in by_venue.items():
-            per_venue.setdefault(v, []).extend(evs)
-    # A venue split across files may interleave; stable sort restores
-    # per-stream time order without reordering equal timestamps.
-    for v in per_venue:
-        per_venue[v].sort(key=lambda ev: ev.timestamp)
-    nbbo = consolidate_nbbo(per_venue, priority, report)
-    series = build_mid_series(nbbo, tz, calendar=cal)
-    kept_dates = {s.calendar_date for s in series.sessions}
-    for day in sorted(raw_dates - kept_dates):
-        report.empty_session_dates.append(day.isoformat())
-        logger.warning("no eligible events for %s; session omitted", day)
-    return series, report
+    quotes = Quotes.concat([
+        read_quote_csv(path, strict=strict, venues=priority, report=report)
+        for _, path in sorted(venue_files.items())
+    ])
+    return _series(quotes, tz, report), report
 
 
 def ingest_consolidated(
@@ -338,23 +347,14 @@ def ingest_consolidated(
 ) -> tuple[MidSeries, QualityReport]:
     """Ingest a pre-consolidated feed: same schema, degenerate merge."""
     report = QualityReport()
-    cal = RthCalendar(tz)
-    events = read_quote_csv(path, strict=strict, venues=priority, report=report)
+    quotes = read_quote_csv(path, strict=strict, venues=priority, report=report)
     # One logical stream: enforce global time order.
-    ordered: list[QuoteEvent] = []
-    for i, ev in enumerate(events):
-        if ordered and ev.timestamp < ordered[-1].timestamp:
-            if strict:
-                raise MalformedRecord(i + 2, "timestamp_ns", "out of order")
-            report.n_malformed_skipped += 1
-            continue
-        ordered.append(ev)
-    raw_dates = {cal.local_date(ev.timestamp) for ev in ordered}
-    eligible = filter_eligible(ordered, tz, report=report, calendar=cal)
-    nbbo = consolidate_nbbo({"NBBO": eligible}, priority, report)
-    series = build_mid_series(nbbo, tz, calendar=cal)
-    kept_dates = {s.calendar_date for s in series.sessions}
-    for day in sorted(raw_dates - kept_dates):
-        report.empty_session_dates.append(day.isoformat())
-        logger.warning("no eligible events for %s; session omitted", day)
-    return series, report
+    late = quotes.ts < np.maximum.accumulate(quotes.ts)
+    if late.any():
+        if strict:
+            raise MalformedRecord(int(quotes.line[late.argmax()]), "timestamp_ns", "out of order")
+        report.n_malformed_skipped += int(late.sum())
+        quotes = quotes.take(~late)
+    # Each record is the whole book, so all of them form one venue.
+    quotes = quotes._replace(venue=np.zeros_like(quotes.venue))
+    return _series(quotes, tz, report), report

@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import resource
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -270,20 +272,27 @@ def run_stage(stage: Stage, force: bool = False) -> StageStatus:
 
     A failed run removes the stage's outputs. Errors of this package keep
     their own exit codes; any other exception becomes a StageFailure.
+    Each stage that ran or was skipped logs one INFO line: its wall and
+    CPU seconds and the process's peak RSS so far.
     """
-    outputs = [str(o) for o in stage.outputs]
-    if not force and _stage_fresh(stage.outputs, stage.key):
-        logger.info("stage %s: outputs fresh, skipped", stage.name)
-        return StageStatus(stage.name, "skipped", outputs)
-    try:
-        stage.produce()
-    except PushRespError:
-        _remove_partial(stage.outputs)
-        raise
-    except Exception as exc:  # noqa: BLE001 - boundary to exit-code contract
-        _remove_partial(stage.outputs)
-        raise StageFailure(stage.name, str(exc)) from exc
-    return StageStatus(stage.name, "ran", outputs)
+    wall, cpu = time.perf_counter(), time.process_time()
+    ran = force or not _stage_fresh(stage.outputs, stage.key)
+    if ran:
+        try:
+            stage.produce()
+        except PushRespError:
+            _remove_partial(stage.outputs)
+            raise
+        except Exception as exc:  # noqa: BLE001 - boundary to exit-code contract
+            _remove_partial(stage.outputs)
+            raise StageFailure(stage.name, str(exc)) from exc
+    status = StageStatus(stage.name, "ran" if ran else "skipped", [str(o) for o in stage.outputs])
+    logger.info(
+        "stage %s %s: wall %.3f s, cpu %.3f s, peak rss %.1f MiB",
+        stage.name, status.status, time.perf_counter() - wall, time.process_time() - cpu,
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    )
+    return status
 
 
 def source_stage(

@@ -1,181 +1,203 @@
+import contextlib
+import dataclasses
 import datetime
+from unittest import mock
 from zoneinfo import ZoneInfo
 
+import ingest_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pushresp import ingest
 from pushresp.errors import ArtifactIOError, MalformedRecord
 from pushresp.ingest import (
     DEFAULT_VENUES,
     QUOTE_HEADER,
-    NbboEvent,
+    Nbbo,
     QualityReport,
-    QuoteEvent,
-    RthCalendar,
+    Quotes,
     build_mid_series,
     consolidate_nbbo,
     filter_eligible,
     ingest_consolidated,
     ingest_files,
-    parse_quote_record,
     read_quote_csv,
 )
+from pushresp.series import write_prms
 
 ET = ZoneInfo("America/New_York")
+UTC = datetime.timezone.utc
+RANK = {v: i for i, v in enumerate(DEFAULT_VENUES)}
+DOCUMENTED = "1546353000000000000,ARCA,249.90,100,249.92,200,R"
 
 
-def ns_at(y, m, d, hh, mm, ss=0, nanos=0):
-    dt = datetime.datetime(y, m, d, hh, mm, ss, tzinfo=ET)
+def ns_at(y, m, d, hh, mm, ss=0, nanos=0, tz=ET):
+    dt = datetime.datetime(y, m, d, hh, mm, ss, tzinfo=tz)
     return int(dt.timestamp()) * 1_000_000_000 + nanos
 
 
-def quote(ts, venue="ARCA", bid=100.0, ask=100.02, cond="R", bsz=100, asz=100):
-    return QuoteEvent(
-        timestamp=ts, venue=venue, bid_price=bid, bid_size=bsz,
-        ask_price=ask, ask_size=asz, condition=cond,
+def quote(ts, venue="ARCA", bid=100.0, ask=100.02, cond="R"):
+    return ts, venue, bid, ask, cond
+
+
+def quotes(*rows) -> Quotes:
+    """Columns of `quote(...)` rows, numbered as lines 2, 3, ..."""
+    ts, venue, bid, ask, cond = zip(*rows)
+    return Quotes(
+        np.array(ts, np.int64), np.array([RANK[v] for v in venue], np.int16),
+        np.array(bid), np.array(ask), np.array([c == "R" for c in cond]),
+        np.arange(2, 2 + len(rows)),
     )
 
 
-class TestParse:
-    def test_documented_example(self):
-        ev = parse_quote_record(
-            "1546353000000000000,ARCA,249.90,100,249.92,200,R", 2
-        )
-        assert ev.timestamp == 1546353000000000000
-        assert ev.venue == "ARCA"
-        assert ev.bid_price == 249.90
-        assert ev.bid_size == 100
-        assert ev.ask_price == 249.92
-        assert ev.ask_size == 200
-        assert ev.condition == "R"
+def nbbo(*rows) -> Nbbo:
+    """Consolidated events from (ts, bid, ask, mid) rows."""
+    return Nbbo(*map(np.array, zip(*rows)))
 
-    def test_non_numeric_bid(self):
+
+def books(out: Nbbo) -> list[tuple[float, float]]:
+    return list(zip(out.bid.tolist(), out.ask.tolist()))
+
+
+def write_lines(path, lines, header=QUOTE_HEADER):
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+def write_venue_file(path, rows):
+    write_lines(path, [",".join(map(str, row)) for row in rows])
+
+
+class TestParse:
+    def test_documented_example(self, tmp_path):
+        p = write_lines(tmp_path / "arca.csv", [DOCUMENTED])
+        q = read_quote_csv(p)
+        assert q.ts.tolist() == [1546353000000000000]
+        assert q.venue.tolist() == [RANK["ARCA"]]
+        assert q.bid.tolist() == [249.90]
+        assert q.ask.tolist() == [249.92]
+        assert q.regular.tolist() == [True]
+        assert q.line.tolist() == [2]
+
+    def test_non_numeric_bid(self, tmp_path):
+        bad = DOCUMENTED.replace("249.90", "abc")
+        p = write_lines(tmp_path / "arca.csv", [DOCUMENTED] * 5 + [bad])
         with pytest.raises(MalformedRecord) as err:
-            parse_quote_record("1546353000000000000,ARCA,abc,100,249.92,200,R", 7)
+            read_quote_csv(p)
         assert err.value.line_no == 7
         assert "bid" in err.value.field
 
-    def test_non_regular_condition_still_parses(self):
-        ev = parse_quote_record("1546353000000000000,ARCA,249.90,100,249.92,200,X", 2)
-        assert ev.condition == "X"
-        assert filter_eligible([ev]) == []
+    def test_non_regular_condition_still_parses(self, tmp_path):
+        p = write_lines(tmp_path / "arca.csv", [DOCUMENTED.replace(",R", ",X")])
+        q = read_quote_csv(p)
+        assert q.regular.tolist() == [False]
+        assert len(filter_eligible(q).ts) == 0
 
-    def test_unknown_venue(self):
-        with pytest.raises(MalformedRecord):
-            parse_quote_record("1546353000000000000,MARS,249.90,100,249.92,200,R", 2)
+    def test_unknown_venue(self, tmp_path):
+        p = write_lines(tmp_path / "x.csv", ["1546353000000000000,MARS,249.90,100,249.92,200,R"])
+        with pytest.raises(MalformedRecord) as err:
+            read_quote_csv(p)
+        assert (err.value.line_no, err.value.field) == (2, "venue")
 
-    def test_wrong_field_count(self):
-        with pytest.raises(MalformedRecord):
-            parse_quote_record("1,ARCA,1.0,2", 3)
+    def test_wrong_field_count(self, tmp_path):
+        p = write_lines(tmp_path / "x.csv", ["", "1,ARCA,1.0,2"])
+        with pytest.raises(MalformedRecord) as err:
+            read_quote_csv(p)
+        assert (err.value.line_no, err.value.field) == (3, "record")
 
-    def test_negative_price(self):
-        with pytest.raises(MalformedRecord):
-            parse_quote_record("1546353000000000000,ARCA,-1.0,100,249.92,200,R", 4)
+    def test_negative_price(self, tmp_path):
+        p = write_lines(tmp_path / "x.csv", ["1546353000000000000,ARCA,-1.0,100,249.92,200,R"])
+        with pytest.raises(MalformedRecord) as err:
+            read_quote_csv(p)
+        assert (err.value.line_no, err.value.field) == (2, "bid_price/ask_price")
 
 
 class TestFilter:
     def test_before_open_dropped(self):
-        ev = quote(ns_at(2019, 1, 2, 9, 29, 59))
-        assert filter_eligible([ev]) == []
+        assert len(filter_eligible(quotes(quote(ns_at(2019, 1, 2, 9, 29, 59)))).ts) == 0
 
     def test_open_boundary_inclusive(self):
-        ev = quote(ns_at(2019, 1, 2, 9, 30, 0))
-        assert filter_eligible([ev]) == [ev]
+        q = quotes(quote(ns_at(2019, 1, 2, 9, 30, 0)))
+        assert filter_eligible(q).ts.tolist() == q.ts.tolist()
 
     def test_close_boundary_exclusive(self):
-        kept = quote(ns_at(2019, 1, 2, 15, 59, 59, nanos=999_999_999))
-        dropped = quote(ns_at(2019, 1, 2, 16, 0, 0))
-        assert filter_eligible([kept, dropped]) == [kept]
+        kept = ns_at(2019, 1, 2, 15, 59, 59, nanos=999_999_999)
+        dropped = ns_at(2019, 1, 2, 16, 0, 0)
+        assert filter_eligible(quotes(quote(kept), quote(dropped))).ts.tolist() == [kept]
 
     def test_non_regular_condition_dropped(self):
-        ev = quote(ns_at(2019, 1, 2, 12, 0), cond="A")
         report = QualityReport()
-        assert filter_eligible([ev], report=report) == []
+        q = quotes(quote(ns_at(2019, 1, 2, 12, 0), cond="A"))
+        assert len(filter_eligible(q, report=report).ts) == 0
         assert report.n_dropped_condition == 1
 
     def test_dst_summer_and_winter(self):
-        # DST: the same wall-clock open maps to different UTC offsets
-        cal = RthCalendar()
-        winter_open, _ = cal.window(datetime.date(2019, 1, 2))
-        summer_open, _ = cal.window(datetime.date(2019, 7, 2))
-        winter_utc = datetime.datetime.fromtimestamp(
-            winter_open / 1e9, datetime.timezone.utc
-        )
-        summer_utc = datetime.datetime.fromtimestamp(
-            summer_open / 1e9, datetime.timezone.utc
-        )
-        assert winter_utc.hour == 14 and winter_utc.minute == 30
-        assert summer_utc.hour == 13 and summer_utc.minute == 30
-        assert filter_eligible([quote(ns_at(2019, 7, 2, 9, 30))]) != []
+        # DST: the same wall-clock open maps to different UTC times
+        edges = [
+            ns_at(2019, 1, 2, 14, 29, 59, tz=UTC), ns_at(2019, 1, 2, 14, 30, tz=UTC),
+            ns_at(2019, 7, 2, 13, 29, 59, tz=UTC), ns_at(2019, 7, 2, 13, 30, tz=UTC),
+        ]
+        kept = filter_eligible(quotes(*map(quote, edges))).ts.tolist()
+        assert kept == [edges[1], edges[3]]
 
 
 class TestConsolidate:
     def test_single_venue_dedup(self):
         t0 = ns_at(2019, 1, 2, 10, 0)
-        events = [
+        report = QualityReport()
+        out = consolidate_nbbo(quotes(
             quote(t0, bid=100.00, ask=100.02),
             quote(t0 + 1000, bid=100.00, ask=100.02),  # unchanged book
             quote(t0 + 2000, bid=100.01, ask=100.02),
-        ]
-        report = QualityReport()
-        out = consolidate_nbbo({"ARCA": events}, report=report)
-        assert [(e.best_bid, e.best_ask) for e in out] == [
-            (100.00, 100.02),
-            (100.01, 100.02),
-        ]
+        ), report=report)
+        assert books(out) == [(100.00, 100.02), (100.01, 100.02)]
         assert report.n_unchanged_suppressed == 1
-        assert out[0].event_index == 0 and out[1].event_index == 1
+        assert out.ts.tolist() == [t0, t0 + 2000]
 
     def test_two_venue_best_bid_ask(self):
         t0 = ns_at(2019, 1, 2, 10, 0)
-        a = [quote(t0, venue="NYSE", bid=100.00, ask=100.03)]
-        b = [quote(t0 + 500, venue="NASDAQ", bid=100.01, ask=100.02)]
-        out = consolidate_nbbo({"NYSE": a, "NASDAQ": b})
-        assert out[-1].best_bid == 100.01
-        assert out[-1].best_ask == 100.02
-        assert out[-1].mid == 100.015
+        out = consolidate_nbbo(quotes(
+            quote(t0, venue="NYSE", bid=100.00, ask=100.03),
+            quote(t0 + 500, venue="NASDAQ", bid=100.01, ask=100.02),
+        ))
+        assert books(out)[-1] == (100.01, 100.02)
+        assert out.mid[-1] == 100.015
 
     def test_mid_is_arithmetic_mean(self):
-        t0 = ns_at(2019, 1, 2, 10, 0)
-        out = consolidate_nbbo({"ARCA": [quote(t0, bid=249.90, ask=249.92)]})
-        assert out[0].mid == (249.90 + 249.92) / 2.0
+        out = consolidate_nbbo(quotes(quote(ns_at(2019, 1, 2, 10, 0), bid=249.90, ask=249.92)))
+        assert out.mid[0] == (249.90 + 249.92) / 2.0
 
     def test_crossed_withheld_then_recovers(self):
         t0 = ns_at(2019, 1, 2, 10, 0)
-        a = [quote(t0, venue="NYSE", bid=100.00, ask=100.02)]
-        b = [
+        report = QualityReport()
+        out = consolidate_nbbo(quotes(
+            quote(t0, venue="NYSE", bid=100.00, ask=100.02),
             quote(t0 + 1000, venue="NASDAQ", bid=100.05, ask=100.06),  # crosses NYSE ask
             quote(t0 + 2000, venue="NASDAQ", bid=100.01, ask=100.03),
-        ]
-        report = QualityReport()
-        out = consolidate_nbbo({"NYSE": a, "NASDAQ": b}, report=report)
+        ), report=report)
         assert report.n_crossed_dropped == 1
-        assert [(e.best_bid, e.best_ask) for e in out] == [
-            (100.00, 100.02),
-            (100.01, 100.02),
-        ]
+        assert books(out) == [(100.00, 100.02), (100.01, 100.02)]
 
     def test_locked_kept_and_counted(self):
         t0 = ns_at(2019, 1, 2, 10, 0)
-        a = [quote(t0, venue="NYSE", bid=100.00, ask=100.02)]
-        b = [quote(t0 + 1000, venue="NASDAQ", bid=100.02, ask=100.04)]
         report = QualityReport()
-        out = consolidate_nbbo({"NYSE": a, "NASDAQ": b}, report=report)
+        out = consolidate_nbbo(quotes(
+            quote(t0, venue="NYSE", bid=100.00, ask=100.02),
+            quote(t0 + 1000, venue="NASDAQ", bid=100.02, ask=100.04),
+        ), report=report)
         assert report.n_locked_kept == 1
-        assert (out[-1].best_bid, out[-1].best_ask) == (100.02, 100.02)
+        assert books(out)[-1] == (100.02, 100.02)
 
     def test_timestamp_tie_broken_by_priority(self):
         t0 = ns_at(2019, 1, 2, 10, 0)
         # NYSE outranks NASDAQ in the default priority, so its update applies first
-        a = [quote(t0, venue="NYSE", bid=100.00, ask=100.03)]
-        b = [quote(t0, venue="NASDAQ", bid=100.01, ask=100.02)]
-        out = consolidate_nbbo({"NASDAQ": b, "NYSE": a})
-        assert [(e.best_bid, e.best_ask) for e in out] == [
-            (100.00, 100.03),
-            (100.01, 100.02),
-        ]
+        out = consolidate_nbbo(quotes(
+            quote(t0, venue="NASDAQ", bid=100.01, ask=100.02),
+            quote(t0, venue="NYSE", bid=100.00, ask=100.03),
+        ))
+        assert books(out) == [(100.00, 100.03), (100.01, 100.02)]
 
     @given(
         st.lists(
@@ -192,49 +214,37 @@ class TestConsolidate:
     @settings(max_examples=60, deadline=None)
     def test_merge_matches_brute_force_replay(self, raw):
         t0 = ns_at(2019, 1, 2, 10, 0)
-        per_venue = {}
-        for vi, dt, bid_ticks, spread in raw:
-            venue = DEFAULT_VENUES[vi]
-            ev = quote(
-                t0 + dt * 1000, venue=venue,
-                bid=bid_ticks * 0.01, ask=(bid_ticks + spread) * 0.01,
-            )
-            per_venue.setdefault(venue, []).append(ev)
-        for v in per_venue:
-            per_venue[v].sort(key=lambda e: e.timestamp)
-        got = consolidate_nbbo(per_venue)
+        rows = [
+            quote(t0 + dt * 1000, venue=DEFAULT_VENUES[vi],
+                  bid=bid_ticks * 0.01, ask=(bid_ticks + spread) * 0.01)
+            for vi, dt, bid_ticks, spread in raw
+        ]
+        got = consolidate_nbbo(quotes(*rows))
 
-        # oracle: flatten, sort by (ts, priority rank, per-venue position), replay
-        rank = {v: i for i, v in enumerate(DEFAULT_VENUES)}
-        flat = []
-        for v, evs in per_venue.items():
-            for pos, ev in enumerate(evs):
-                flat.append((ev.timestamp, rank[v], pos, ev))
-        flat.sort(key=lambda x: (x[0], x[1], x[2]))
+        # oracle: sort by (ts, priority rank, record position), replay
+        flat = sorted(enumerate(rows), key=lambda x: (x[1][0], RANK[x[1][1]], x[0]))
         bids, asks = {}, {}
         want = []
         last = None
-        for ts, _, _, ev in flat:
-            bids[ev.venue] = ev.bid_price
-            asks[ev.venue] = ev.ask_price
+        for _, (ts, venue, bid, ask, _) in flat:
+            bids[venue], asks[venue] = bid, ask
             bb, ba = max(bids.values()), min(asks.values())
             if bb > ba:
                 continue
             if (bb, ba) != last:
                 last = (bb, ba)
                 want.append((ts, bb, ba))
-        assert [(e.timestamp, e.best_bid, e.best_ask) for e in got] == want
+        assert list(zip(got.ts.tolist(), got.bid.tolist(), got.ask.tolist())) == want
 
 
 class TestBuildMidSeries:
     def test_three_events_one_session(self):
         t0 = ns_at(2019, 1, 2, 10, 0)
-        events = [
-            NbboEvent(0, t0, 100.0, 100.02, 100.01),
-            NbboEvent(1, t0 + 1000, 100.0, 100.04, 100.02),
-            NbboEvent(2, t0 + 2000, 100.0, 100.06, 100.03),
-        ]
-        series = build_mid_series(events)
+        series = build_mid_series(nbbo(
+            (t0, 100.0, 100.02, 100.01),
+            (t0 + 1000, 100.0, 100.04, 100.02),
+            (t0 + 2000, 100.0, 100.06, 100.03),
+        ))
         assert len(series.sessions) == 1
         assert len(series) == 3
         assert series.sessions[0].calendar_date == datetime.date(2019, 1, 2)
@@ -242,28 +252,21 @@ class TestBuildMidSeries:
     def test_two_dates_two_sessions(self):
         ts1 = ns_at(2019, 1, 2, 10, 0)
         ts2 = ns_at(2019, 1, 3, 10, 0)
-        events = [
-            NbboEvent(0, ts1, 100.0, 100.02, 100.01),
-            NbboEvent(1, ts1 + 1000, 100.0, 100.04, 100.02),
-            NbboEvent(2, ts2, 100.0, 100.06, 100.03),
-        ]
-        series = build_mid_series(events)
+        series = build_mid_series(nbbo(
+            (ts1, 100.0, 100.02, 100.01),
+            (ts1 + 1000, 100.0, 100.04, 100.02),
+            (ts2, 100.0, 100.06, 100.03),
+        ))
         assert [len(series.session_slice(s)) for s in series.sessions] == [2, 1]
         assert series.sessions[0].end == 1
         assert series.sessions[1].start == 2
 
     def test_empty_input_warns(self, caplog):
+        empty = Nbbo(np.empty(0, np.int64), np.empty(0), np.empty(0), np.empty(0))
         with caplog.at_level("WARNING"):
-            series = build_mid_series([])
+            series = build_mid_series(empty)
         assert len(series) == 0
         assert any("no events" in r.message for r in caplog.records)
-
-
-def write_venue_file(path, rows):
-    lines = [QUOTE_HEADER]
-    for ts, venue, bid, bsz, ask, asz, cond in rows:
-        lines.append(f"{ts},{venue},{bid},{bsz},{ask},{asz},{cond}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class TestFiles:
@@ -279,21 +282,14 @@ class TestFiles:
 
     def test_lenient_skips_and_counts(self, tmp_path):
         t0 = ns_at(2019, 1, 2, 10, 0)
-        p = tmp_path / "arca.csv"
-        p.write_text(
-            "\n".join(
-                [
-                    QUOTE_HEADER,
-                    f"{t0},ARCA,100.00,100,100.02,100,R",
-                    f"{t0 + 1},ARCA,abc,100,100.02,100,R",
-                    f"{t0 + 2},ARCA,100.01,100,100.03,100,R",
-                ]
-            )
-            + "\n"
-        )
+        p = write_lines(tmp_path / "arca.csv", [
+            f"{t0},ARCA,100.00,100,100.02,100,R",
+            f"{t0 + 1},ARCA,abc,100,100.02,100,R",
+            f"{t0 + 2},ARCA,100.01,100,100.03,100,R",
+        ])
         report = QualityReport()
-        events = read_quote_csv(p, strict=False, report=report)
-        assert len(events) == 2
+        q = read_quote_csv(p, strict=False, report=report)
+        assert q.line.tolist() == [2, 4]
         assert report.n_malformed_skipped == 1
         with pytest.raises(MalformedRecord):
             read_quote_csv(p, strict=True)
@@ -301,38 +297,31 @@ class TestFiles:
     def test_out_of_order_within_venue_rejected(self, tmp_path):
         t0 = ns_at(2019, 1, 2, 10, 0)
         p = tmp_path / "arca.csv"
-        write_venue_file(
-            p,
-            [
-                (t0 + 1000, "ARCA", 100.0, 100, 100.02, 100, "R"),
-                (t0, "ARCA", 100.0, 100, 100.02, 100, "R"),
-            ],
-        )
-        with pytest.raises(MalformedRecord):
+        write_venue_file(p, [
+            (t0 + 1000, "ARCA", 100.0, 100, 100.02, 100, "R"),
+            (t0, "ARCA", 100.0, 100, 100.02, 100, "R"),
+        ])
+        with pytest.raises(MalformedRecord) as err:
             read_quote_csv(p, strict=True)
+        assert (err.value.line_no, err.value.field) == (3, "timestamp_ns")
 
     def test_ingest_files_end_to_end(self, tmp_path):
         t0 = ns_at(2019, 1, 2, 10, 0)
-        write_venue_file(
-            tmp_path / "nyse.csv",
-            [
-                (t0, "NYSE", 100.00, 100, 100.03, 100, "R"),
-                (ns_at(2019, 1, 2, 9, 0), "NYSE", 99.0, 100, 99.02, 100, "R"),
-            ][:1],
-        )
-        write_venue_file(
-            tmp_path / "nasdaq.csv",
-            [
-                (t0 + 500, "NASDAQ", 100.01, 100, 100.02, 100, "R"),
-                (t0 + 1500, "NASDAQ", 100.01, 100, 100.02, 100, "A"),
-            ],
-        )
+        write_venue_file(tmp_path / "nyse.csv", [
+            (ns_at(2019, 1, 2, 9, 0), "NYSE", 99.0, 100, 99.02, 100, "R"),  # before the open
+            (t0, "NYSE", 100.00, 100, 100.03, 100, "R"),
+        ])
+        write_venue_file(tmp_path / "nasdaq.csv", [
+            (t0 + 500, "NASDAQ", 100.01, 100, 100.02, 100, "R"),
+            (t0 + 1500, "NASDAQ", 100.01, 100, 100.02, 100, "A"),
+        ])
         series, report = ingest_files(
             {"NYSE": tmp_path / "nyse.csv", "NASDAQ": tmp_path / "nasdaq.csv"}
         )
         assert len(series) == 2
         assert series.mids[-1] == 100.015
         assert report.n_dropped_condition == 1
+        assert report.n_dropped_outside_rth == 1
         assert report.n_emitted == 2
 
     def test_chunked_venue_file_equivalence(self, tmp_path):
@@ -354,17 +343,15 @@ class TestFiles:
 
     def test_empty_session_logged(self, tmp_path, caplog):
         # a date whose records are all filtered out is reported
-        write_venue_file(
-            tmp_path / "arca.csv",
-            [
-                (ns_at(2019, 1, 2, 10, 0), "ARCA", 100.0, 100, 100.02, 100, "R"),
-                (ns_at(2019, 1, 3, 9, 0), "ARCA", 100.0, 100, 100.02, 100, "R"),
-            ],
-        )
+        write_venue_file(tmp_path / "arca.csv", [
+            (ns_at(2019, 1, 2, 10, 0), "ARCA", 100.0, 100, 100.02, 100, "R"),
+            (ns_at(2019, 1, 3, 9, 0), "ARCA", 100.0, 100, 100.02, 100, "R"),
+        ])
         with caplog.at_level("WARNING"):
             series, report = ingest_files({"ARCA": tmp_path / "arca.csv"})
         assert len(series.sessions) == 1
         assert report.empty_session_dates == ["2019-01-03"]
+        assert any("2019-01-03" in r.message for r in caplog.records)
 
     def test_consolidated_input_path(self, tmp_path):
         t0 = ns_at(2019, 1, 2, 10, 0)
@@ -376,3 +363,164 @@ class TestFiles:
         series, report = ingest_consolidated(tmp_path / "nbbo.csv")
         assert len(series) == 5
         assert report.n_emitted == 5
+
+    def test_consolidated_out_of_order_names_its_file_line(self, tmp_path):
+        # two blank lines sit before the late record, which is on line 6
+        t0 = ns_at(2019, 1, 2, 10, 0)
+        p = write_lines(tmp_path / "nbbo.csv", [
+            f"{t0 + 1000},ARCA,100.00,100,100.02,100,R",
+            "",
+            "",
+            f"{t0 + 2000},NYSE,100.00,100,100.02,100,R",
+            f"{t0},ARCA,100.00,100,100.02,100,R",
+        ])
+        with pytest.raises(MalformedRecord) as err:
+            ingest_consolidated(p)
+        assert (err.value.line_no, err.value.field) == (6, "timestamp_ns")
+        _, report = ingest_consolidated(p, strict=False)
+        assert (report.n_records, report.n_malformed_skipped) == (3, 1)
+
+
+# Columnar ingest against the scalar oracle on random feeds.
+
+# Weekdays either side of the 2024 switches to and from daylight time.
+DAYS = (
+    datetime.date(2024, 3, 8), datetime.date(2024, 3, 11),
+    datetime.date(2024, 11, 1), datetime.date(2024, 11, 4),
+)
+# Local times at midnight, around the RTH edges, inside RTH, and far
+# enough outside that the UTC date differs from the local one.
+# Half the records fall at noon, so that venues tie often.
+NOON = datetime.time(12, 0)
+TIMES = (
+    datetime.time(0, 0), datetime.time(0, 30), datetime.time(4, 0),
+    datetime.time(9, 29, 59), datetime.time(9, 30), NOON,
+    datetime.time(15, 59, 59), datetime.time(16, 0), datetime.time(23, 30),
+)
+VENUES = ("NYSE", "NASDAQ", "ARCA")
+# One malformed record of each class: (field replaced, its text); a field
+# index of None stands for the whole line.
+MALFORMED = {
+    "field count": (None, "1,ARCA,1.0,2"),
+    "timestamp": (0, "12:00"),
+    "timestamp sign": (0, "0"),
+    "venue": (1, "MARS"),
+    "price": (2, "abc"),
+    "price value": (4, "inf"),
+    "size": (3, "1.5"),
+    "size sign": (5, "-100"),
+    "condition": (6, "RR"),
+    "condition space": (6, "R "),
+}
+
+record = st.tuples(
+    st.integers(0, 1),                        # file
+    st.integers(0, len(DAYS) - 1),
+    st.one_of(st.just(TIMES.index(NOON)), st.integers(0, len(TIMES) - 1)),
+    st.sampled_from([0, 0, 0, 1, 999_999_999]),  # ns past the second; ties
+    st.sampled_from(VENUES),
+    st.integers(9998, 10001),                 # bid in cents
+    st.integers(-1, 2),                       # spread in cents: crossed, locked
+    st.sampled_from("RRRRA"),
+    st.sampled_from([None] * 12 + sorted(MALFORMED) + ["blank"]),
+)
+
+
+def local_ns(day, time):
+    return int(datetime.datetime.combine(day, time, tzinfo=ET).timestamp()) * 1_000_000_000
+
+
+def render(ts, venue, bid_c, spread_c, cond, bad) -> str:
+    if bad == "blank":
+        return ""
+    bid, ask = f"{bid_c / 100:.2f}", f"{(bid_c + spread_c) / 100:.2f}"
+    fields = [str(ts), venue, bid, "100", ask, "200", cond]
+    if bad in MALFORMED:
+        col, text = MALFORMED[bad]
+        if col is None:
+            return text
+        fields[col] = text
+    return ",".join(fields)
+
+
+def write_feed(tmp_path, records, swaps) -> list:
+    """One file per file index, records in time order except for `swaps`."""
+    files = []
+    for f in (0, 1):
+        rows = sorted((
+            (local_ns(DAYS[d], TIMES[t]) + nanos, venue, bid, spread, cond, bad)
+            for file_, d, t, nanos, venue, bid, spread, cond, bad in records if file_ == f
+        ), key=lambda row: row[0])
+        for i, j in swaps:
+            if rows:
+                a, b = i % len(rows), j % len(rows)
+                rows[a], rows[b] = rows[b], rows[a]
+        files.append(write_lines(tmp_path / f"feed{f}.csv", [render(*row) for row in rows]))
+    return files
+
+
+@contextlib.contextmanager
+def chunked(batch_chars, fill_rows):
+    with mock.patch.object(ingest, "_BATCH_CHARS", batch_chars), \
+            mock.patch.object(ingest, "_FILL_ROWS", fill_rows):
+        yield
+
+
+def assert_same_ingest(got, want, tmp_path):
+    (series, report), (want_series, want_report) = got, want
+    assert series == want_series
+    assert dataclasses.asdict(report) == dataclasses.asdict(want_report)
+    write_prms(series, tmp_path / "got.prms")
+    write_prms(want_series, tmp_path / "want.prms")
+    assert (tmp_path / "got.prms").read_bytes() == (tmp_path / "want.prms").read_bytes()
+
+
+class TestOracle:
+    @given(
+        records=st.lists(record, min_size=0, max_size=80),
+        swaps=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3),
+        consolidated=st.booleans(),
+        # parse batches and merge chunks small enough to carry state across
+        batch_chars=st.sampled_from([1, 200, 1 << 20]),
+        fill_rows=st.sampled_from([1, 7, 1 << 16]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lenient_ingest_matches_scalar_oracle(
+        self, tmp_path_factory, records, swaps, consolidated, batch_chars, fill_rows
+    ):
+        tmp_path = tmp_path_factory.mktemp("feed")
+        files = write_feed(tmp_path, records, swaps)
+        if consolidated:
+            want = ingest_oracle.ingest_consolidated(files[0], strict=False)
+            with chunked(batch_chars, fill_rows):
+                got = ingest_consolidated(files[0], strict=False)
+        else:
+            venue_files = {"B": files[0], "A": files[1]}
+            want = ingest_oracle.ingest_files(venue_files, strict=False)
+            with chunked(batch_chars, fill_rows):
+                got = ingest_files(venue_files, strict=False)
+        assert_same_ingest(got, want, tmp_path)
+
+    @pytest.mark.parametrize("bad", [*MALFORMED, "header", "out of order"])
+    @pytest.mark.parametrize("consolidated", [False, True])
+    def test_strict_reports_first_malformed_record(self, tmp_path, bad, consolidated):
+        t0 = ns_at(2019, 1, 2, 10, 0)
+        lines = [render(t0 + i, VENUES[i % 3], 10000, 1, "R", None) for i in range(6)]
+        lines[2] = ""
+        if bad == "out of order":
+            # late for NYSE, and for the one stream of a consolidated feed
+            lines[4] = render(t0 + 2, "NYSE", 10000, 1, "R", None)
+        elif bad != "header":
+            lines[4] = render(t0 + 4, "NYSE", 10000, 1, "R", bad)
+        lines.append(render(t0 + 9, "NYSE", 10000, 1, "R", "venue"))  # a later fault
+        header = "ts,venue" if bad == "header" else QUOTE_HEADER
+        p = write_lines(tmp_path / "feed.csv", lines, header=header)
+        ours = ingest_consolidated if consolidated else (lambda p: ingest_files({"X": p}))
+        theirs = ingest_oracle.ingest_consolidated if consolidated else (
+            lambda p: ingest_oracle.ingest_files({"X": p}))
+        with pytest.raises(MalformedRecord) as got:
+            ours(p)
+        with pytest.raises(MalformedRecord) as want:
+            theirs(p)
+        assert (got.value.line_no, got.value.field) == (want.value.line_no, want.value.field)
+        assert got.value.line_no == (1 if bad == "header" else 6)

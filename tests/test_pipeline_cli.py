@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,19 @@ class TestPipeline:
         run_pipeline(cfg)
         statuses = run_pipeline(cfg)
         assert {s.status for s in statuses} == {"skipped"}
+
+    def test_one_log_line_per_stage(self, tmp_path, caplog):
+        cfg = config_from_dict(base_config(tmp_path))
+        with caplog.at_level("INFO", logger="pushresp.pipeline"):
+            statuses = run_pipeline(cfg) + run_pipeline(cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "pushresp.pipeline"]
+        assert [s.status for s in statuses] == ["ran"] * 5 + ["skipped"] * 5
+        assert len(lines) == len(statuses)
+        for status, line in zip(statuses, lines):
+            assert re.fullmatch(
+                rf"stage {re.escape(status.stage)} {status.status}: wall \d+\.\d{{3}} s, "
+                r"cpu \d+\.\d{3} s, peak rss \d+\.\d MiB", line
+            ), line
 
     def test_config_change_reruns_downstream(self, tmp_path):
         raw = base_config(tmp_path)
