@@ -22,21 +22,14 @@ class MomentAccumulator:
     mean: float = 0.0
     m2: float = 0.0
 
-    def add_batch(self, values: np.ndarray) -> None:
+    def add_batch(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Fold in a batch; its deviations go to `out`, which may be `values`."""
         n_b = int(values.size)
         if n_b == 0:
             return
         mean_b = float(values.mean())
-        dev = values - mean_b
+        dev = np.subtract(values, mean_b, out=out[:n_b])
         m2_b = float(np.dot(dev, dev))
-        self._merge(n_b, mean_b, m2_b)
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        self._merge(other.count, other.mean, other.m2)
-
-    def _merge(self, n_b: int, mean_b: float, m2_b: float) -> None:
-        if n_b == 0:
-            return
         n_a = self.count
         n = n_a + n_b
         delta = mean_b - self.mean

@@ -58,10 +58,6 @@ class EmptyInput(PushRespError):
     """An operation requiring non-empty input received none."""
 
 
-class DegenerateDistribution(PushRespError):
-    """All increments are identical; quantiles collapse to a point."""
-
-
 class InvalidGrid(ValidationFailed):
     """A lag family or bin grid violates its invariants."""
 

@@ -72,19 +72,24 @@ def session_pushes_responses(
 def compute_moments(series: MidSeries, lag: int) -> LagMoments:
     """Mean and population std of pushes and responses at one lag.
 
-    Session partials merge in session order, so the result does not
-    depend on chunking.
+    A session's differences d = mids[t+L] - mids[t] fill one reused buffer:
+    its a pushes are d[:a], its responses d[L:] (then their deviations).
+    Session partials merge in session order, so chunking cannot change it.
     """
-    acc_p = MomentAccumulator()
-    acc_r = MomentAccumulator()
+    acc_p, acc_r = MomentAccumulator(), MomentAccumulator()
+    longest = max((len(s) for s in series.sessions), default=0)
+    diffs, scratch = np.empty((2, max(0, longest - lag)))
     for s in series.sessions:
-        pushes, responses = session_pushes_responses(series.mids, s, lag)
-        acc_p.add_batch(pushes)
-        acc_r.add_batch(responses)
+        a = len(s) - 2 * lag
+        if a <= 0:
+            continue
+        d = np.subtract(series.mids[s.start + lag : s.end + 1],
+                        series.mids[s.start : s.end + 1 - lag], out=diffs[: a + lag])
+        acc_p.add_batch(d[:a], scratch)
+        acc_r.add_batch(d[lag:], d[lag:])
     if acc_p.count < 2:
         raise InsufficientSupport(lag, acc_p.count)
-    sigma_p = acc_p.std
-    sigma_r = acc_r.std
+    sigma_p, sigma_r = acc_p.std, acc_r.std
     if sigma_p == 0.0:
         raise ZeroVariance(lag, "push")
     if sigma_r == 0.0:

@@ -25,6 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from . import cleaning as cleaning_mod
 from . import decomposition as decomp_mod
@@ -65,6 +66,10 @@ class IngestOptions:
                 "ingest needs exactly one of venues_dir (--venues) "
                 "or consolidated (--consolidated)"
             )
+        try:
+            ZoneInfo(self.tz)
+        except (ZoneInfoNotFoundError, ValueError, TypeError):
+            raise ValidationFailed(f"tz: unknown time zone {self.tz!r}") from None
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,41 +121,52 @@ def write_prms(series: MidSeries, path: str | Path) -> None:
 def read_prms(path: str | Path) -> MidSeries:
     """Read a PRMS file; a NaN or infinite mid is rejected, naming the
     session and its global event index, because every lag statistic
-    downstream would turn it into plausible-looking numbers."""
+    downstream would turn it into plausible-looking numbers.
+
+    The session headers are indexed first; the mids are then read
+    straight into one array of the total event count."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            head = f.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise ArtifactIOError(f"{path}: truncated header")
+            magic, version = _HEADER.unpack(head)
+            if magic != PRMS_MAGIC:
+                raise ArtifactIOError(f"{path}: bad magic {magic!r}")
+            if version != PRMS_VERSION:
+                raise ArtifactIOError(f"{path}: unsupported version {version}")
+            pos, blocks = _HEADER.size, []  # (date, count, offset) of nonempty sessions
+            while pos < size:
+                rec = f.read(_SESSION_HEADER.size)
+                if len(rec) < _SESSION_HEADER.size:
+                    raise ArtifactIOError(f"{path}: truncated session header at {pos}")
+                date, count = _SESSION_HEADER.unpack(rec)
+                pos += _SESSION_HEADER.size
+                if pos + 8 * count > size:
+                    raise ArtifactIOError(f"{path}: truncated session block at {pos}")
+                if count:
+                    blocks.append((date, count, pos))
+                pos = f.seek(pos + 8 * count)
+            mids = np.empty(sum(count for _, count, _ in blocks), dtype="<f8")
+            sessions: list[Session] = []
+            for date, count, offset in blocks:
+                start = sessions[-1].end + 1 if sessions else 0
+                block = mids[start : start + count]
+                f.seek(offset)
+                if f.readinto(block) < 8 * count:
+                    raise ArtifactIOError(f"{path}: truncated session block at {offset}")
+                bad = np.flatnonzero(~np.isfinite(block))
+                if bad.size:
+                    raise ArtifactIOError(
+                        f"{path}: session {len(sessions)} holds a non-finite mid "
+                        f"{block[bad[0]]!r} at event index {start + bad[0]}"
+                    )
+                sessions.append(Session(date=date, start=start, end=start + count - 1))
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise ArtifactIOError(f"{path}: truncated header")
-    magic, version = _HEADER.unpack_from(raw, 0)
-    if magic != PRMS_MAGIC:
-        raise ArtifactIOError(f"{path}: bad magic {magic!r}")
-    if version != PRMS_VERSION:
-        raise ArtifactIOError(f"{path}: unsupported version {version}")
-    pos = _HEADER.size
-    dates: list[int] = []
-    arrays: list[np.ndarray] = []
-    while pos < len(raw):
-        if pos + _SESSION_HEADER.size > len(raw):
-            raise ArtifactIOError(f"{path}: truncated session header at {pos}")
-        date, count = _SESSION_HEADER.unpack_from(raw, pos)
-        pos += _SESSION_HEADER.size
-        nbytes = count * 8
-        if pos + nbytes > len(raw):
-            raise ArtifactIOError(f"{path}: truncated session block at {pos}")
-        block = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
-        if not np.isfinite(block).all():
-            i = int(np.flatnonzero(~np.isfinite(block))[0])
-            raise ArtifactIOError(
-                f"{path}: session {len(arrays)} holds a non-finite mid "
-                f"{block[i]!r} at event index {sum(map(len, arrays)) + i}"
-            )
-        arrays.append(block.copy())
-        dates.append(date)
-        pos += nbytes
-    return from_session_arrays(dates, arrays)
+    return MidSeries(sessions=sessions, mids=mids)
 
 
 def sha256_file(path: str | Path) -> str:

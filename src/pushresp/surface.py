@@ -27,7 +27,6 @@ a time.
 from __future__ import annotations
 
 import csv
-import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,15 +43,13 @@ from .errors import (
     MissingArtifact,
     MissingMoments,
 )
-from .lags import LagMoments, MomentRow, session_pushes_responses
+from .lags import LagMoments, MomentRow
 from .series import MidSeries
-
-OUT_OF_GRID = None  # sentinel returned by BinGrid.bin_index
 
 BLOCK_TARGET = 50
 BLOCK_LAG_FACTOR = 10
-# Anchors binned per pass. Passes this small keep their temporaries in
-# reused heap memory instead of pages mapped afresh for every pass.
+# Anchors binned per pass: the per-lag buffers hold one pass, and the
+# compensated fold adds once per pass, so output bits depend on it.
 CHUNK_ANCHORS = 50_000
 
 
@@ -88,17 +85,9 @@ class BinGrid:
         return round((self.z_max - self.z_min) / self.step)
 
     def bin_index(self, z_p: float):
-        """1-based bin index, or None when the push falls off the grid.
-
-        The top edge is exclusive; a value rounding onto n_bins+1 is
-        treated as off-grid rather than special-cased.
-        """
-        if not (self.z_min <= z_p < self.z_max):
-            return OUT_OF_GRID
-        j = 1 + math.floor((z_p - self.z_min) / self.step)
-        if j < 1 or j > self.n_bins:
-            return OUT_OF_GRID
-        return j
+        """1-based bin of one push, or None when it falls off the grid."""
+        j = int(self.bin_slots(np.array([z_p], dtype=np.float64))[0])
+        return j if 1 <= j <= self.n_bins else None
 
     def bin_center(self, j: int) -> float:
         if not (1 <= j <= self.n_bins):
@@ -108,11 +97,29 @@ class BinGrid:
     def centers(self) -> np.ndarray:
         return self.z_min + (np.arange(1, self.n_bins + 1) - 0.5) * self.step
 
+    def bin_slots(
+        self, z_p: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Bin slots: 1 + floor((z_p - z_min) / step) when that lies in
+        1..n_bins and z_p < z_max; 0 below the grid and n_bins + 1 above it.
+        fl(z_p - z_min) >= 0 exactly when z_p >= z_min, so the lower edge
+        needs no compare. `out` (int64) and `work` (float64) are optional
+        buffers of z_p's length."""
+        n = self.n_bins
+        out = np.empty(z_p.shape, dtype=np.int64) if out is None else out
+        w = np.subtract(z_p, self.z_min, out=work)
+        w /= self.step
+        np.floor(w, out=w)
+        np.clip(w, -1, n, out=w)
+        np.add(w, 1, out=out, casting="unsafe")
+        if (self.z_max - self.z_min) / self.step < n:  # else z_p >= z_max floors to >= n
+            np.putmask(out, z_p >= self.z_max, n + 1)
+        return out
+
     def bin_indices(self, z_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized bin_index: (0-based indices, in-grid mask)."""
-        j = 1 + np.floor((z_p - self.z_min) / self.step).astype(np.int64)
-        ok = (z_p >= self.z_min) & (z_p < self.z_max) & (j >= 1) & (j <= self.n_bins)
-        return j - 1, ok
+        """(0-based indices, in-grid mask) from bin_slots."""
+        j0 = self.bin_slots(z_p) - 1
+        return j0, (j0 >= 0) & (j0 < self.n_bins)
 
     def to_dict(self) -> dict:
         return {
@@ -201,9 +208,10 @@ def _nan_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class _LagAccumulator:
-    """Per-lag bin tables: exact counts, compensated sums, and block tables."""
+    """Per-lag bin tables: exact counts, compensated sums, and block tables.
+    Each pass fills buffers of `width` anchors (plus the lag) allocated once."""
 
-    def __init__(self, grid: BinGrid, moments: LagMoments):
+    def __init__(self, grid: BinGrid, moments: LagMoments, width: int):
         self.grid = grid
         self.moments = moments
         n = grid.n_bins
@@ -216,48 +224,49 @@ class _LagAccumulator:
         self.block_bounds: list[tuple[int, int]] = []
         self.block_counts: list[np.ndarray] = []
         self.block_sum_zr: list[np.ndarray] = []
+        self._diffs = np.empty(width + moments.lag)
+        self._z_p, self._z_r, self._work = np.empty((3, width))
+        self._slots = np.empty(width, dtype=np.int64)
 
     def add_session(self, mids: np.ndarray, session) -> None:
         lag = self.moments.lag
-        pushes, responses = session_pushes_responses(mids, session, lag)
-        a = pushes.size
-        if a == 0:
+        a = len(session) - 2 * lag
+        if a <= 0:
             return
         n_blocks = max(1, a // block_size(lag, self.moments.n_pairs))
-        edges = [i * a // n_blocks for i in range(n_blocks + 1)]
-        first = session.start + lag
+        edges = [session.start + lag + i * a // n_blocks for i in range(n_blocks + 1)]
         n = self.grid.n_bins
         for lo, hi in zip(edges[:-1], edges[1:]):
-            counts = np.zeros(n, dtype=np.int64)
-            sum_zr = np.zeros(n)
+            counts, sum_zr = np.zeros(n, dtype=np.int64), np.zeros(n)
             for c in range(lo, hi, CHUNK_ANCHORS):
-                c_hi = min(c + CHUNK_ANCHORS, hi)
-                c_counts, c_sum_zr = self._add_chunk(pushes[c:c_hi], responses[c:c_hi])
+                c_counts, c_sum_zr = self._add_chunk(mids, c, min(c + CHUNK_ANCHORS, hi))
                 counts += c_counts
                 sum_zr += c_sum_zr
-            self.block_bounds.append((first + lo, first + hi))
+            self.block_bounds.append((lo, hi))
             self.block_counts.append(counts)
             self.block_sum_zr.append(sum_zr)
 
-    def _add_chunk(
-        self, pushes: np.ndarray, responses: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bin a run of anchors into the totals; return its count and
+    def _add_chunk(self, mids: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bin the anchors [t0, t1) into the totals; return their count and
         standardized-response-sum tables."""
         m = self.moments
-        z_p = (pushes - m.mu_p) / m.sigma_p
-        z_r = (responses - m.mu_r) / m.sigma_r
-        j0, ok = self.grid.bin_indices(z_p)
-        self.n_seen += int(pushes.size)
-        self.out_of_grid += int(pushes.size - ok.sum())
-        jj = j0[ok]
-        n = self.grid.n_bins
-        counts = np.bincount(jj, minlength=n)
-        sum_zr = np.bincount(jj, weights=z_r[ok], minlength=n)
+        lag, k, n = m.lag, t1 - t0, self.grid.n_bins
+        # d[i] = mids[t0+i] - mids[t0+i-L]: anchor t0+i's push is d[i], its response d[i+L]
+        d = np.subtract(mids[t0 : t1 + lag], mids[t0 - lag : t1], out=self._diffs[: k + lag])
+        z_p = np.subtract(d[:k], m.mu_p, out=self._z_p[:k])
+        z_p /= m.sigma_p
+        r = d[lag:]
+        z_r = np.subtract(r, m.mu_r, out=self._z_r[:k])
+        z_r /= m.sigma_r
+        j = self.grid.bin_slots(z_p, out=self._slots[:k], work=self._work[:k])
+        counts = np.bincount(j, minlength=n + 2)[1 : n + 1]  # slots 0, n+1: off the grid
+        self.n_seen += k
+        self.out_of_grid += k - int(counts.sum())
+        sum_zr = np.bincount(j, weights=z_r, minlength=n + 2)[1 : n + 1]
         self.counts += counts
-        self.sum_zp.add(np.bincount(jj, weights=z_p[ok], minlength=n))
+        self.sum_zp.add(np.bincount(j, weights=z_p, minlength=n + 2)[1 : n + 1])
         self.sum_zr.add(sum_zr)
-        self.sum_r.add(np.bincount(jj, weights=responses[ok], minlength=n))
+        self.sum_r.add(np.bincount(j, weights=r, minlength=n + 2)[1 : n + 1])
         return counts, sum_zr
 
     def take_blocks(self) -> LagBlocks:
@@ -290,7 +299,8 @@ def accumulate_surface(
     ]
 
     def run(m: LagMoments) -> _LagAccumulator:
-        acc = _LagAccumulator(grid, m)
+        longest = max(len(s) - 2 * m.lag for s in series.sessions)
+        acc = _LagAccumulator(grid, m, min(CHUNK_ANCHORS, longest))
         for s in series.sessions:
             acc.add_session(series.mids, s)
         if acc.n_seen != m.n_pairs:

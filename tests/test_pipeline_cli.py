@@ -89,7 +89,9 @@ class TestConfigFaults:
         ("ingest", {"tz": "America/New_York"}, "venues_dir"),
         ("grid", {"step": "0.05"}, "'str'"),
         ("grid", {"z_min": -2.0, "z_max": 4.0, "step": 0.025}, "symmetric about 0"),
-    ], ids=["grid_key", "figure_out", "ingest_input", "grid_step_type", "grid_asymmetric"])
+        ("ingest", {"venues_dir": "quotes", "tz": "Mars/Olympus"}, "tz: unknown time zone"),
+    ], ids=["grid_key", "figure_out", "ingest_input", "grid_step_type", "grid_asymmetric",
+            "ingest_tz"])
     def test_validate_and_pipeline_exit_1(self, tmp_path, capsys, section, value, word):
         workdir = tmp_path / "wd"
         raw = base_config(workdir)

@@ -1,5 +1,12 @@
+import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushresp.errors import ArtifactIOError
 from pushresp.series import (
@@ -100,3 +107,48 @@ def test_manifest_round_trip(tmp_path):
     assert back["n_sessions"] == 1
     assert back["n_events"] == 2
     assert len(back["data_sha256"]) == 64
+
+
+def frombuffer_read_prms(path):
+    """The reader this module once had: the whole file as bytes, one copy
+    per session, then a concatenation."""
+    raw = path.read_bytes()
+    pos, dates, arrays = 6, [], []
+    while pos < len(raw):
+        date, count = struct.unpack_from("<IQ", raw, pos)
+        pos += 12
+        arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=pos).copy())
+        dates.append(date)
+        pos += 8 * count
+    return from_session_arrays(dates, arrays)
+
+
+@given(st.lists(st.integers(0, 40), max_size=6), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_prms_read_matches_frombuffer_reader(sizes, seed):
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.prms"
+        # an empty session block is legal on disk and is skipped by both
+        with open(path, "wb") as f:
+            f.write(b"PRMS\x01\x00")
+            for i, n in enumerate(sizes):
+                f.write(struct.pack("<IQ", 18262 + i, n))
+                f.write((100 + rng.standard_normal(n)).astype("<f8").tobytes())
+        assert read_prms(path) == frombuffer_read_prms(path)
+
+
+def test_prms_read_peak_allocation(tmp_path):
+    # one array of the series plus a session's finiteness mask, not 3x
+    n = 400_000
+    series = make_series([100 + np.arange(n // 4) * 0.01] * 4)
+    path = tmp_path / "big.prms"
+    write_prms(series, path)
+    tracemalloc.start()
+    try:
+        back = read_prms(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == series
+    assert peak < 1.5 * 8 * n

@@ -36,6 +36,15 @@ def verbatim_bin_index(z, z_min=-4.0, z_max=4.0, step=0.025, n=320):
     return j if 1 <= j <= n else None
 
 
+def verbatim_slot(z, z_min=-4.0, z_max=4.0, step=0.025, n=320):
+    """verbatim_bin_index in BinGrid.bin_slots form: 0 below the grid,
+    n + 1 for any other push off it."""
+    j = verbatim_bin_index(z, z_min, z_max, step, n)
+    if j is not None:
+        return j
+    return 0 if z < z_min else n + 1
+
+
 def brute_force_bins(series, lag, grid):
     """Pure-python oracle: materialize every pair, group by bin, average."""
     pushes, responses = [], []
@@ -74,16 +83,13 @@ class TestBinGrid:
 
     def test_edges(self):
         g = BinGrid()
-        assert g.bin_index(-4.0) == 1
-        assert g.bin_index(0.0) == 161
-        assert g.bin_index(4.0) is None
-        assert g.bin_index(-4.0000001) is None
-        assert g.bin_index(3.9999999) == 320
+        slots = g.bin_slots(np.array([-4.0, 0.0, 4.0, -4.0000001, 3.9999999]))
+        assert slots.tolist() == [1, 161, 321, 0, 320]  # 0 and 321 are off the grid
 
     def test_every_center_maps_to_its_bin(self):
         g = BinGrid()
-        for j in range(1, 321):
-            assert g.bin_index(g.bin_center(j)) == j
+        centers = np.array([g.bin_center(j) for j in range(1, 321)])
+        np.testing.assert_array_equal(g.bin_slots(centers), np.arange(1, 321))
 
     def test_matches_verbatim_formula(self, rng):
         g = BinGrid()
@@ -95,15 +101,14 @@ class TestBinGrid:
                 np.array([-4.0, 4.0, 3.999999999999999, -3.9999999999999996]),
             ]
         )
-        for z in zs:
-            assert g.bin_index(float(z)) == verbatim_bin_index(float(z))
+        np.testing.assert_array_equal(g.bin_slots(zs), [verbatim_slot(float(z)) for z in zs])
 
     def test_vectorized_matches_scalar(self, rng):
         g = BinGrid()
         zs = rng.standard_normal(5000) * 2.5
         j0, ok = g.bin_indices(zs)
         for z, j, valid in zip(zs, j0, ok):
-            want = g.bin_index(float(z))
+            want = verbatim_bin_index(float(z))
             if want is None:
                 assert not valid
             else:
@@ -351,4 +356,4 @@ class TestBlockTables:
 @settings(max_examples=300)
 def test_bin_index_property_matches_verbatim(z):
     g = BinGrid()
-    assert g.bin_index(z) == verbatim_bin_index(z)
+    assert g.bin_slots(np.array([z])).tolist() == [verbatim_slot(z)]
