@@ -9,20 +9,16 @@ maps symmetry dominance to -1. Per lag, pairs are weighted by combined
 support and aggregated into a dominance statistic, a magnitude curve
 (standardized and raw), and a bootstrap confidence band.
 
-Two bands exist. Given the surface's anchor-block tables (see
-surface.py), the band comes from a bootstrap over non-overlapping
-blocks of consecutive anchors (Carlstein 1986; Kuensch 1989 is the
-moving-block variant): each replicate redraws whole blocks, rebuilds
-the cells, the valid mirror pairs and their weights, and recomputes the
-dominance statistic. Anchors closer than 2 L share increments, so only
-whole blocks carry the surface's real sampling noise. A replicate adds
-resampling noise on top of the data's own, which pulls its statistic
-towards 0, so the band is the replicates' percentile band shifted by
-rho minus their median: it holds rho and has the replicates' spread.
-This is the band the pipeline and the CLI report. Without block tables
-the band redraws mirror pairs with the support weights as selection
-probabilities, which treats the pairs as independent and is too narrow
-whenever anchors overlap.
+The band comes from the surface's anchor-block tables (see surface.py):
+a bootstrap over non-overlapping blocks of consecutive anchors
+(Carlstein 1986; Kuensch 1989 is the moving-block variant). Each
+replicate redraws whole blocks, rebuilds the cells, the valid mirror
+pairs and their weights, and recomputes the dominance statistic.
+Anchors closer than 2 L share increments, so only whole blocks carry
+the surface's real sampling noise. A replicate adds resampling noise
+on top of the data's own, which pulls its statistic towards 0, so the
+band is the replicates' percentile band shifted by rho minus their
+median: it holds rho and has the replicates' spread.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .cleaning import empirical_quantile
-from .errors import ArtifactIOError, IndexOutOfRange, InvalidGrid, NoSupportedPairs
+from .errors import ArtifactIOError, InvalidGrid
 from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
 EPSILON = 1e-12
@@ -47,7 +43,6 @@ class BootstrapConfig:
     n_replicates: int = 1000
     seed: int = 0
     quantiles: tuple[float, float] = (0.025, 0.975)
-    recompute_weights: str = "equal"  # or "selection"; pair band only
 
     def __post_init__(self):
         if self.n_replicates < 1:
@@ -55,8 +50,6 @@ class BootstrapConfig:
         lo, hi = self.quantiles
         if not (0.0 < lo < hi < 1.0):
             raise ValueError(f"bad quantile pair {self.quantiles}")
-        if self.recompute_weights not in ("equal", "selection"):
-            raise ValueError(f"unknown recompute mode '{self.recompute_weights}'")
 
 
 @dataclass(frozen=True)
@@ -87,23 +80,6 @@ class LagSummary:
     M_raw: float
     n_supported_pairs: int
     degenerate: bool
-
-
-def mirror_index(j: int, n_bins: int = 320) -> int:
-    """Bin paired with j across zero: centers negate each other."""
-    if not (1 <= j <= n_bins):
-        raise IndexOutOfRange(f"bin index {j} outside 1..{n_bins}")
-    return n_bins + 1 - j
-
-
-def local_dominance(S: float, A: float, eps: float = EPSILON) -> float:
-    """Signed share of the odd part; +1 pure antisymmetry, 0 pure symmetry."""
-    return A / (abs(A) + abs(S) + eps)
-
-
-def local_dominance_abs(S: float, A: float, eps: float = EPSILON) -> float:
-    """Magnitude share; +1 pure antisymmetry, -1 pure symmetry."""
-    return (abs(A) - abs(S)) / (abs(A) + abs(S) + eps)
 
 
 def pair_terms(
@@ -145,51 +121,29 @@ def decompose(surface: Surface, local_index: str = "eq319") -> list[MirrorPair]:
     """
     if local_index not in LOCAL_INDEX_CHOICES:
         raise InvalidGrid(f"unknown local index '{local_index}'")
-    check_mirror_grid(surface.grid)
-    half = surface.grid.n_bins // 2
-    pairs: list[MirrorPair] = []
-    for i, m in enumerate(surface.moments):
-        support, A, S = pair_terms(
-            surface.counts[i], surface.mean_zr[i], surface.grid.n_min_support
-        )
-        supported = np.flatnonzero(support)
-        if supported.size == 0:
-            continue
-        weights = support[supported] / support[supported].sum()
-        for col, w in zip(supported.tolist(), weights.tolist()):
-            k = col + 1
-            pos, neg = half + k - 1, half - k  # 0-based columns
-            s, a = float(S[col]), float(A[col])
-            signed = local_dominance(s, a)
-            share = local_dominance_abs(s, a)
-            pairs.append(
-                MirrorPair(
-                    lag=m.lag,
-                    abs_index=k,
-                    abs_center=surface.grid.bin_center(half + k),
-                    n_pos=int(surface.counts[i, pos]),
-                    n_neg=int(surface.counts[i, neg]),
-                    mean_zr_pos=float(surface.mean_zr[i, pos]),
-                    mean_zr_neg=float(surface.mean_zr[i, neg]),
-                    mean_r_raw_pos=float(surface.mean_r_raw[i, pos]),
-                    mean_r_raw_neg=float(surface.mean_r_raw[i, neg]),
-                    S=s,
-                    A=a,
-                    rho_local=signed if local_index == "eq319" else share,
-                    rho_local_alt=share if local_index == "eq319" else signed,
-                    weight=w,
-                )
-            )
-    return pairs
-
-
-def lag_weights(pairs: list[MirrorPair]) -> np.ndarray:
-    """The weights `decompose` gives a lag's pairs: supports
-    n(+j) + n(-j), summing to 1."""
-    if not pairs:
-        raise NoSupportedPairs(-1)
-    counts = np.array([p.n_pos + p.n_neg for p in pairs], dtype=np.float64)
-    return counts / counts.sum()
+    grid = surface.grid
+    check_mirror_grid(grid)
+    half = grid.n_bins // 2
+    support, A, S = pair_terms(surface.counts, surface.mean_zr, grid.n_min_support)
+    # unsupported pairs (and lags without one) may give nan; none is kept
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weight = support / support.sum(axis=1, keepdims=True)
+        denom = np.abs(A) + np.abs(S) + EPSILON
+        signed = A / denom
+        share = (np.abs(A) - np.abs(S)) / denom
+    if local_index == "absratio":
+        signed, share = share, signed
+    i, col = np.nonzero(support)
+    pos, neg = half + col, half - 1 - col
+    lags = np.array(surface.lags, dtype=np.int64)
+    cols = (
+        lags[i], col + 1, grid.centers()[pos],
+        surface.counts[i, pos], surface.counts[i, neg],
+        surface.mean_zr[i, pos], surface.mean_zr[i, neg],
+        surface.mean_r_raw[i, pos], surface.mean_r_raw[i, neg],
+        S[i, col], A[i, col], signed[i, col], share[i, col], weight[i, col],
+    )
+    return [MirrorPair(*row) for row in zip(*(c.tolist() for c in cols))]
 
 
 def dominance_ratio(num_a, num_s) -> np.ndarray:
@@ -209,68 +163,9 @@ def rho_lag(
     return float(dominance_ratio(num_a, num_s)), bool(num_a + num_s == 0.0)
 
 
-def magnitude(pairs: list[MirrorPair], weights: np.ndarray, scale: str = "standardized") -> float:
-    if scale == "standardized":
-        halves = np.array(
-            [0.5 * (abs(p.mean_zr_pos) + abs(p.mean_zr_neg)) for p in pairs]
-        )
-    elif scale == "raw":
-        halves = np.array(
-            [0.5 * (abs(p.mean_r_raw_pos) + abs(p.mean_r_raw_neg)) for p in pairs]
-        )
-    else:
-        raise ValueError(f"unknown magnitude scale '{scale}'")
-    return float(np.dot(weights, halves))
-
-
 def _lag_rng(seed: int, lag: int) -> np.random.Generator:
     # Per-lag stream keyed on (seed, lag): independent of processing order.
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lag,)))
-
-
-def bootstrap_rho(
-    pairs: list[MirrorPair],
-    weights: np.ndarray,
-    cfg: BootstrapConfig,
-) -> tuple[float, float]:
-    """Pair band: percentile band for the lag dominance statistic that
-    assumes the mirror pairs are independent.
-
-    Each replicate redraws K pairs (K = supported-pair count) with
-    replacement using the support weights as selection probabilities and
-    recomputes the statistic on the drawn multiset. Under the default
-    convention the multiset is equal-weighted, since selection already
-    encodes the weights; 'selection' retains the weights on draws too.
-    Only existing supported pairs are ever drawn. Overlapping anchors
-    make neighbouring cells share responses, so on event-time data this
-    band is too narrow; `block_bootstrap_rho` is the band that keeps
-    that dependence.
-    """
-    if not pairs:
-        raise NoSupportedPairs(-1)
-    lag = pairs[0].lag
-    k = len(pairs)
-    abs_a = np.array([abs(p.A) for p in pairs])
-    abs_s = np.array([abs(p.S) for p in pairs])
-    rng = _lag_rng(cfg.seed, lag)
-    draws = rng.choice(k, size=(cfg.n_replicates, k), replace=True, p=weights)
-    if cfg.recompute_weights == "equal":
-        num_a = abs_a[draws].sum(axis=1)
-        num_s = abs_s[draws].sum(axis=1)
-    else:
-        w = np.asarray(weights)
-        num_a = (abs_a[draws] * w[draws]).sum(axis=1)
-        num_s = (abs_s[draws] * w[draws]).sum(axis=1)
-    return _band(num_a, num_s, cfg)
-
-
-def _band(num_a: np.ndarray, num_s: np.ndarray, cfg: BootstrapConfig) -> tuple[float, float]:
-    """Percentile band of per-replicate statistics (num_a - num_s) / (num_a + num_s);
-    a replicate whose parts all vanish counts as 0, as in `rho_lag`."""
-    rho_b = dominance_ratio(num_a, num_s)
-    lo = empirical_quantile(rho_b, cfg.quantiles[0])
-    hi = empirical_quantile(rho_b, cfg.quantiles[1])
-    return lo, hi
 
 
 # Bytes of one [replicates, n_bins / 2] float64 temporary per pass of
@@ -323,7 +218,7 @@ def block_replicates(
     return stats
 
 
-def block_bootstrap_rho(
+def bootstrap_rho(
     blocks: LagBlocks, n_min_support: int, cfg: BootstrapConfig, rho: float
 ) -> tuple[float, float]:
     """Block band for the lag dominance statistic `rho` of the full
@@ -354,41 +249,35 @@ def block_bootstrap_rho(
 
 
 def summarize(
-    pairs: list[MirrorPair],
-    boot: BootstrapConfig,
-    blocks: BlockTables | None = None,
+    pairs: list[MirrorPair], boot: BootstrapConfig, blocks: BlockTables
 ) -> list[LagSummary]:
-    """Per-lag dominance, magnitudes, and bootstrap bands.
+    """Per-lag dominance, magnitudes, and block bands (`bootstrap_rho`).
 
-    With the surface's block tables the band is the block band
-    (`block_bootstrap_rho`), which keeps the dependence between
-    overlapping anchors and is shifted to hold rho. Without them it is
-    the pair band (`bootstrap_rho`), which assumes independent mirror pairs;
-    `boot.recompute_weights` applies to the pair band only.
+    M and M_raw are the support-weighted means of the pairs' half
+    magnitudes (|mean(+j)| + |mean(-j)|) / 2, standardized and raw.
     """
-    by_lag: dict[int, list[MirrorPair]] = {}
-    for p in pairs:
-        by_lag.setdefault(p.lag, []).append(p)
+    pairs = sorted(pairs, key=lambda p: p.lag)  # stable: pair order kept per lag
+    lags, starts = np.unique([p.lag for p in pairs], return_index=True)
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(p, name) for p in pairs], dtype=np.float64)
+
+    w, abs_a, abs_s = column("weight"), np.abs(column("A")), np.abs(column("S"))
+    half_zr = 0.5 * (np.abs(column("mean_zr_pos")) + np.abs(column("mean_zr_neg")))
+    half_raw = 0.5 * (np.abs(column("mean_r_raw_pos")) + np.abs(column("mean_r_raw_neg")))
     summaries = []
-    for lag in sorted(by_lag):
-        lp = by_lag[lag]
-        w = np.array([p.weight for p in lp])
-        abs_a = np.array([abs(p.A) for p in lp])
-        abs_s = np.array([abs(p.S) for p in lp])
-        rho, degenerate = rho_lag(abs_a, abs_s, w)
-        if blocks is None:
-            lo, hi = bootstrap_rho(lp, w, boot)
-        else:
-            lo, hi = block_bootstrap_rho(blocks[lag], blocks.n_min_support, boot, rho)
+    for lag, a, b in zip(lags.tolist(), starts.tolist(), [*starts[1:].tolist(), len(pairs)]):
+        rho, degenerate = rho_lag(abs_a[a:b], abs_s[a:b], w[a:b])
+        lo, hi = bootstrap_rho(blocks[lag], blocks.n_min_support, boot, rho)
         summaries.append(
             LagSummary(
                 lag=lag,
                 rho=rho,
                 ci_low=lo,
                 ci_high=hi,
-                M=magnitude(lp, w, "standardized"),
-                M_raw=magnitude(lp, w, "raw"),
-                n_supported_pairs=len(lp),
+                M=float(np.dot(w[a:b], half_zr[a:b])),
+                M_raw=float(np.dot(w[a:b], half_raw[a:b])),
+                n_supported_pairs=b - a,
                 degenerate=degenerate,
             )
         )

@@ -92,14 +92,6 @@ class MissingMoments(PushRespError):
         super().__init__(f"no moments available for lag {lag}")
 
 
-class NoSupportedPairs(PushRespError):
-    """No mirror pair at the lag has both cells valid."""
-
-    def __init__(self, lag: int):
-        self.lag = lag
-        super().__init__(f"lag {lag}: no supported mirror pairs")
-
-
 class InvalidSpec(PushRespError):
     """A synthetic-series spec violates its invariants."""
 

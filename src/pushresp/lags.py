@@ -34,13 +34,6 @@ def validate_lags(lags) -> tuple[int, ...]:
     return lags
 
 
-def admissible_anchors(session: Session, lag: int) -> range:
-    """Anchor indices t with t-L and t+L inside the session (may be empty)."""
-    if lag < 1:
-        raise InvalidGrid(f"lag must be >= 1, got {lag}")
-    return range(session.start + lag, session.end - lag + 1)
-
-
 def anchor_count(sessions: list[Session], lag: int) -> int:
     return sum(max(0, len(s) - 2 * lag) for s in sessions)
 

@@ -162,12 +162,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         build("lags", cfg.lag_list)  # a lag file is read when the surface stage runs
     if cfg.grid is not None:
         build("grid", lambda: decomp_mod.check_mirror_grid(cfg.grid))
-    boot_raw = raw.get("bootstrap", {})
-    if isinstance(boot_raw, dict) and "recompute_weights" in boot_raw:
-        problems.append(
-            "bootstrap.recompute_weights applies only to the pair band; "
-            "the pipeline reports the block band"
-        )
     if cfg.local_index not in decomp_mod.LOCAL_INDEX_CHOICES:
         problems.append(f"unknown local_index '{cfg.local_index}'")
     if not isinstance(cfg.threads, int) or cfg.threads < 1:
@@ -398,14 +392,7 @@ def decompose_stage(
     """Mirror pairs of the surface at `src` and per-lag summaries with block
     bands from the block tables beside it."""
     blocks_src = surface_mod.blocks_path(src)
-    stage_cfg = {
-        "local_index": local_index,
-        "bootstrap": {
-            "n_replicates": boot.n_replicates,
-            "seed": boot.seed,
-            "quantiles": list(boot.quantiles),
-        },
-    }
+    stage_cfg = {"local_index": local_index, "bootstrap": asdict(boot)}
     inputs = _input_hashes("decompose", {"surface": src, "blocks": blocks_src})
     key = _key_of("decompose", stage_cfg, inputs)
 

@@ -8,19 +8,12 @@ from hypothesis import strategies as st
 
 from pushresp.decomposition import (
     EPSILON,
+    LOCAL_INDEX_CHOICES,
     BootstrapConfig,
-    LagSummary,
-    MirrorPair,
-    block_bootstrap_rho,
     bootstrap_rho,
     block_replicates,
     decompose,
     dominance_ratio,
-    lag_weights,
-    local_dominance,
-    local_dominance_abs,
-    magnitude,
-    mirror_index,
     pair_terms,
     read_heatmap_csv,
     read_summary_csv,
@@ -30,11 +23,13 @@ from pushresp.decomposition import (
     write_summary_csv,
 )
 from pushresp.cleaning import empirical_quantile
-from pushresp.errors import IndexOutOfRange, InvalidGrid
+from pushresp.errors import InvalidGrid
 from pushresp.lags import LagMoments, compute_moments_table
 from pushresp.surface import BinGrid, BlockTables, LagBlocks, Surface, accumulate_surface
+from pushresp.synthetic import SyntheticSpec, generate
 
 from conftest import make_series
+from decomposition_oracle import oracle_decompose, oracle_magnitudes
 
 
 def build_surface(cell_data, n_min=200, lag=100):
@@ -66,23 +61,69 @@ def mirror_cells(abs_index, n_pos, n_neg, zr_pos, zr_neg, r_pos=0.0, r_neg=0.0):
     }
 
 
+def block_tables(tables, n_min_support=200):
+    """Block tables over {lag: (counts [n_blocks, n_bins], sums)}."""
+    def load(lag):
+        counts, sums = tables[lag]
+        n_blocks = len(counts)
+        return LagBlocks(
+            lag=lag,
+            starts=np.arange(n_blocks, dtype=np.int64) * 1000,
+            stops=np.arange(1, n_blocks + 1, dtype=np.int64) * 1000,
+            counts=np.asarray(counts, dtype=np.int64),
+            sum_zr=np.asarray(sums, dtype=np.float64),
+        )
+    n_bins = len(next(iter(tables.values()))[0][0])
+    return BlockTables(n_bins=n_bins, n_min_support=n_min_support, lags=tuple(tables),
+                       load=load)
+
+
+def split_blocks(surf, n_blocks=4):
+    """Block tables that cut each lag of a built surface into n_blocks
+    blocks whose counts differ by at most one and sum to the surface's;
+    each block's sums follow the cell means. Where n_blocks divides every
+    count the blocks are identical and every replicate is the surface."""
+    tables = {}
+    for i, lag in enumerate(surf.lags):
+        counts = (surf.counts[i] + np.arange(n_blocks)[:, None]) // n_blocks
+        tables[lag] = (counts, np.nan_to_num(counts * surf.mean_zr[i]))
+    return block_tables(tables, surf.grid.n_min_support)
+
+
+def one_summary(pairs, surf, n_replicates=20):
+    (summary,) = summarize(pairs, BootstrapConfig(n_replicates=n_replicates, seed=1),
+                           split_blocks(surf))
+    return summary
+
+
 class TestMirrorIndex:
+    # bin 160 + k and bin 161 - k form pair k on the default 320-bin grid
     def test_examples(self):
-        assert mirror_index(1) == 320
-        assert mirror_index(161) == 160
-        assert mirror_index(320) == 1
+        cells = mirror_cells(1, 301, 302, 0.1, 0.2)        # bins 161 and 160
+        cells.update(mirror_cells(40, 303, 304, 0.3, 0.4))  # bins 200 and 121
+        cells.update(mirror_cells(160, 305, 306, 0.5, 0.6))  # bins 320 and 1
+        pairs = decompose(build_surface(cells))
+        assert [(p.abs_index, p.n_pos, p.n_neg, p.mean_zr_pos, p.mean_zr_neg)
+                for p in pairs] == [(1, 301, 302, 0.1, 0.2), (40, 303, 304, 0.3, 0.4),
+                                    (160, 305, 306, 0.5, 0.6)]
 
     def test_center_negation(self):
         g = BinGrid()
         assert g.bin_center(50) + g.bin_center(271) == 0.0
-        for j in range(1, 321):
-            assert abs(g.bin_center(j) + g.bin_center(mirror_index(j))) < 2e-15
+        cells = {}
+        for k in range(1, 161):
+            cells.update(mirror_cells(k, 300, 300, 0.1, 0.1))
+        for p in decompose(build_surface(cells)):
+            assert p.abs_center == g.bin_center(160 + p.abs_index)
+            assert abs(p.abs_center + g.bin_center(161 - p.abs_index)) < 2e-15
 
     def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            mirror_index(0)
-        with pytest.raises(IndexOutOfRange):
-            mirror_index(321)
+        # every cell of the grid pairs up, and no pair reaches past its edges
+        surf = build_surface({j: (300, 0.1, 0.0) for j in range(1, 321)})
+        pairs = decompose(surf)
+        assert [p.abs_index for p in pairs] == list(range(1, 161))
+        assert pairs[0].abs_center == pytest.approx(0.0125, rel=1e-12)
+        assert pairs[-1].abs_center == pytest.approx(3.9875, rel=1e-12)
 
 
 class TestDecompose:
@@ -159,19 +200,98 @@ class TestDecompose:
         assert sum(p.weight for p in pairs) == pytest.approx(1.0, abs=1e-15)
 
 
+@st.composite
+def small_surfaces(draw):
+    """Surfaces of 1-4 lags on the [-2, 2) grid of step 0.1 (40 bins).
+    Cell counts cluster at 0, just below and at n_min_support; a lag may
+    hold no count at all; a mirror pair may be zero, even, odd or free,
+    so A == S == 0 pairs occur. Empty cells hold nan means."""
+    n_min = draw(st.integers(1, 50))
+    grid = BinGrid(z_min=-2.0, z_max=2.0, step=0.1, n_min_support=n_min)
+    n, half = grid.n_bins, grid.n_bins // 2
+    lags = sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=4)))
+    count = st.sampled_from([0, n_min - 1, n_min, n_min + 1]) | st.integers(0, 4 * n_min)
+    value = st.sampled_from([0.0, 0.5, -0.25]) | st.floats(-3, 3, allow_nan=False)
+    counts = np.zeros((len(lags), n), dtype=np.int64)
+    mean_zr = np.full((len(lags), n), np.nan)
+    mean_r = np.full((len(lags), n), np.nan)
+    for i in range(len(lags)):
+        if draw(st.integers(0, 4)) == 0:
+            continue  # a lag without anchors in the grid
+        counts[i] = draw(st.lists(count, min_size=n, max_size=n))
+        for k in range(half):
+            pos, neg = half + k, half - 1 - k
+            zr = draw(value)
+            shape = draw(st.sampled_from(["zero", "even", "odd", "free"]))
+            zr_pos, zr_neg = {
+                "zero": (0.0, 0.0), "even": (zr, zr), "odd": (zr, -zr),
+                "free": (zr, draw(value)),
+            }[shape]
+            mean_zr[i, pos], mean_zr[i, neg] = zr_pos, zr_neg
+            mean_r[i, pos], mean_r[i, neg] = 0.01 * draw(value), 0.01 * draw(value)
+        empty = counts[i] == 0
+        mean_zr[i, empty] = mean_r[i, empty] = np.nan
+    moments = [LagMoments(lag=lag, n_pairs=int(c.sum()), mu_p=0.0, sigma_p=1.0,
+                          mu_r=0.0, sigma_r=1.0) for lag, c in zip(lags, counts)]
+    return Surface(grid=grid, moments=moments, counts=counts,
+                   mean_zp=np.where(counts > 0, grid.centers(), np.nan),
+                   mean_zr=mean_zr, mean_r_raw=mean_r,
+                   out_of_grid=np.zeros(len(lags), dtype=np.int64))
+
+
+def assert_same_pairs(got, want):
+    assert got == want
+    assert [repr(p) for p in got] == [repr(p) for p in want]
+
+
+class TestDecomposeOracle:
+    """The array `decompose` and `summarize`'s magnitudes against the
+    per-pair loop of decomposition_oracle, bit for bit."""
+
+    @given(small_surfaces(), st.sampled_from(LOCAL_INDEX_CHOICES))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pair_loop(self, surf, local_index):
+        pairs = decompose(surf, local_index)
+        assert_same_pairs(pairs, oracle_decompose(surf, local_index))
+        summaries = summarize(pairs, BootstrapConfig(n_replicates=1), split_blocks(surf, 2))
+        want = oracle_magnitudes(pairs)
+        assert [s.lag for s in summaries] == sorted(want)
+        for s in summaries:
+            assert (repr(s.M), repr(s.M_raw)) == tuple(map(repr, want[s.lag]))
+
+    @pytest.mark.parametrize("kind,phi", [("momentum", 0.3), ("null_walk", 0.0),
+                                          ("reversal", -0.3)])
+    def test_matches_per_pair_loop_on_walks(self, kind, phi):
+        series = generate(SyntheticSpec(kind=kind, n_events=200_000, n_sessions=2,
+                                        inject_lag=10, phi=phi, seed=5))
+        surf = accumulate_surface(series, compute_moments_table(series, [1, 10, 50, 400]),
+                                  BinGrid(n_min_support=50))
+        for local_index in LOCAL_INDEX_CHOICES:
+            pairs = decompose(surf, local_index)
+            assert len({p.lag for p in pairs}) == 4
+            assert_same_pairs(pairs, oracle_decompose(surf, local_index))
+
+
 class TestLocalDominance:
+    @staticmethod
+    def _pair(zr_pos, zr_neg, local_index="eq319"):
+        (pair,) = decompose(build_surface(mirror_cells(30, 300, 300, zr_pos, zr_neg)),
+                            local_index)
+        return pair
+
     def test_pure_antisymmetry_near_one(self):
-        assert local_dominance(0.0, 0.4) == pytest.approx(1.0, abs=1e-11)
+        assert self._pair(0.4, -0.4).rho_local == pytest.approx(1.0, abs=1e-11)
 
     def test_zero_numerator(self):
-        assert local_dominance(0.3, 0.0) == 0.0
+        assert self._pair(0.3, 0.3).rho_local == 0.0
 
     def test_direct_evaluation(self):
-        assert local_dominance(0.2, -0.2) == pytest.approx(-0.5, rel=1e-11)
+        # S = 0.2, A = -0.2
+        assert self._pair(0.0, 0.4).rho_local == pytest.approx(-0.5, rel=1e-11)
 
     def test_alt_index_maps_symmetry_to_minus_one(self):
-        assert local_dominance_abs(0.3, 0.0) == pytest.approx(-1.0, abs=1e-11)
-        assert local_dominance_abs(0.0, 0.4) == pytest.approx(1.0, abs=1e-11)
+        assert self._pair(0.3, 0.3, "absratio").rho_local == pytest.approx(-1.0, abs=1e-11)
+        assert self._pair(0.4, -0.4, "absratio").rho_local == pytest.approx(1.0, abs=1e-11)
 
     def test_epsilon_value(self):
         assert EPSILON == 1e-12
@@ -199,28 +319,26 @@ class TestRhoLag:
 
 
 class TestMagnitude:
-    def _pair(self, k, zr_pos, zr_neg, r_pos=0.0, r_neg=0.0, n=300, w=1.0):
-        return MirrorPair(
-            lag=10, abs_index=k, abs_center=0.0, n_pos=n, n_neg=n,
-            mean_zr_pos=zr_pos, mean_zr_neg=zr_neg,
-            mean_r_raw_pos=r_pos, mean_r_raw_neg=r_neg,
-            S=0.5 * (zr_pos + zr_neg), A=0.5 * (zr_pos - zr_neg),
-            rho_local=0.0, rho_local_alt=0.0, weight=w,
-        )
-
     def test_all_zero_means(self):
-        pairs = [self._pair(1, 0.0, 0.0), self._pair(2, 0.0, 0.0)]
-        assert magnitude(pairs, np.array([0.5, 0.5])) == 0.0
+        cells = mirror_cells(1, 300, 300, 0.0, 0.0)
+        cells.update(mirror_cells(2, 300, 300, 0.0, 0.0))
+        surf = build_surface(cells)
+        summary = one_summary(decompose(surf), surf)
+        assert summary.M == 0.0 and summary.M_raw == 0.0
 
     def test_single_pair(self):
-        pairs = [self._pair(1, 0.4, -0.4)]
-        assert magnitude(pairs, np.array([1.0])) == pytest.approx(0.4, rel=1e-15)
+        surf = build_surface(mirror_cells(1, 300, 300, 0.4, -0.4))
+        assert one_summary(decompose(surf), surf).M == pytest.approx(0.4, rel=1e-15)
 
     def test_three_pair_table_direct_recomputation(self):
         spec = [(1, 0.5, -0.3, 0.02, -0.01, 1000),
                 (2, -0.2, 0.6, -0.005, 0.015, 500),
                 (3, 0.1, 0.1, 0.001, 0.001, 250)]
-        pairs = [self._pair(k, zp, zn, rp, rn, n) for k, zp, zn, rp, rn, n in spec]
+        cells = {}
+        for k, zp, zn, rp, rn, n in spec:
+            cells.update(mirror_cells(k, n, n, zp, zn, rp, rn))
+        surf = build_surface(cells)
+        summary = one_summary(decompose(surf), surf)
         w = np.array([1000, 500, 250], dtype=float)
         w = w / w.sum()
         want_std = sum(
@@ -229,114 +347,51 @@ class TestMagnitude:
         want_raw = sum(
             wi * (abs(rp) + abs(rn)) / 2 for wi, (_, _, _, rp, rn, _) in zip(w, spec)
         )
-        assert magnitude(pairs, w, "standardized") == pytest.approx(want_std, rel=1e-14)
-        assert magnitude(pairs, w, "raw") == pytest.approx(want_raw, rel=1e-14)
-
-
-def reference_bootstrap(pairs, weights, cfg):
-    """Second implementation from the formula, same seed-stream contract."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(pairs[0].lag,))
-    )
-    k = len(pairs)
-    draws = rng.choice(k, size=(cfg.n_replicates, k), replace=True, p=weights)
-    rhos = []
-    for b in range(cfg.n_replicates):
-        num_a = sum(abs(pairs[i].A) for i in draws[b])
-        num_s = sum(abs(pairs[i].S) for i in draws[b])
-        rhos.append(0.0 if num_a + num_s == 0 else (num_a - num_s) / (num_a + num_s))
-    rhos.sort()
-    def q(p):
-        idx = min(max(math.ceil(p * len(rhos)), 1), len(rhos))
-        return rhos[idx - 1]
-    return q(cfg.quantiles[0]), q(cfg.quantiles[1])
-
-
-class TestBootstrap:
-    def _pairs(self, rows, lag=10):
-        pairs = []
-        for k, (a, s, n) in enumerate(rows, start=1):
-            zr_pos, zr_neg = s + a, s - a
-            pairs.append(
-                MirrorPair(
-                    lag=lag, abs_index=k, abs_center=0.0, n_pos=n, n_neg=n,
-                    mean_zr_pos=zr_pos, mean_zr_neg=zr_neg,
-                    mean_r_raw_pos=0.0, mean_r_raw_neg=0.0,
-                    S=s, A=a, rho_local=0.0, rho_local_alt=0.0, weight=0.0,
-                )
-            )
-        w = lag_weights(pairs)
-        return [p for p in pairs], w
-
-    def test_single_pair_band_collapses_to_point(self):
-        pairs, w = self._pairs([(0.3, 0.1, 400)])
-        lo, hi = bootstrap_rho(pairs, w, BootstrapConfig(n_replicates=500, seed=3))
-        point, _ = rho_lag(np.array([0.3]), np.array([0.1]), w)
-        assert lo == hi == pytest.approx(point, rel=1e-15)
-
-    def test_pure_antisymmetric_band_is_one(self):
-        pairs, w = self._pairs([(0.4, 0.0, 300), (0.2, 0.0, 500), (0.1, 0.0, 200)])
-        lo, hi = bootstrap_rho(pairs, w, BootstrapConfig(n_replicates=200, seed=9))
-        assert lo == 1.0 and hi == 1.0
-
-    def test_matches_reference_implementation(self, rng):
-        rows = [
-            (float(a), float(s), int(n))
-            for a, s, n in zip(
-                rng.normal(0, 0.3, 10), rng.normal(0, 0.3, 10), rng.integers(200, 2000, 10)
-            )
-        ]
-        pairs, w = self._pairs(rows)
-        cfg = BootstrapConfig(n_replicates=10_000, seed=42)
-        lo, hi = bootstrap_rho(pairs, w, cfg)
-        ref_lo, ref_hi = reference_bootstrap(pairs, w, cfg)
-        assert lo == pytest.approx(ref_lo, abs=0.01)
-        assert hi == pytest.approx(ref_hi, abs=0.01)
-
-    def test_deterministic_given_seed(self):
-        pairs, w = self._pairs([(0.3, 0.2, 300), (0.1, 0.4, 800), (0.2, 0.0, 250)])
-        cfg = BootstrapConfig(n_replicates=777, seed=123)
-        assert bootstrap_rho(pairs, w, cfg) == bootstrap_rho(pairs, w, cfg)
-
-    def test_selection_weight_mode_differs(self):
-        pairs, w = self._pairs([(0.5, 0.0, 200), (0.0, 0.5, 2000)])
-        eq = bootstrap_rho(pairs, w, BootstrapConfig(n_replicates=400, seed=5))
-        sel = bootstrap_rho(
-            pairs, w,
-            BootstrapConfig(n_replicates=400, seed=5, recompute_weights="selection"),
-        )
-        assert eq != sel
+        assert summary.M == pytest.approx(want_std, rel=1e-14)
+        assert summary.M_raw == pytest.approx(want_raw, rel=1e-14)
 
 
 class TestBlockBootstrap:
-    @staticmethod
-    def _blocks(counts, sums, lag=100):
-        counts = np.asarray(counts, dtype=np.int64)
-        n_blocks = counts.shape[0]
-        lb = LagBlocks(
-            lag=lag,
-            starts=np.arange(n_blocks, dtype=np.int64) * 1000,
-            stops=np.arange(1, n_blocks + 1, dtype=np.int64) * 1000,
-            counts=counts,
-            sum_zr=np.asarray(sums, dtype=np.float64),
-        )
-        return BlockTables(n_bins=counts.shape[1], n_min_support=200, lags=(lag,),
-                           load={lag: lb}.__getitem__)
-
     def _surface_and_blocks(self, n_blocks):
         cells = {}
         for k in (5, 40, 90):
             cells.update(mirror_cells(k, 400 * n_blocks, 500 * n_blocks, 0.3, -0.1))
         surf = build_surface(cells)
-        counts = np.repeat(surf.counts // n_blocks, n_blocks, axis=0)
-        sums = np.nan_to_num(np.repeat(surf.mean_zr * surf.counts / n_blocks, n_blocks, axis=0))
-        return surf, self._blocks(counts, sums)
+        return surf, split_blocks(surf, n_blocks)
 
     def test_single_block_band_is_whole_range(self):
         surf, blocks = self._surface_and_blocks(1)
         (summary,) = summarize(decompose(surf), BootstrapConfig(n_replicates=200, seed=1), blocks)
         assert (summary.ci_low, summary.ci_high) == (-1.0, 1.0)
         assert summary.ci_low < summary.rho < summary.ci_high
+
+    def test_single_pair_band_collapses_to_point(self):
+        # identical blocks: every replicate is the one-pair surface itself
+        surf = build_surface(mirror_cells(7, 1600, 1600, 0.4, -0.2))  # A 0.3, S 0.1
+        summary = one_summary(decompose(surf), surf, n_replicates=500)
+        point, _ = rho_lag(np.array([0.3]), np.array([0.1]), np.array([1.0]))
+        assert summary.rho == pytest.approx(point, rel=1e-12)
+        assert summary.ci_low == summary.ci_high == pytest.approx(summary.rho, rel=1e-15)
+
+    def test_pure_antisymmetric_band_is_one(self, rng):
+        # blocks of unequal counts, but each block's mirror cells hold the
+        # same count and opposite sums, so every replicate has S = 0
+        n_blocks = 5
+        counts = np.zeros((n_blocks, 320), dtype=np.int64)
+        sums = np.zeros((n_blocks, 320))
+        cells = {}
+        for k, a in ((1, 0.4), (2, 0.2), (3, 0.1)):
+            n = rng.integers(60, 120, n_blocks)
+            s = n * a + rng.normal(0, 1, n_blocks)
+            counts[:, 159 + k], counts[:, 160 - k] = n, n
+            sums[:, 159 + k], sums[:, 160 - k] = s, -s
+            zr = s.sum() / n.sum()
+            cells.update(mirror_cells(k, int(n.sum()), int(n.sum()), zr, -zr))
+        (summary,) = summarize(decompose(build_surface(cells)),
+                               BootstrapConfig(n_replicates=200, seed=9),
+                               block_tables({100: (counts, sums)}))
+        assert summary.rho == 1.0
+        assert summary.ci_low == 1.0 and summary.ci_high == 1.0
 
     def test_identical_blocks_give_point_band(self):
         # every replicate redraws the same surface
@@ -372,7 +427,7 @@ class TestBlockBootstrap:
         centers = BinGrid().centers()
         counts = np.full((n_blocks, 320), n_cell, dtype=np.int64)
         sums = n_cell * 0.1 * np.sign(centers) + rng.normal(0, math.sqrt(n_cell), (n_blocks, 320))
-        blocks = self._blocks(counts, sums, lag=20)
+        blocks = block_tables({20: (counts, sums)})
         surf = build_surface({
             j + 1: (n_blocks * n_cell, sums[:, j].sum() / (n_blocks * n_cell), 0.0)
             for j in range(320)
@@ -389,13 +444,28 @@ class TestBlockBootstrap:
     def test_deterministic_and_keyed_on_lag(self, rng):
         counts = rng.integers(150, 400, size=(6, 320))
         sums = rng.normal(0, 20, size=(6, 320))
-        blocks = self._blocks(counts, sums)
+        blocks = block_tables({100: (counts, sums)})
         cfg = BootstrapConfig(n_replicates=300, seed=8)
-        band = block_bootstrap_rho(blocks[100], 200, cfg, 0.1)
-        assert band == block_bootstrap_rho(blocks[100], 200, cfg, 0.1)
+        band = bootstrap_rho(blocks[100], 200, cfg, 0.1)
+        assert band == bootstrap_rho(blocks[100], 200, cfg, 0.1)
         assert -1.0 <= band[0] < band[1] <= 1.0
-        other = self._blocks(counts, sums, lag=101)
-        assert block_bootstrap_rho(other[101], 200, cfg, 0.1) != band
+        other = block_tables({101: (counts, sums)})
+        assert bootstrap_rho(other[101], 200, cfg, 0.1) != band
+
+
+class TestBootstrap:
+    def test_deterministic_given_seed(self, rng):
+        # the band is a function of the blocks and the seed alone
+        counts = rng.integers(150, 400, size=(8, 320))
+        sums = rng.normal(0, 20, size=(8, 320))
+        blocks = block_tables({50: (counts, sums)})[50]
+        cfg = BootstrapConfig(n_replicates=777, seed=123)
+        stats = block_replicates(blocks, 200, cfg)
+        assert np.array_equal(stats, block_replicates(blocks, 200, cfg))
+        band = bootstrap_rho(blocks, 200, cfg, 0.2)
+        assert band == bootstrap_rho(blocks, 200, cfg, 0.2)
+        other = BootstrapConfig(n_replicates=777, seed=124)
+        assert not np.array_equal(stats, block_replicates(blocks, 200, other))
 
 
 class TestEquivariance:
@@ -424,8 +494,8 @@ class TestEquivariance:
         neg = decompose(build_surface(flipped))
         mir = decompose(build_surface(mirrored))
         boot = BootstrapConfig(n_replicates=50, seed=7)
-        rho_base = summarize(base, boot)[0].rho
-        rho_neg = summarize(neg, boot)[0].rho
+        rho_base = summarize(base, boot, split_blocks(build_surface(cells)))[0].rho
+        rho_neg = summarize(neg, boot, split_blocks(build_surface(flipped)))[0].rho
         for pb, pn, pm in zip(base, neg, mir):
             # negating all means flips S and A jointly, flips rho_local
             assert pn.S == pytest.approx(-pb.S, rel=1e-12, abs=1e-15)
@@ -451,8 +521,9 @@ class TestSummaries:
                     float(rng.normal(0, 0.4)),
                 )
             )
-        pairs = decompose(build_surface(cells))
-        (summary,) = summarize(pairs, BootstrapConfig(n_replicates=300, seed=11))
+        surf = build_surface(cells)
+        (summary,) = summarize(decompose(surf), BootstrapConfig(n_replicates=300, seed=11),
+                               split_blocks(surf))
         assert -1.0 <= summary.rho <= 1.0
         assert -1.0 <= summary.ci_low <= summary.ci_high <= 1.0
         assert summary.M >= 0.0
@@ -469,8 +540,10 @@ class TestSummaries:
                     float(rng.normal() * 0.01), float(rng.normal() * 0.01),
                 )
             )
-        pairs = decompose(build_surface(cells))
-        summaries = summarize(pairs, BootstrapConfig(n_replicates=100, seed=2))
+        surf = build_surface(cells)
+        pairs = decompose(surf)
+        summaries = summarize(pairs, BootstrapConfig(n_replicates=100, seed=2),
+                              split_blocks(surf))
         hp = tmp_path / "heat.csv"
         sp = tmp_path / "lags.csv"
         write_heatmap_csv(pairs, hp)

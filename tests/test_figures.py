@@ -36,7 +36,7 @@ def artifact_dir(tmp_path_factory):
     pairs = decompose(surf)
     write_heatmap_csv(pairs, d / "heat.csv")
     write_manifest(d / "heat.csv", {"grid": surf.grid.to_dict()})
-    write_summary_csv(summarize(pairs, BootstrapConfig(n_replicates=100, seed=1)),
+    write_summary_csv(summarize(pairs, BootstrapConfig(n_replicates=100, seed=1), surf.blocks),
                       d / "lags.csv")
     return d
 

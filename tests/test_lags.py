@@ -9,7 +9,6 @@ from pushresp.errors import InsufficientSupport, InvalidGrid, ZeroVariance
 from pushresp.lags import (
     DEFAULT_LONG_LAGS,
     DEFAULT_SHORT_LAGS,
-    admissible_anchors,
     anchor_count,
     compute_moments,
     compute_moments_table,
@@ -79,22 +78,39 @@ class TestLagGrid:
 
 
 class TestAdmissibleAnchors:
+    # an anchor t is admissible when t - L and t + L lie in its session
+    @staticmethod
+    def _mids(n):
+        return 100 + np.cumsum(np.arange(n) % 7 - 3.0) * 0.01
+
     def test_eleven_events_lag_three(self):
         s = Session(date=0, start=0, end=10)
-        r = admissible_anchors(s, 3)
-        assert list(r) == [3, 4, 5, 6, 7]
+        mids = self._mids(11)
+        pushes, responses = session_pushes_responses(mids, s, 3)
+        assert anchor_count([s], 3) == 5
+        np.testing.assert_array_equal(pushes, mids[3:8] - mids[0:5])
+        np.testing.assert_array_equal(responses, mids[6:11] - mids[3:8])
 
     def test_too_short_session_is_empty(self):
         s = Session(date=0, start=0, end=5)  # 6 events
-        assert len(admissible_anchors(s, 3)) == 0
+        pushes, responses = session_pushes_responses(self._mids(6), s, 3)
+        assert anchor_count([s], 3) == 0
+        assert pushes.size == responses.size == 0
 
     def test_single_anchor(self):
         s = Session(date=0, start=0, end=6)  # 7 events
-        assert list(admissible_anchors(s, 3)) == [3]
+        mids = self._mids(7)
+        pushes, responses = session_pushes_responses(mids, s, 3)
+        assert anchor_count([s], 3) == 1
+        assert pushes.tolist() == [mids[3] - mids[0]]
+        assert responses.tolist() == [mids[6] - mids[3]]
 
     def test_global_offsets_respected(self):
         s = Session(date=0, start=100, end=110)
-        assert list(admissible_anchors(s, 3)) == [103, 104, 105, 106, 107]
+        mids = self._mids(120)
+        pushes, responses = session_pushes_responses(mids, s, 3)
+        np.testing.assert_array_equal(pushes, mids[103:108] - mids[100:105])
+        np.testing.assert_array_equal(responses, mids[106:111] - mids[103:108])
 
 
 class TestMoments:
@@ -196,4 +212,5 @@ class TestMomentsTable:
 @settings(max_examples=50, deadline=None)
 def test_anchor_count_formula(lag, length):
     s = Session(date=0, start=0, end=length - 1)
-    assert len(admissible_anchors(s, lag)) == max(0, length - 2 * lag)
+    pushes, responses = session_pushes_responses(np.arange(length, dtype=np.float64), s, lag)
+    assert anchor_count([s], lag) == len(pushes) == len(responses) == max(0, length - 2 * lag)

@@ -175,7 +175,7 @@ class TestInjected:
         surf = accumulate_surface(s, rows, BinGrid(), threads=2)
         pairs = decompose(surf)
         summ = {x.lag: x for x in
-                summarize(pairs, BootstrapConfig(n_replicates=50, seed=1))}
+                summarize(pairs, BootstrapConfig(n_replicates=50, seed=1), surf.blocks)}
         mean_abs_a = {}
         for p in pairs:
             mean_abs_a.setdefault(p.lag, []).append(abs(p.A))
