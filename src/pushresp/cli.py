@@ -90,9 +90,9 @@ def ingest(venues_dir, consolidated, tz, strict, out):
 
 @cli.command()
 @click.option("--in", "input_path", required=True, type=click.Path())
-@click.option("--lower-q", default=0.00001, show_default=True)
-@click.option("--upper-q", default=0.99999, show_default=True)
-@click.option("--jump", default=1.50, show_default=True)
+@click.option("--lower-q", default=cleaning_mod.CleaningConfig.lower_q, show_default=True)
+@click.option("--upper-q", default=cleaning_mod.CleaningConfig.upper_q, show_default=True)
+@click.option("--jump", default=cleaning_mod.CleaningConfig.jump_threshold, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Cleaning report path (default: <out> with .report.json).")
@@ -110,7 +110,7 @@ def clean(input_path, lower_q, upper_q, jump, out, report_path):
               help="'default' or 'z_min:z_max:step'.")
 @click.option("--lags", default="short", show_default=True,
               help="'short', 'long', 'file:<path>', or comma-separated values.")
-@click.option("--nmin", default=200, show_default=True)
+@click.option("--nmin", default=surface_mod.BinGrid.n_min_support, show_default=True)
 @click.option("--threads", default=None, type=int,
               help="Worker threads (default: PUSHRESP_THREADS or 1).")
 @click.option("--out", required=True, type=click.Path())
@@ -140,8 +140,9 @@ def _parse_grid(grid: str, nmin: int) -> surface_mod.BinGrid:
 
 @cli.command()
 @click.option("--surface", "surface_path", required=True, type=click.Path())
-@click.option("--bootstrap", "n_replicates", default=1000, show_default=True)
-@click.option("--seed", default=42, show_default=True)
+@click.option("--bootstrap", "n_replicates", show_default=True,
+              default=decomp_mod.BootstrapConfig.n_replicates)
+@click.option("--seed", default=decomp_mod.BootstrapConfig.seed, show_default=True)
 @click.option("--local-index", default="eq319", show_default=True,
               type=click.Choice(decomp_mod.LOCAL_INDEX_CHOICES))
 @click.option("--out-heatmap", required=True, type=click.Path())
@@ -160,14 +161,16 @@ def decompose(surface_path, n_replicates, seed, local_index, out_heatmap, out_su
 @cli.command()
 @click.option("--kind", required=True, type=click.Choice(synth_mod.KINDS))
 @click.option("--n", "n_events", required=True, type=int)
-@click.option("--sessions", "n_sessions", default=1, show_default=True)
-@click.option("--lag", "inject_lag", default=50, show_default=True)
-@click.option("--phi", default=0.0, show_default=True)
-@click.option("--asym-gain", default=0.0, show_default=True)
-@click.option("--tick", default=0.01, show_default=True)
-@click.option("--increments", default="gauss", show_default=True,
+@click.option("--sessions", "n_sessions", show_default=True,
+              default=synth_mod.SyntheticSpec.n_sessions)
+@click.option("--lag", "inject_lag", show_default=True,
+              default=synth_mod.SyntheticSpec.inject_lag)
+@click.option("--phi", default=synth_mod.SyntheticSpec.phi, show_default=True)
+@click.option("--asym-gain", default=synth_mod.SyntheticSpec.asym_gain, show_default=True)
+@click.option("--tick", default=synth_mod.SyntheticSpec.tick, show_default=True)
+@click.option("--increments", default=synth_mod.SyntheticSpec.increments, show_default=True,
               type=click.Choice(["gauss", "coin"]))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=synth_mod.SyntheticSpec.seed, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 def synth(kind, n_events, n_sessions, inject_lag, phi, asym_gain, tick,
           increments, seed, out):
@@ -185,7 +188,7 @@ def synth(kind, n_events, n_sessions, inject_lag, phi, asym_gain, tick,
 @click.option("--surface", "surface_path", type=click.Path(), default=None)
 @click.option("--heatmap", "heatmap_path", type=click.Path(), default=None)
 @click.option("--summary", "summary_path", type=click.Path(), default=None)
-@click.option("--vmax", default=0.5, show_default=True,
+@click.option("--vmax", default=figures_mod.FigureSpec.vmax, show_default=True,
               help="Color scale bound for surface views.")
 @click.option("--out", required=True, type=click.Path())
 def render(kind, surface_path, heatmap_path, summary_path, vmax, out):

@@ -23,14 +23,14 @@ median: it holds rho and has the replicates' spread.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cleaning import empirical_quantile
-from .errors import ArtifactIOError, InvalidGrid
+from .errors import InvalidGrid
+from .series import read_csv, write_csv
 from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
 EPSILON = 1e-12
@@ -41,7 +41,7 @@ LOCAL_INDEX_CHOICES = ("eq319", "absratio")
 @dataclass(frozen=True)
 class BootstrapConfig:
     n_replicates: int = 1000
-    seed: int = 0
+    seed: int = 42
     quantiles: tuple[float, float] = (0.025, 0.975)
 
     def __post_init__(self):
@@ -295,88 +295,32 @@ SUMMARY_HEADER = [
 ]
 
 
+# how a heatmap or summary column parses; every other column is a float
+_PARSERS = {"lag": int, "abs_index": int, "n_pos": int, "n_neg": int,
+            "n_supported_pairs": int, "degenerate": "true".__eq__}
+
+
+def _write_records(records: list, header: list[str], path: str | Path) -> None:
+    write_csv(path, header, [[getattr(r, name) for r in records] for name in header])
+
+
+def _read_records(path: str | Path, header: list[str], record: type) -> list:
+    cols = read_csv(path, header)
+    values = zip(*(map(_PARSERS.get(name, float), col) for name, col in cols.items()))
+    return [record(**dict(zip(header, row))) for row in values]
+
+
 def write_heatmap_csv(pairs: list[MirrorPair], path: str | Path) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(HEATMAP_HEADER)
-            for p in pairs:
-                w.writerow(
-                    [
-                        p.lag, p.abs_index, repr(p.abs_center),
-                        repr(p.S), repr(p.A),
-                        repr(p.rho_local), repr(p.rho_local_alt),
-                        repr(p.weight), p.n_pos, p.n_neg,
-                        repr(p.mean_zr_pos), repr(p.mean_zr_neg),
-                        repr(p.mean_r_raw_pos), repr(p.mean_r_raw_neg),
-                    ]
-                )
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+    _write_records(pairs, HEATMAP_HEADER, path)
 
 
 def read_heatmap_csv(path: str | Path) -> list[MirrorPair]:
-    pairs = []
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            for rec in csv.DictReader(f):
-                pairs.append(
-                    MirrorPair(
-                        lag=int(rec["lag"]),
-                        abs_index=int(rec["abs_index"]),
-                        abs_center=float(rec["abs_center"]),
-                        n_pos=int(rec["n_pos"]),
-                        n_neg=int(rec["n_neg"]),
-                        mean_zr_pos=float(rec["mean_zr_pos"]),
-                        mean_zr_neg=float(rec["mean_zr_neg"]),
-                        mean_r_raw_pos=float(rec["mean_r_raw_pos"]),
-                        mean_r_raw_neg=float(rec["mean_r_raw_neg"]),
-                        S=float(rec["S"]),
-                        A=float(rec["A"]),
-                        rho_local=float(rec["rho_local"]),
-                        rho_local_alt=float(rec["rho_local_alt"]),
-                        weight=float(rec["weight"]),
-                    )
-                )
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    return pairs
+    return _read_records(path, HEATMAP_HEADER, MirrorPair)
 
 
 def write_summary_csv(summaries: list[LagSummary], path: str | Path) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(SUMMARY_HEADER)
-            for s in summaries:
-                w.writerow(
-                    [
-                        s.lag, repr(s.rho), repr(s.ci_low), repr(s.ci_high),
-                        repr(s.M), repr(s.M_raw), s.n_supported_pairs,
-                        "true" if s.degenerate else "false",
-                    ]
-                )
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+    _write_records(summaries, SUMMARY_HEADER, path)
 
 
 def read_summary_csv(path: str | Path) -> list[LagSummary]:
-    out = []
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            for rec in csv.DictReader(f):
-                out.append(
-                    LagSummary(
-                        lag=int(rec["lag"]),
-                        rho=float(rec["rho"]),
-                        ci_low=float(rec["ci_low"]),
-                        ci_high=float(rec["ci_high"]),
-                        M=float(rec["M"]),
-                        M_raw=float(rec["M_raw"]),
-                        n_supported_pairs=int(rec["n_supported_pairs"]),
-                        degenerate=rec["degenerate"] == "true",
-                    )
-                )
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    return out
+    return _read_records(path, SUMMARY_HEADER, LagSummary)

@@ -1,21 +1,24 @@
 """Deterministic SVG figures rendered from CSV artifacts.
 
 Figures never touch in-memory pipeline state: they are drawn from the
-exported CSV files alone, with the bin layout of the surface views and
-the heatmap taken from the grid in the CSV's manifest, so the published
-tables fully determine the published pictures. All coordinates and
-colors are formatted with fixed precision, making the output
-byte-stable for identical inputs.
+exported CSV files alone, read by the same readers the pipeline uses,
+with the bin layout of the surface views and the heatmap taken from the
+grid in the CSV's manifest, so the published tables fully determine the
+published pictures. All coordinates and colors are formatted with fixed
+precision, making the output byte-stable for identical inputs.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from .decomposition import HEATMAP_HEADER, read_summary_csv
 from .errors import InvalidGrid, MissingArtifact
-from .series import read_manifest
+from .series import read_csv, read_manifest, write_text
+from .surface import Surface, read_surface_csv
 
 WIDTH = 960
 HEIGHT = 560
@@ -152,118 +155,79 @@ def _axes(svg: _Svg, frame: _Frame, x_label: str, y_label: str):
     svg.text(16, MARGIN_T - 14, y_label, anchor="start")
 
 
-def _read_csv(path: str | Path) -> list[dict]:
-    p = Path(path)
-    if not p.exists():
-        raise MissingArtifact(f"figure input {p} does not exist")
-    with open(p, newline="", encoding="utf-8") as f:
-        return list(csv.DictReader(f))
-
-
-def _surface_rows(path) -> tuple[list[int], dict]:
-    rows = _read_csv(path)
-    lags = sorted({int(r["lag"]) for r in rows})
-    cells = {}
-    for r in rows:
-        cells[(int(r["lag"]), int(r["bin"]))] = r
-    return lags, cells
-
-
-def _grid(path) -> dict:
-    """The bin grid an artifact was built on, from its manifest."""
-    return read_manifest(path)["grid"]
+def _read_surface(path) -> tuple[Surface, np.ndarray]:
+    """The surface at `path` and the indices of its lags that hold a cell."""
+    surf = read_surface_csv(path, read_manifest(path))
+    return surf, np.flatnonzero(surf.counts.any(axis=1))
 
 
 def render_surface_top(spec: FigureSpec) -> str:
-    lags, cells = _surface_rows(spec.surface)
+    surf, rows = _read_surface(spec.surface)
     svg = _Svg("conditional response surface (top view)")
-    if lags:
-        grid = _grid(spec.surface)
-        n_bins = grid["n_bins"]
-        cw = (WIDTH - MARGIN_L - MARGIN_R) / n_bins
-        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
-        for row, lag in enumerate(lags):
-            for b in range(1, n_bins + 1):
-                rec = cells.get((lag, b))
-                if rec is None or rec["valid"] != "true":
-                    continue
-                color = _diverging_color(float(rec["mean_zr"]), spec.vmax)
-                svg.rect(
-                    MARGIN_L + (b - 1) * cw,
-                    MARGIN_T + row * ch,
-                    cw + 0.1,
-                    ch + 0.1,
-                    color,
-                )
-        frame = _Frame(grid["z_min"], grid["z_max"], 0, len(lags))
+    if rows.size:
+        grid = surf.grid
+        cw = (WIDTH - MARGIN_L - MARGIN_R) / grid.n_bins
+        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(rows)
+        for row, i in enumerate(rows):
+            cols = np.flatnonzero(surf.valid[i])
+            for col, v in zip(cols.tolist(), surf.mean_zr[i, cols].tolist()):
+                svg.rect(MARGIN_L + col * cw, MARGIN_T + row * ch, cw + 0.1, ch + 0.1,
+                         _diverging_color(v, spec.vmax))
+        frame = _Frame(grid.z_min, grid.z_max, 0, len(rows))
         _axes(svg, frame, "standardized push", "lag rank (top to bottom)")
     return svg.to_string()
 
 
 def render_surface_side(spec: FigureSpec) -> str:
-    lags, cells = _surface_rows(spec.surface)
+    surf, rows = _read_surface(spec.surface)
     svg = _Svg("conditional response surface (side view)")
-    if lags:
-        vals = [
-            float(rec["mean_zr"])
-            for rec in cells.values()
-            if rec["valid"] == "true"
-        ]
-        if vals:
-            grid = _grid(spec.surface)
-            lo, hi = min(vals), max(vals)
-            pad = 0.05 * (hi - lo) if hi > lo else 0.1
-            frame = _Frame(grid["z_min"], grid["z_max"], lo - pad, hi + pad)
-            _axes(svg, frame, "standardized push", "mean standardized response")
-            if frame.y_min < 0 < frame.y_max:
-                svg.line(frame.x(frame.x_min), frame.y(0), frame.x(frame.x_max),
-                         frame.y(0), "#bbbbbb", dash="4,3")
-            for i, lag in enumerate(lags):
-                points = []
-                for b in range(1, grid["n_bins"] + 1):
-                    rec = cells.get((lag, b))
-                    if rec is None or rec["valid"] != "true":
-                        continue
-                    points.append((frame.x(float(rec["center"])),
-                                   frame.y(float(rec["mean_zr"]))))
-                if len(points) >= 2:
-                    svg.polyline(points, _lag_color(i, len(lags)), width=1.0)
+    vals = surf.mean_zr[surf.valid]
+    if vals.size:
+        grid = surf.grid
+        lo, hi = vals.min().item(), vals.max().item()
+        pad = 0.05 * (hi - lo) if hi > lo else 0.1
+        frame = _Frame(grid.z_min, grid.z_max, lo - pad, hi + pad)
+        _axes(svg, frame, "standardized push", "mean standardized response")
+        if frame.y_min < 0 < frame.y_max:
+            svg.line(frame.x(frame.x_min), frame.y(0), frame.x(frame.x_max),
+                     frame.y(0), "#bbbbbb", dash="4,3")
+        centers = grid.centers()
+        for row, i in enumerate(rows):
+            cols = np.flatnonzero(surf.valid[i])
+            if len(cols) >= 2:
+                points = zip(frame.x(centers[cols]).tolist(),
+                             frame.y(surf.mean_zr[i, cols]).tolist())
+                svg.polyline(points, _lag_color(row, len(rows)), width=1.0)
     return svg.to_string()
 
 
 def render_dominance_heatmap(spec: FigureSpec) -> str:
-    rows = _read_csv(spec.heatmap)
+    cols = read_csv(spec.heatmap, HEATMAP_HEADER)
     svg = _Svg("local dominance heatmap")
-    if rows:
-        lags = sorted({int(r["lag"]) for r in rows})
-        table = {(int(r["lag"]), int(r["abs_index"])): float(r["rho_local"]) for r in rows}
-        grid = _grid(spec.heatmap)
+    if cols["lag"]:
+        lag_col = [int(x) for x in cols["lag"]]
+        rank = {lag: row for row, lag in enumerate(sorted(set(lag_col)))}
+        cells = zip(lag_col, map(int, cols["abs_index"]), map(float, cols["rho_local"]))
+        grid = read_manifest(spec.heatmap)["grid"]
         n_half = grid["n_bins"] // 2
         cw = (WIDTH - MARGIN_L - MARGIN_R) / n_half
-        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
-        for row, lag in enumerate(lags):
-            for k in range(1, n_half + 1):
-                v = table.get((lag, k))
-                if v is None:
-                    continue  # unsupported pairs stay blank
-                svg.rect(
-                    MARGIN_L + (k - 1) * cw,
-                    MARGIN_T + row * ch,
-                    cw + 0.1,
-                    ch + 0.1,
-                    _diverging_color(v, 1.0),
-                )
-        frame = _Frame(0.0, grid["z_max"], 0, len(lags))
+        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(rank)
+        # a cell per supported pair, in (lag, abs_index) order; unsupported pairs stay blank
+        for (lag, k), v in sorted({(lag, k): v for lag, k, v in cells}.items()):
+            if 1 <= k <= n_half:
+                svg.rect(MARGIN_L + (k - 1) * cw, MARGIN_T + rank[lag] * ch,
+                         cw + 0.1, ch + 0.1, _diverging_color(v, 1.0))
+        frame = _Frame(0.0, grid["z_max"], 0, len(rank))
         _axes(svg, frame, "absolute standardized push", "lag rank (top to bottom)")
     return svg.to_string()
 
 
 def render_magnitude_curve(spec: FigureSpec) -> str:
-    rows = _read_csv(spec.summary)
+    rows = read_summary_csv(spec.summary)
     svg = _Svg("response magnitude by lag")
     if rows:
-        xs = [int(r["lag"]) for r in rows]
-        ys = [float(r["M"]) for r in rows]
+        xs = [r.lag for r in rows]
+        ys = [r.M for r in rows]
         frame = _Frame(min(xs), max(xs), 0.0, max(ys) * 1.05 if max(ys) > 0 else 1.0)
         _axes(svg, frame, "lag (events)", "weighted mean |response|")
         svg.polyline(
@@ -273,10 +237,10 @@ def render_magnitude_curve(spec: FigureSpec) -> str:
 
 
 def render_rho_curve(spec: FigureSpec) -> str:
-    rows = _read_csv(spec.summary)
+    rows = read_summary_csv(spec.summary)
     svg = _Svg("lag dominance with bootstrap band")
     if rows:
-        xs = [int(r["lag"]) for r in rows]
+        xs = [r.lag for r in rows]
         frame = _Frame(min(xs), max(xs), -1.0, 1.0)
         _axes(svg, frame, "lag (events)", "dominance")
         svg.line(frame.x(xs[0]), frame.y(0), frame.x(xs[-1]), frame.y(0),
@@ -286,7 +250,7 @@ def render_rho_curve(spec: FigureSpec) -> str:
             ("#8899dd", "ci_high", 1.0, "2,2"),
             ("#202090", "rho", 2.0, None),
         ):
-            pts = [(frame.x(x), frame.y(float(r[key]))) for x, r in zip(xs, rows)]
+            pts = [(frame.x(x), frame.y(getattr(r, key))) for x, r in zip(xs, rows)]
             if len(pts) >= 2:
                 svg.polyline(pts, col, width=width, dash=dash)
             elif pts:
@@ -310,5 +274,5 @@ def render_figure(spec: FigureSpec) -> Path:
     if getattr(spec, needed) is None:
         raise MissingArtifact(f"figure '{spec.kind}' needs a --{needed} input")
     out = Path(spec.out)
-    out.write_text(renderer(spec), encoding="utf-8")
+    write_text(out, renderer(spec))
     return out

@@ -9,7 +9,6 @@ standardization constants for everything downstream.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .accum import MomentAccumulator
 from .errors import ArtifactIOError, InsufficientSupport, InvalidGrid, ZeroVariance
-from .series import MidSeries, Session
+from .series import MidSeries, Session, read_csv, write_csv
 
 DEFAULT_SHORT_LAGS = (1,) + tuple(range(50, 5001, 50))
 DEFAULT_LONG_LAGS = tuple(range(1000, 500001, 1000))
@@ -130,46 +129,26 @@ MOMENTS_HEADER = ["lag", "n_pairs", "mu_p", "sigma_p", "mu_r", "sigma_r"]
 
 
 def write_moments_csv(rows: list[MomentRow], path: str | Path) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(MOMENTS_HEADER)
-            for row in rows:
-                if row.moments is None:
-                    w.writerow([row.lag, row.n_pairs, "", "", "", ""])
-                else:
-                    m = row.moments
-                    w.writerow(
-                        [m.lag, m.n_pairs, repr(m.mu_p), repr(m.sigma_p),
-                         repr(m.mu_r), repr(m.sigma_r)]
-                    )
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+    """One row per lag; an excluded lag's moments are blank."""
+
+    def column(name: str) -> list:
+        return [getattr(r.moments, name) if r.moments else "" for r in rows]
+
+    write_csv(path, MOMENTS_HEADER, [[r.lag for r in rows], [r.n_pairs for r in rows],
+                                     *map(column, MOMENTS_HEADER[2:])])
 
 
 def read_moments_csv(path: str | Path) -> list[MomentRow]:
+    cols = read_csv(path, MOMENTS_HEADER)
     rows: list[MomentRow] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            for rec in reader:
-                lag = int(rec["lag"])
-                n_pairs = int(rec["n_pairs"])
-                if rec["mu_p"] == "":
-                    reason = "insufficient_support" if n_pairs < 2 else "zero_variance"
-                    rows.append(MomentRow(lag, n_pairs, None, reason))
-                else:
-                    m = LagMoments(
-                        lag=lag,
-                        n_pairs=n_pairs,
-                        mu_p=float(rec["mu_p"]),
-                        sigma_p=float(rec["sigma_p"]),
-                        mu_r=float(rec["mu_r"]),
-                        sigma_r=float(rec["sigma_r"]),
-                    )
-                    rows.append(MomentRow(lag, n_pairs, m, None))
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+    for lag, n_pairs, *values in zip(*cols.values()):
+        lag, n_pairs = int(lag), int(n_pairs)
+        if values[0] == "":
+            reason = "insufficient_support" if n_pairs < 2 else "zero_variance"
+            rows.append(MomentRow(lag, n_pairs, None, reason))
+        else:
+            m = LagMoments(lag, n_pairs, *map(float, values))
+            rows.append(MomentRow(lag, n_pairs, m, None))
     return rows
 
 

@@ -49,6 +49,7 @@ from .series import (
     series_summary,
     write_manifest,
     write_prms,
+    write_text,
 )
 
 logger = logging.getLogger(__name__)
@@ -81,9 +82,7 @@ class PipelineConfig:
     )
     lags: str | list = "short"
     grid: surface_mod.BinGrid = field(default_factory=surface_mod.BinGrid)
-    bootstrap: decomp_mod.BootstrapConfig = field(
-        default_factory=lambda: decomp_mod.BootstrapConfig(seed=42)
-    )
+    bootstrap: decomp_mod.BootstrapConfig = field(default_factory=decomp_mod.BootstrapConfig)
     local_index: str = "eq319"
     figures: list[figures_mod.FigureSpec] = field(default_factory=list)
     workdir: str = "."
@@ -340,7 +339,7 @@ def clean_stage(
     def produce():
         cleaned, report = cleaning_mod.clean(read_prms(src), cfg)
         write_prms(cleaned, out)
-        report_out.write_text(canonical_json(report.to_dict()) + "\n", encoding="utf-8")
+        write_text(report_out, canonical_json(report.to_dict()) + "\n")
         write_manifest(out, {
             **series_summary(cleaned), "stage": "clean", "stage_key": key,
             "config": stage_cfg, "inputs": inputs, "report": report.to_dict(),

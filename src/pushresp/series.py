@@ -10,10 +10,15 @@ On disk the series is a compact binary file ("PRMS"): magic, u16
 version, then one block per session of (date as days-since-epoch
 u32, count u64, mids as f64 array), all little-endian, with a JSON
 sidecar manifest next to it.
+
+Every table artifact (moments, surface, heatmap, summary) is a CSV
+written and read here by `write_csv`/`read_csv`, and every artifact
+carries a JSON sidecar manifest (`write_manifest`/`read_manifest`).
 """
 
 from __future__ import annotations
 
+import csv
 import datetime
 import hashlib
 import json
@@ -24,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactIOError
+from .errors import ArtifactIOError, MissingArtifact
 
 PRMS_MAGIC = b"PRMS"
 PRMS_VERSION = 1
@@ -185,15 +190,19 @@ def manifest_path(artifact: str | Path) -> Path:
     return Path(str(artifact) + ".manifest.json")
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write a text artifact (an SVG, a report, a manifest) as UTF-8."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+
+
 def write_manifest(artifact: str | Path, payload: dict) -> dict:
     """Write the sidecar manifest for an artifact, embedding its data hash."""
     payload = dict(payload)
     payload["data_sha256"] = sha256_file(artifact)
-    out = manifest_path(artifact)
-    try:
-        out.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {out}: {exc}") from exc
+    write_text(manifest_path(artifact), canonical_json(payload) + "\n")
     return payload
 
 
@@ -205,6 +214,47 @@ def read_manifest(artifact: str | Path) -> dict:
         raise ArtifactIOError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArtifactIOError(f"{p}: invalid JSON: {exc}") from exc
+
+
+def _cells(column) -> list:
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if cells and isinstance(cells[0], bool):
+        return ["true" if c else "false" for c in cells]
+    return cells
+
+
+def write_csv(path: str | Path, header: list[str], columns) -> None:
+    """Write a table artifact: the header row, then row i of every column,
+    each line ending in LF. Columns are arrays or sequences of equal length;
+    floats are written by `repr`, so they read back exactly, and a column
+    of booleans as `true`/`false`."""
+    rows = zip(*map(_cells, columns), strict=True)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+
+
+def read_csv(path: str | Path, header: list[str]) -> dict[str, tuple[str, ...]]:
+    """The columns of a table artifact as text, keyed by `header`, which the
+    file's header row must equal; every row must hold one field per column."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except FileNotFoundError as exc:
+        raise MissingArtifact(f"{path} does not exist") from exc
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+    if not rows or rows[0] != header:
+        raise ArtifactIOError(f"{path}: header is not {','.join(header)}")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ArtifactIOError(f"{path}: line {line} has {len(row)} fields, not {len(header)}")
+    columns = list(zip(*rows[1:])) or [()] * len(header)
+    return dict(zip(header, columns))
 
 
 def series_summary(series: MidSeries) -> dict:

@@ -26,10 +26,9 @@ a time.
 
 from __future__ import annotations
 
-import csv
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -44,7 +43,7 @@ from .errors import (
     MissingMoments,
 )
 from .lags import LagMoments, MomentRow
-from .series import MidSeries
+from .series import MidSeries, read_csv, write_csv
 
 BLOCK_TARGET = 50
 BLOCK_LAG_FACTOR = 10
@@ -349,30 +348,14 @@ SURFACE_HEADER = ["lag", "bin", "center", "count", "mean_zp", "mean_zr", "mean_r
 
 
 def write_surface_csv(surface: Surface, path: str | Path) -> None:
-    """One row per cell with count > 0; zero-count cells carry nothing."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(SURFACE_HEADER)
-            valid = surface.valid
-            for i, m in enumerate(surface.moments):
-                nz = np.nonzero(surface.counts[i])[0]
-                for col in nz:
-                    j = int(col) + 1
-                    w.writerow(
-                        [
-                            m.lag,
-                            j,
-                            repr(surface.grid.bin_center(j)),
-                            int(surface.counts[i, col]),
-                            repr(float(surface.mean_zp[i, col])),
-                            repr(float(surface.mean_zr[i, col])),
-                            repr(float(surface.mean_r_raw[i, col])),
-                            "true" if valid[i, col] else "false",
-                        ]
-                    )
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+    """One row per cell with count > 0, in (lag, bin) order; zero-count
+    cells carry nothing."""
+    i, col = np.nonzero(surface.counts)
+    write_csv(path, SURFACE_HEADER, [
+        np.array(surface.lags, dtype=np.int64)[i], col + 1, surface.grid.centers()[col],
+        surface.counts[i, col], surface.mean_zp[i, col], surface.mean_zr[i, col],
+        surface.mean_r_raw[i, col], surface.valid[i, col],
+    ])
 
 
 def surface_manifest(surface: Surface) -> dict:
@@ -386,57 +369,31 @@ def surface_manifest(surface: Surface) -> dict:
             for i, m in enumerate(surface.moments)
         },
         "excluded_lags": surface.excluded_lags,
-        "moments": [
-            {
-                "lag": m.lag,
-                "n_pairs": m.n_pairs,
-                "mu_p": m.mu_p,
-                "sigma_p": m.sigma_p,
-                "mu_r": m.mu_r,
-                "sigma_r": m.sigma_r,
-            }
-            for m in surface.moments
-        ],
+        "moments": [asdict(m) for m in surface.moments],
     }
 
 
 def read_surface_csv(path: str | Path, manifest: dict) -> Surface:
     """Rebuild a Surface from its CSV plus sidecar manifest."""
     g = manifest["grid"]
-    grid = BinGrid(
-        z_min=g["z_min"],
-        z_max=g["z_max"],
-        step=g["step"],
-        n_min_support=g["n_min_support"],
-    )
-    moments = [
-        LagMoments(
-            lag=m["lag"],
-            n_pairs=m["n_pairs"],
-            mu_p=m["mu_p"],
-            sigma_p=m["sigma_p"],
-            mu_r=m["mu_r"],
-            sigma_r=m["sigma_r"],
-        )
-        for m in manifest["moments"]
-    ]
+    grid = BinGrid(z_min=g["z_min"], z_max=g["z_max"], step=g["step"],
+                   n_min_support=g["n_min_support"])
+    moments = [LagMoments(**m) for m in manifest["moments"]]
     row_of = {m.lag: i for i, m in enumerate(moments)}
     n_lags, n_bins = len(moments), grid.n_bins
     counts = np.zeros((n_lags, n_bins), dtype=np.int64)
-    mean_zp = np.full((n_lags, n_bins), np.nan)
-    mean_zr = np.full((n_lags, n_bins), np.nan)
-    mean_r = np.full((n_lags, n_bins), np.nan)
+    mean_zp, mean_zr, mean_r = np.full((3, n_lags, n_bins), np.nan)
+    cols = read_csv(path, SURFACE_HEADER)
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            for rec in csv.DictReader(f):
-                i = row_of[int(rec["lag"])]
-                col = int(rec["bin"]) - 1
-                counts[i, col] = int(rec["count"])
-                mean_zp[i, col] = float(rec["mean_zp"])
-                mean_zr[i, col] = float(rec["mean_zr"])
-                mean_r[i, col] = float(rec["mean_r_raw"])
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+        i = [row_of[int(lag)] for lag in cols["lag"]]
+    except KeyError as exc:
+        raise ArtifactIOError(f"{path}: lag {exc} is not in its manifest") from None
+    col = [int(j) - 1 for j in cols["bin"]]
+    if not all(0 <= c < n_bins for c in col):
+        raise ArtifactIOError(f"{path}: a bin lies outside 1..{n_bins}")
+    counts[i, col] = [int(c) for c in cols["count"]]
+    for table, name in ((mean_zp, "mean_zp"), (mean_zr, "mean_zr"), (mean_r, "mean_r_raw")):
+        table[i, col] = [float(v) for v in cols[name]]
     oog = np.array(
         [int(manifest["out_of_grid"][str(m.lag)]) for m in moments], dtype=np.int64
     )

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pushresp.decomposition import (
@@ -248,8 +248,11 @@ class TestDecomposeOracle:
     """The array `decompose` and `summarize`'s magnitudes against the
     per-pair loop of decomposition_oracle, bit for bit."""
 
+    # Without the shrink phase a failure is reported as drawn: shrinking
+    # these surfaces cell by cell took minutes, finding one a few seconds.
     @given(small_surfaces(), st.sampled_from(LOCAL_INDEX_CHOICES))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None,
+              phases=[p for p in Phase if p is not Phase.shrink])
     def test_matches_per_pair_loop(self, surf, local_index):
         pairs = decompose(surf, local_index)
         assert_same_pairs(pairs, oracle_decompose(surf, local_index))

@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from pushresp.decomposition import (
@@ -88,6 +91,33 @@ def test_layout_follows_the_grid(tmp_path):
         if src == "surface":
             assert ">-2</text>" in body and ">2</text>" in body
             assert ">-4</text>" not in body
+
+
+def test_surface_views_skip_a_lag_without_cells(tmp_path):
+    # on a narrow grid a lag can push every anchor off the grid: its row
+    # is all zero and its CSV has no row, so the views must leave it out
+    series = generate(SyntheticSpec(kind="null_walk", n_events=20000, seed=4))
+    surf = accumulate_surface(series, compute_moments_table(series, [1, 5]),
+                              BinGrid(n_min_support=20))
+    blank = dataclasses.replace(surf.moments[0], lag=3)
+    with_blank = dataclasses.replace(
+        surf,
+        moments=[surf.moments[0], blank, surf.moments[1]],
+        counts=np.insert(surf.counts, 1, 0, axis=0),
+        mean_zp=np.insert(surf.mean_zp, 1, np.nan, axis=0),
+        mean_zr=np.insert(surf.mean_zr, 1, np.nan, axis=0),
+        mean_r_raw=np.insert(surf.mean_r_raw, 1, np.nan, axis=0),
+        out_of_grid=np.insert(surf.out_of_grid, 1, blank.n_pairs),
+    )
+    for name, s in (("plain", surf), ("blank", with_blank)):
+        write_surface_csv(s, tmp_path / f"{name}.csv")
+        write_manifest(tmp_path / f"{name}.csv", surface_manifest(s))
+    for kind in ("surface_top", "surface_side"):
+        for name in ("plain", "blank"):
+            render_figure(FigureSpec(kind=kind, out=str(tmp_path / f"{kind}-{name}.svg"),
+                                     surface=str(tmp_path / f"{name}.csv")))
+        plain = (tmp_path / f"{kind}-plain.svg").read_bytes()
+        assert (tmp_path / f"{kind}-blank.svg").read_bytes() == plain
 
 
 def test_heatmap_single_pair_single_cell(tmp_path):

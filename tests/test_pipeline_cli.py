@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pushresp.cli import main
+from pushresp.decomposition import write_summary_csv
 from pushresp.errors import StageFailure, ValidationFailed
 from pushresp.pipeline import (
     apply_override,
@@ -242,6 +243,39 @@ class TestCliExitCodes:
         out.write_text("stale")
         assert main(["surface", "--in", str(mids), "--lags", "1", "--out", str(out)]) == 3
         assert not out.exists()  # a failed stage leaves none of its outputs
+
+    def test_unwritable_svg_exit_3(self, tmp_path):
+        summary = tmp_path / "lags.csv"
+        write_summary_csv([], summary)
+        write_manifest(summary, {})
+        assert main(["render", "--kind", "rho_curve", "--summary", str(summary),
+                     "--out", str(tmp_path / "absent" / "x.svg")]) == 3
+
+    def test_unwritable_clean_report_exit_3(self, tmp_path):
+        mids, out = tmp_path / "mids.prms", tmp_path / "clean.prms"
+        assert main(["synth", "--kind", "null_walk", "--n", "2000", "--seed", "1",
+                     "--out", str(mids)]) == 0
+        assert main(["clean", "--in", str(mids), "--out", str(out),
+                     "--report", str(tmp_path / "absent" / "r.json")]) == 3
+        assert not out.exists()  # a failed stage leaves none of its outputs
+
+    @pytest.mark.parametrize("command", ["decompose", "render"])
+    def test_missing_input_csv_exit_3(self, tmp_path, command):
+        # the input's manifest is there, the CSV itself is gone
+        surface = tmp_path / "surface.csv"
+        assert main(["synth", "--kind", "null_walk", "--n", "20000", "--seed", "3",
+                     "--out", str(tmp_path / "mids.prms")]) == 0
+        assert main(["surface", "--in", str(tmp_path / "mids.prms"), "--lags", "1,5",
+                     "--nmin", "50", "--out", str(surface)]) == 0
+        surface.unlink()
+        argv = {
+            "decompose": ["--surface", str(surface), "--bootstrap", "10",
+                          "--out-heatmap", str(tmp_path / "heat.csv"),
+                          "--out-summary", str(tmp_path / "lags.csv")],
+            "render": ["--kind", "surface_top", "--surface", str(surface),
+                       "--out", str(tmp_path / "top.svg")],
+        }[command]
+        assert main([command, *argv]) == 3
 
     def test_usage_error_exit_1(self):
         assert main(["clean"]) == 1

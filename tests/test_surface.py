@@ -245,6 +245,20 @@ class TestSurfaceCsv:
         assert back == surf
         assert manifest["n_pairs"][str(surf.moments[0].lag)] == surf.moments[0].n_pairs
 
+    @pytest.mark.parametrize("bin_text", ["0", "321"])
+    def test_bin_off_the_grid_rejected(self, tmp_path, rng, bin_text):
+        # bin 0 would otherwise wrap round to the last column
+        series = make_series([100 + np.cumsum(rng.standard_normal(3000) * 0.01)])
+        surf = accumulate_surface(series, compute_moments_table(series, [1]), BinGrid())
+        path = tmp_path / "surface.csv"
+        write_surface_csv(surf, path)
+        write_manifest(path, surface_manifest(surf))
+        header, first, *rest = path.read_text().splitlines()
+        lag, _, *fields = first.split(",")
+        path.write_text("\n".join([header, ",".join([lag, bin_text, *fields]), *rest]) + "\n")
+        with pytest.raises(ArtifactIOError, match="outside 1..320"):
+            read_surface_csv(path, read_manifest(path))
+
     def test_empty_surface_is_header_only(self, tmp_path):
         series = make_series([[1.0, 2.0, 3.0]])
         rows = compute_moments_table(series, [5])  # no anchors
