@@ -30,7 +30,7 @@ import numpy as np
 
 from .cleaning import empirical_quantile
 from .errors import InvalidGrid
-from .series import read_csv, write_csv
+from .series import parse_column, read_csv, write_csv
 from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
 EPSILON = 1e-12
@@ -306,7 +306,7 @@ def _write_records(records: list, header: list[str], path: str | Path) -> None:
 
 def _read_records(path: str | Path, header: list[str], record: type) -> list:
     cols = read_csv(path, header)
-    values = zip(*(map(_PARSERS.get(name, float), col) for name, col in cols.items()))
+    values = zip(*(parse_column(path, cols, name, _PARSERS.get(name, float)) for name in header))
     return [record(**dict(zip(header, row))) for row in values]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .decomposition import HEATMAP_HEADER, read_summary_csv
 from .errors import InvalidGrid, MissingArtifact
-from .series import read_csv, read_manifest, write_text
+from .series import parse_column, read_csv, read_manifest, write_text
 from .surface import Surface, read_surface_csv
 
 WIDTH = 960
@@ -205,9 +205,10 @@ def render_dominance_heatmap(spec: FigureSpec) -> str:
     cols = read_csv(spec.heatmap, HEATMAP_HEADER)
     svg = _Svg("local dominance heatmap")
     if cols["lag"]:
-        lag_col = [int(x) for x in cols["lag"]]
-        rank = {lag: row for row, lag in enumerate(sorted(set(lag_col)))}
-        cells = zip(lag_col, map(int, cols["abs_index"]), map(float, cols["rho_local"]))
+        lags = parse_column(spec.heatmap, cols, "lag", int)
+        rank = {lag: row for row, lag in enumerate(sorted(set(lags)))}
+        cells = zip(lags, parse_column(spec.heatmap, cols, "abs_index", int),
+                    parse_column(spec.heatmap, cols, "rho_local", float))
         grid = read_manifest(spec.heatmap)["grid"]
         n_half = grid["n_bins"] // 2
         cw = (WIDTH - MARGIN_L - MARGIN_R) / n_half

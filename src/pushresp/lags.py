@@ -16,7 +16,7 @@ import numpy as np
 
 from .accum import MomentAccumulator
 from .errors import ArtifactIOError, InsufficientSupport, InvalidGrid, ZeroVariance
-from .series import MidSeries, Session, read_csv, write_csv
+from .series import MidSeries, Session, parse_column, read_csv, write_csv
 
 DEFAULT_SHORT_LAGS = (1,) + tuple(range(50, 5001, 50))
 DEFAULT_LONG_LAGS = tuple(range(1000, 500001, 1000))
@@ -138,16 +138,22 @@ def write_moments_csv(rows: list[MomentRow], path: str | Path) -> None:
                                      *map(column, MOMENTS_HEADER[2:])])
 
 
+def _float_or_blank(text: str) -> float | None:
+    return float(text) if text else None
+
+
 def read_moments_csv(path: str | Path) -> list[MomentRow]:
     cols = read_csv(path, MOMENTS_HEADER)
     rows: list[MomentRow] = []
-    for lag, n_pairs, *values in zip(*cols.values()):
-        lag, n_pairs = int(lag), int(n_pairs)
-        if values[0] == "":
+    for lag, n_pairs, *values in zip(
+        parse_column(path, cols, "lag", int), parse_column(path, cols, "n_pairs", int),
+        *(parse_column(path, cols, name, _float_or_blank) for name in MOMENTS_HEADER[2:]),
+    ):
+        if values[0] is None:
             reason = "insufficient_support" if n_pairs < 2 else "zero_variance"
             rows.append(MomentRow(lag, n_pairs, None, reason))
         else:
-            m = LagMoments(lag, n_pairs, *map(float, values))
+            m = LagMoments(lag, n_pairs, *values)
             rows.append(MomentRow(lag, n_pairs, m, None))
     return rows
 

@@ -271,9 +271,10 @@ def run_stage(stage: Stage, force: bool = False) -> StageStatus:
     A failed run removes the stage's outputs. Errors of this package keep
     their own exit codes; any other exception becomes a StageFailure.
     Each stage that ran or was skipped logs one INFO line: its wall and
-    CPU seconds and the process's peak RSS so far.
+    CPU seconds, the process's peak RSS so far and how much the stage
+    raised it, so one run's log shows which stage sets the peak.
     """
-    wall, cpu = time.perf_counter(), time.process_time()
+    wall, cpu, peak = time.perf_counter(), time.process_time(), _peak_rss_mib()
     ran = force or not _stage_fresh(stage.outputs, stage.key)
     if ran:
         try:
@@ -285,12 +286,17 @@ def run_stage(stage: Stage, force: bool = False) -> StageStatus:
             _remove_partial(stage.outputs)
             raise StageFailure(stage.name, str(exc)) from exc
     status = StageStatus(stage.name, "ran" if ran else "skipped", [str(o) for o in stage.outputs])
+    peak_after = _peak_rss_mib()
     logger.info(
-        "stage %s %s: wall %.3f s, cpu %.3f s, peak rss %.1f MiB",
+        "stage %s %s: wall %.3f s, cpu %.3f s, peak rss %.1f MiB (+%.1f in stage)",
         stage.name, status.status, time.perf_counter() - wall, time.process_time() - cpu,
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        peak_after, peak_after - peak,
     )
     return status
+
+
+def _peak_rss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def source_stage(

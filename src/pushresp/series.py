@@ -26,6 +26,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -118,7 +119,7 @@ def write_prms(series: MidSeries, path: str | Path) -> None:
             for s in series.sessions:
                 block = series.session_slice(s)
                 f.write(_SESSION_HEADER.pack(s.date, len(block)))
-                f.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+                f.write(np.ascontiguousarray(block, dtype="<f8").data)  # no copy
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
 
@@ -240,7 +241,8 @@ def write_csv(path: str | Path, header: list[str], columns) -> None:
 
 def read_csv(path: str | Path, header: list[str]) -> dict[str, tuple[str, ...]]:
     """The columns of a table artifact as text, keyed by `header`, which the
-    file's header row must equal; every row must hold one field per column."""
+    file's header row must equal; every row must hold one field per column.
+    `parse_column` converts a column."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
             rows = list(csv.reader(f))
@@ -255,6 +257,28 @@ def read_csv(path: str | Path, header: list[str]) -> dict[str, tuple[str, ...]]:
             raise ArtifactIOError(f"{path}: line {line} has {len(row)} fields, not {len(header)}")
     columns = list(zip(*rows[1:])) or [()] * len(header)
     return dict(zip(header, columns))
+
+
+def parse_column(
+    path: str | Path, columns: dict[str, tuple[str, ...]], name: str,
+    convert: Callable[[str], object],
+) -> list:
+    """Column `name` of the table `read_csv` read from `path`, each field
+    converted by `convert`. A field it rejects is an ArtifactIOError naming
+    the file and line, so an edited cell exits 3 like any unreadable artifact.
+    A reader that fills arrays converts one column at a time, so no more than
+    one column of Python numbers is alive beside the text."""
+    column = columns[name]
+    try:
+        return list(map(convert, column))
+    except ValueError:
+        pass
+    for line, text in enumerate(column, start=2):  # find the field that failed
+        try:
+            convert(text)
+        except ValueError:
+            break
+    raise ArtifactIOError(f"{path}: line {line}: {name} {text!r} is not a number")
 
 
 def series_summary(series: MidSeries) -> dict:

@@ -43,7 +43,7 @@ from .errors import (
     MissingMoments,
 )
 from .lags import LagMoments, MomentRow
-from .series import MidSeries, read_csv, write_csv
+from .series import MidSeries, parse_column, read_csv, write_csv
 
 BLOCK_TARGET = 50
 BLOCK_LAG_FACTOR = 10
@@ -208,7 +208,8 @@ def _nan_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 class _LagAccumulator:
     """Per-lag bin tables: exact counts, compensated sums, and block tables.
-    Each pass fills buffers of `width` anchors (plus the lag) allocated once."""
+    Each pass fills buffers of `width` anchors (plus the lag) allocated once
+    and freed by `finish`, so only the lags in progress hold them."""
 
     def __init__(self, grid: BinGrid, moments: LagMoments, width: int):
         self.grid = grid
@@ -268,8 +269,10 @@ class _LagAccumulator:
         self.sum_r.add(np.bincount(j, weights=r, minlength=n + 2)[1 : n + 1])
         return counts, sum_zr
 
-    def take_blocks(self) -> LagBlocks:
-        """Stack the per-block rows into a LagBlocks and drop the rows."""
+    def finish(self) -> LagBlocks:
+        """Free the pass buffers; stack the per-block rows into a LagBlocks
+        and drop the rows."""
+        del self._diffs, self._z_p, self._z_r, self._work, self._slots
         n = self.grid.n_bins
         bounds = np.array(self.block_bounds, dtype=np.int64).reshape(-1, 2)
         blocks = LagBlocks(
@@ -297,20 +300,20 @@ def accumulate_surface(
         if row.moments is None
     ]
 
-    def run(m: LagMoments) -> _LagAccumulator:
+    def run(m: LagMoments) -> tuple[_LagAccumulator, LagBlocks]:
         longest = max(len(s) - 2 * m.lag for s in series.sessions)
         acc = _LagAccumulator(grid, m, min(CHUNK_ANCHORS, longest))
         for s in series.sessions:
             acc.add_session(series.mids, s)
         if acc.n_seen != m.n_pairs:
             raise MissingMoments(m.lag)
-        return acc
+        return acc, acc.finish()
 
     if threads > 1 and len(usable) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            accs = list(pool.map(run, usable))
+            done = list(pool.map(run, usable))
     else:
-        accs = [run(m) for m in usable]
+        done = [run(m) for m in usable]
 
     n_lags, n_bins = len(usable), grid.n_bins
     counts = np.zeros((n_lags, n_bins), dtype=np.int64)
@@ -318,8 +321,8 @@ def accumulate_surface(
     mean_zr = np.full((n_lags, n_bins), np.nan)
     mean_r = np.full((n_lags, n_bins), np.nan)
     oog = np.zeros(n_lags, dtype=np.int64)
-    tables = {acc.moments.lag: acc.take_blocks() for acc in accs}
-    for i, acc in enumerate(accs):
+    tables = {acc.moments.lag: blocks for acc, blocks in done}
+    for i, (acc, _) in enumerate(done):
         counts[i] = acc.counts
         oog[i] = acc.out_of_grid
         nz = acc.counts > 0
@@ -385,15 +388,15 @@ def read_surface_csv(path: str | Path, manifest: dict) -> Surface:
     mean_zp, mean_zr, mean_r = np.full((3, n_lags, n_bins), np.nan)
     cols = read_csv(path, SURFACE_HEADER)
     try:
-        i = [row_of[int(lag)] for lag in cols["lag"]]
+        i = [row_of[lag] for lag in parse_column(path, cols, "lag", int)]
     except KeyError as exc:
         raise ArtifactIOError(f"{path}: lag {exc} is not in its manifest") from None
-    col = [int(j) - 1 for j in cols["bin"]]
+    col = [j - 1 for j in parse_column(path, cols, "bin", int)]
     if not all(0 <= c < n_bins for c in col):
         raise ArtifactIOError(f"{path}: a bin lies outside 1..{n_bins}")
-    counts[i, col] = [int(c) for c in cols["count"]]
+    counts[i, col] = parse_column(path, cols, "count", int)
     for table, name in ((mean_zp, "mean_zp"), (mean_zr, "mean_zr"), (mean_r, "mean_r_raw")):
-        table[i, col] = [float(v) for v in cols[name]]
+        table[i, col] = parse_column(path, cols, name, float)
     oog = np.array(
         [int(manifest["out_of_grid"][str(m.lag)]) for m in moments], dtype=np.int64
     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .lags import LagMoments
-from .series import MidSeries, from_session_arrays
+from .series import MidSeries, Session
 from .surface import BinGrid
 
 KINDS = ("null_walk", "momentum", "reversal", "asymmetric")
@@ -93,18 +93,19 @@ def _session_sizes(spec: SyntheticSpec) -> list[int]:
     return sizes
 
 
-def _session_noise(rng: np.random.Generator, n: int, spec: SyntheticSpec) -> np.ndarray:
+def _fill_session(rng: np.random.Generator, spec: SyntheticSpec, out: np.ndarray) -> None:
+    """Write one session's prices to `out`: BASE_PRICE, then a walk of
+    len(out) - 1 increments drawn from `rng`, summed in place."""
+    x = out[1:]
     if spec.increments == "coin":
-        return (2.0 * rng.integers(0, 2, size=n) - 1.0) * spec.tick
-    return rng.standard_normal(n) * spec.tick
-
-
-def _session_prices(eps: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
-    if spec.kind == "null_walk":
-        x = eps
+        np.multiply(rng.integers(0, 2, size=x.size), 2.0, out=x)
+        x -= 1.0
     else:
+        rng.standard_normal(out=x)
+    x *= spec.tick
+    if spec.kind != "null_walk":
         lag = spec.inject_lag
-        x = eps.copy()
+        eps = x.copy()
         if spec.phi != 0.0:
             psi = echo_cancel_coefficient(spec.phi)
             if len(x) > lag:
@@ -113,27 +114,23 @@ def _session_prices(eps: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
                 x[2 * lag:] += psi * eps[: -2 * lag]
         if spec.kind == "asymmetric" and spec.asym_gain != 0.0 and len(x) > lag:
             x[lag:] += spec.asym_gain * np.maximum(-eps[:-lag], 0.0)
-    prices = np.empty(len(x) + 1)
-    prices[0] = 0.0
-    np.cumsum(x, out=prices[1:])
-    prices += BASE_PRICE
-    return prices
+    out[0] = 0.0
+    np.cumsum(x, out=x)
+    out += BASE_PRICE
 
 
 def generate(spec: SyntheticSpec) -> MidSeries:
-    """Deterministic series for the spec; one session per derived seed."""
-    sizes = _session_sizes(spec)
+    """Deterministic series for the spec; one session per derived seed.
+    Each session is written straight into one array of n_events."""
     children = np.random.SeedSequence(entropy=spec.seed).spawn(spec.n_sessions)
-    dates = []
-    arrays = []
-    for i, (size, child) in enumerate(zip(sizes, children)):
-        rng = np.random.default_rng(child)
-        # size events means size-1 increments after the base price
-        eps = _session_noise(rng, size - 1, spec)
-        prices = _session_prices(eps, spec)
-        dates.append(BASE_DATE + i)
-        arrays.append(prices)
-    return from_session_arrays(dates, arrays)
+    mids = np.empty(spec.n_events)
+    sessions = []
+    start = 0
+    for i, (size, child) in enumerate(zip(_session_sizes(spec), children)):
+        _fill_session(np.random.default_rng(child), spec, mids[start : start + size])
+        sessions.append(Session(date=BASE_DATE + i, start=start, end=start + size - 1))
+        start += size
+    return MidSeries(sessions=sessions, mids=mids)
 
 
 @dataclass

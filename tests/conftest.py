@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,15 @@ def make_series(blocks, dates=None) -> MidSeries:
     if dates is None:
         dates = [18262 + i for i in range(len(arrays))]
     return from_session_arrays(list(dates), arrays)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

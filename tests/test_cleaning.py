@@ -14,8 +14,11 @@ from pushresp.cleaning import (
     winsorize_returns,
 )
 from pushresp.errors import EmptyInput
+from pushresp.series import MidSeries
+from pushresp.synthetic import SyntheticSpec, generate
 
-from conftest import make_series
+import cleaning_oracle
+from conftest import make_series, traced_peak
 
 
 def sort_quantile_oracle(values, p):
@@ -237,8 +240,75 @@ def test_clean_runs_winsorize_then_jump_filter(rng):
     assert rep.retention_ratio == 1.0
 
 
+@pytest.mark.parametrize("jumps", [False, True])
+def test_clean_allocates_one_series_beyond_its_input(jumps):
+    # the pooled increments are freed before the winsorized copy, and jumps
+    # compact that copy in place; per-session scratch is a twentieth here
+    series = generate(SyntheticSpec(kind="momentum", n_events=2_000_000, n_sessions=20,
+                                    inject_lag=50, phi=0.3, seed=5))
+    if jumps:
+        series.mids[::100_000] += 5.0
+    (out, rep), peak = traced_peak(lambda: clean(series, CleaningConfig()))
+    assert rep.n_winsorized_low and rep.n_winsorized_high
+    assert (rep.n_jump_events_removed > 0) == jumps
+    assert peak <= 1.2 * series.mids.nbytes
+
+
 def test_cleaning_config_validation():
     with pytest.raises(ValueError):
         CleaningConfig(lower_q=0.5, upper_q=0.5)
     with pytest.raises(ValueError):
         CleaningConfig(jump_threshold=0.0)
+
+
+# Mids either walk by steps that include jumps (|2.0|, |3.0| > 1.5), a step
+# of exactly the 1.5 threshold, and zero or repeated steps, or are drawn from
+# a few values that include both zeros, so increments of -0.0 and one-value
+# (degenerate) sessions occur.
+_STEPS = st.sampled_from([0.0, 0.01, -0.01, 0.02, 0.25, 1.5, 2.0, -3.0])
+_VALUES = st.sampled_from([0.0, -0.0, 0.01, 100.0, 100.01, 101.75, 104.0])
+
+
+@st.composite
+def _session(draw):
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        steps = draw(st.lists(_STEPS, min_size=n - 1, max_size=n - 1))
+        return np.cumsum([draw(_VALUES)] + steps)
+    return np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)))
+
+
+_CONFIGS = st.builds(
+    CleaningConfig,
+    lower_q=st.sampled_from([0.00001, 0.05, 0.3]),
+    upper_q=st.sampled_from([0.99999, 0.9, 0.7]),
+    jump_threshold=st.sampled_from([1.5, 0.015, 0.3]),
+)
+_BOUNDS = st.none() | st.tuples(*[st.sampled_from([-2.0, -0.01, 0.0, -0.0, 0.01, 1.0])] * 2)
+
+
+class TestCleaningOracle:
+    """The lean passes against the dense per-session reference passes:
+    same mid bits, sessions and report, and the input left as it was."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        (g, g_rep), (w, w_rep) = got, want
+        assert g.sessions == w.sessions
+        assert g.mids.tobytes() == w.mids.tobytes()  # -0.0 and 0.0 differ here
+        # == on the report: when the quantile rank falls on tied zeros, the
+        # one two-rank partition may pick -0.0 where the reference picked 0.0;
+        # every clamp, and so every mid, is the same either way
+        assert g_rep == w_rep
+
+    @given(st.lists(_session(), min_size=1, max_size=4), _CONFIGS, _BOUNDS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_passes(self, blocks, cfg, bounds):
+        series = make_series(blocks)
+        before = MidSeries(sessions=list(series.sessions), mids=series.mids.copy())
+        self._assert_same(winsorize_returns(series, cfg, bounds=bounds),
+                          cleaning_oracle.winsorize_returns(series, cfg, bounds=bounds))
+        self._assert_same(remove_jumps(series, cfg), cleaning_oracle.remove_jumps(series, cfg))
+        self._assert_same(clean(series, cfg), cleaning_oracle.clean(series, cfg))
+        assert series.sessions == before.sessions
+        assert series.mids.tobytes() == before.mids.tobytes()

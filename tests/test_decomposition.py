@@ -23,7 +23,7 @@ from pushresp.decomposition import (
     write_summary_csv,
 )
 from pushresp.cleaning import empirical_quantile
-from pushresp.errors import InvalidGrid
+from pushresp.errors import ArtifactIOError, InvalidGrid
 from pushresp.lags import LagMoments, compute_moments_table
 from pushresp.surface import BinGrid, BlockTables, LagBlocks, Surface, accumulate_surface
 from pushresp.synthetic import SyntheticSpec, generate
@@ -556,6 +556,18 @@ class TestSummaries:
         head = hp.read_text().splitlines()[0].split(",")
         assert head[:7] == ["lag", "abs_index", "abs_center", "S", "A",
                             "rho_local", "rho_local_alt"]
+
+    def test_non_numeric_field_rejected(self, tmp_path):
+        surf = build_surface(mirror_cells(25, 300, 300, 0.3, 0.3))
+        sp = tmp_path / "lags.csv"
+        write_summary_csv(summarize(decompose(surf), BootstrapConfig(n_replicates=10, seed=2),
+                                    split_blocks(surf)), sp)
+        head, row = sp.read_text().splitlines()
+        fields = row.split(",")
+        fields[1] = "nope"  # rho
+        sp.write_text(head + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(ArtifactIOError, match="line 2: rho 'nope' is not a number"):
+            read_summary_csv(sp)
 
     def test_empty_tables_are_header_only(self, tmp_path):
         hp = tmp_path / "heat.csv"

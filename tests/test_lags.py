@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushresp.errors import InsufficientSupport, InvalidGrid, ZeroVariance
+from pushresp.errors import ArtifactIOError, InsufficientSupport, InvalidGrid, ZeroVariance
 from pushresp.lags import (
     DEFAULT_LONG_LAGS,
     DEFAULT_SHORT_LAGS,
@@ -206,6 +206,18 @@ class TestMomentsTable:
         back = read_moments_csv(path)
         assert back == rows
         assert path.read_text().splitlines()[0] == "lag,n_pairs,mu_p,sigma_p,mu_r,sigma_r"
+
+    def test_csv_non_numeric_field_rejected(self, tmp_path, rng):
+        series = make_series([100 + np.cumsum(rng.standard_normal(500) * 0.01)])
+        path = tmp_path / "moments.csv"
+        write_moments_csv(compute_moments_table(series, [1, 10]), path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "x"  # sigma_p of lag 10
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArtifactIOError, match="line 3: sigma_p 'x' is not a number"):
+            read_moments_csv(path)
 
 
 @given(st.integers(1, 20), st.integers(2, 60))

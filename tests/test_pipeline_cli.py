@@ -161,7 +161,7 @@ class TestPipeline:
         for status, line in zip(statuses, lines):
             assert re.fullmatch(
                 rf"stage {re.escape(status.stage)} {status.status}: wall \d+\.\d{{3}} s, "
-                r"cpu \d+\.\d{3} s, peak rss \d+\.\d MiB", line
+                r"cpu \d+\.\d{3} s, peak rss \d+\.\d MiB \(\+\d+\.\d in stage\)", line
             ), line
 
     def test_config_change_reruns_downstream(self, tmp_path):
@@ -259,15 +259,14 @@ class TestCliExitCodes:
                      "--report", str(tmp_path / "absent" / "r.json")]) == 3
         assert not out.exists()  # a failed stage leaves none of its outputs
 
-    @pytest.mark.parametrize("command", ["decompose", "render"])
-    def test_missing_input_csv_exit_3(self, tmp_path, command):
-        # the input's manifest is there, the CSV itself is gone
+    @staticmethod
+    def _surface_reader(tmp_path, command):
+        """A surface CSV with its manifest, and the argv of `command` reading it."""
         surface = tmp_path / "surface.csv"
         assert main(["synth", "--kind", "null_walk", "--n", "20000", "--seed", "3",
                      "--out", str(tmp_path / "mids.prms")]) == 0
         assert main(["surface", "--in", str(tmp_path / "mids.prms"), "--lags", "1,5",
                      "--nmin", "50", "--out", str(surface)]) == 0
-        surface.unlink()
         argv = {
             "decompose": ["--surface", str(surface), "--bootstrap", "10",
                           "--out-heatmap", str(tmp_path / "heat.csv"),
@@ -275,7 +274,25 @@ class TestCliExitCodes:
             "render": ["--kind", "surface_top", "--surface", str(surface),
                        "--out", str(tmp_path / "top.svg")],
         }[command]
-        assert main([command, *argv]) == 3
+        return surface, [command, *argv]
+
+    @pytest.mark.parametrize("command", ["decompose", "render"])
+    def test_missing_input_csv_exit_3(self, tmp_path, command):
+        # the input's manifest is there, the CSV itself is gone
+        surface, argv = self._surface_reader(tmp_path, command)
+        surface.unlink()
+        assert main(argv) == 3
+
+    @pytest.mark.parametrize("command", ["decompose", "render"])
+    def test_non_numeric_csv_field_exit_3(self, tmp_path, command, capsys):
+        surface, argv = self._surface_reader(tmp_path, command)
+        lines = surface.read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")
+        fields[5] = "abc"  # mean_zr of the third row
+        lines[3] = ",".join(fields)
+        surface.write_text("".join(lines))
+        assert main(argv) == 3
+        assert f"{surface}: line 4: mean_zr 'abc' is not a number" in capsys.readouterr().err
 
     def test_usage_error_exit_1(self):
         assert main(["clean"]) == 1

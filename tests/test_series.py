@@ -13,9 +13,12 @@ from pushresp.series import (
     MidSeries,
     Session,
     from_session_arrays,
+    parse_column,
+    read_csv,
     read_manifest,
     read_prms,
     series_summary,
+    write_csv,
     write_manifest,
     write_prms,
 )
@@ -152,3 +155,39 @@ def test_prms_read_peak_allocation(tmp_path):
         tracemalloc.stop()
     assert back == series
     assert peak < 1.5 * 8 * n
+
+
+def test_write_prms_copies_no_session(tmp_path):
+    # one 8 MB session goes to the file from the array's own buffer
+    series = make_series([100 + np.arange(1_000_000) * 0.01])
+    tracemalloc.start()
+    try:
+        write_prms(series, tmp_path / "one.prms")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * series.mids.nbytes
+    assert read_prms(tmp_path / "one.prms") == series
+
+
+def test_parse_column_converts_a_column(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], [[1, 2], [0.5, -1.25], ["x", "y"]])
+    cols = read_csv(path, ["a", "b", "c"])
+    assert parse_column(path, cols, "a", int) == [1, 2]
+    assert parse_column(path, cols, "b", float) == [0.5, -1.25]
+    assert cols["c"] == ("x", "y")
+
+
+@pytest.mark.parametrize("body, where", [
+    ("1,2.5\n3,abc\n", "line 3: b 'abc'"),
+    ("1.5,2.5\n", "line 2: a '1.5'"),
+    ("1,\n", "line 2: b ''"),
+])
+def test_parse_column_names_the_field_that_does_not_convert(tmp_path, body, where):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + body)
+    cols = read_csv(path, ["a", "b"])
+    with pytest.raises(ArtifactIOError, match=f"t.csv: {where} is not a number"):
+        parse_column(path, cols, "a", int)
+        parse_column(path, cols, "b", float)

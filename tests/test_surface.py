@@ -15,6 +15,7 @@ from pushresp.errors import (
 from pushresp.lags import compute_moments_table
 from pushresp.series import read_manifest, write_manifest
 from pushresp.surface import (
+    CHUNK_ANCHORS,
     BinGrid,
     accumulate_surface,
     block_size,
@@ -24,8 +25,9 @@ from pushresp.surface import (
     write_surface_blocks,
     write_surface_csv,
 )
+from pushresp.synthetic import SyntheticSpec, generate
 
-from conftest import make_series
+from conftest import make_series, traced_peak
 
 
 def verbatim_bin_index(z, z_min=-4.0, z_max=4.0, step=0.025, n=320):
@@ -371,3 +373,26 @@ class TestBlockTables:
 def test_bin_index_property_matches_verbatim(z):
     g = BinGrid()
     assert g.bin_slots(np.array([z])).tolist() == [verbatim_slot(z)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_surface_memory_grows_by_block_tables_not_pass_buffers(threads):
+    # a lag's pass buffers are freed when the lag is done, so 18 more lags
+    # add their block and surface tables, and at most one lag's buffers per
+    # thread, to the traced peak
+    series = generate(SyntheticSpec(kind="null_walk", n_events=1_000_000, n_sessions=4, seed=3))
+    grid = BinGrid()
+    rows = compute_moments_table(series, range(100, 2001, 100))
+
+    def run(n_lags):
+        surf, peak = traced_peak(
+            lambda: accumulate_surface(series, rows[:n_lags], grid, threads=threads))
+        tables = sum(surf.blocks[lag].counts.nbytes + surf.blocks[lag].sum_zr.nbytes
+                     + 16 * surf.blocks[lag].n_blocks for lag in surf.blocks.lags)
+        return peak, tables + 4 * surf.counts.nbytes
+
+    run(2)  # first-call set-up stays out of the comparison
+    (peak_2, tables_2), (peak_20, tables_20) = run(2), run(20)
+    longest = max(len(s) for s in series.sessions)
+    pass_buffers = 5 * 8 * min(CHUNK_ANCHORS, longest) + 8 * 2000
+    assert peak_20 - peak_2 <= tables_20 - tables_2 + threads * pass_buffers

@@ -11,6 +11,8 @@ from pushresp.synthetic import (
     generate,
 )
 
+from conftest import traced_peak
+
 
 def sample_pair_correlation(series, lag):
     """Monte-Carlo push/response correlation over all admissible anchors."""
@@ -183,3 +185,14 @@ class TestInjected:
         for far in (200, 500, 2000):
             assert abs(summ[50].rho) >= 5 * abs(summ[far].rho)
             assert mean_abs_a[50] >= 5 * mean_abs_a[far]
+
+
+@pytest.mark.parametrize("kind", ["null_walk", "momentum"])
+def test_generate_holds_one_series(kind):
+    # each session is drawn into the output array; what else is allocated
+    # lives for one session (here a twentieth of the series)
+    spec = SyntheticSpec(kind=kind, n_events=2_000_000, n_sessions=20,
+                         inject_lag=50, phi=0.3, seed=5)
+    series, peak = traced_peak(lambda: generate(spec))
+    assert len(series) == spec.n_events
+    assert peak <= 1.2 * series.mids.nbytes
