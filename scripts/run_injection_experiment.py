@@ -71,12 +71,12 @@ def main() -> int:
         print(f"{s.lag:>8} {s.rho:>8.3f} {band:>20} {s.M:>8.4f}  {mark}")
 
     if args.kind == "asymmetric":
-        pairs = [p for p in read_heatmap_csv(cfg.path("heatmap"))
-                 if p.lag == l0 and p.abs_center >= 2.0]
-        if pairs:
-            s_min = min(p.S for p in pairs)
+        pairs = read_heatmap_csv(cfg.path("heatmap"))
+        wings = (pairs.lag == l0) & (pairs.abs_center >= 2.0)
+        if wings.any():
+            s_min = pairs.S[wings].min()
             print(f"\neven component in the wings (|center|>=2) at lag {l0}: "
-                  f"min S = {s_min:+.4f} over {len(pairs)} pairs "
+                  f"min S = {s_min:+.4f} over {wings.sum()} pairs "
                   f"({'positive as expected' if s_min > 0 else 'NOT positive'})")
     return 0
 

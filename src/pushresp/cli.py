@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -42,13 +41,6 @@ from .pipeline import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PUSHRESP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @click.group()
@@ -111,8 +103,7 @@ def clean(input_path, lower_q, upper_q, jump, out, report_path):
 @click.option("--lags", default="short", show_default=True,
               help="'short', 'long', 'file:<path>', or comma-separated values.")
 @click.option("--nmin", default=surface_mod.BinGrid.n_min_support, show_default=True)
-@click.option("--threads", default=None, type=int,
-              help="Worker threads (default: PUSHRESP_THREADS or 1).")
+@click.option("--threads", default=1, show_default=True, help="Worker threads.")
 @click.option("--out", required=True, type=click.Path())
 @click.option("--out-moments", type=click.Path(), default=None,
               help="Moments CSV path (default: <out> with .moments.csv).")
@@ -121,7 +112,7 @@ def surface(input_path, grid, lags, nmin, threads, out, out_moments):
     moments = out_moments or str(Path(out).with_suffix("")) + ".moments.csv"
     _run(surface_stage(
         Path(input_path), Path(out), Path(moments), lags_mod.parse_lag_selector(lags),
-        _parse_grid(grid, nmin), threads if threads is not None else _default_threads(),
+        _parse_grid(grid, nmin), threads,
     ))
 
 
@@ -213,8 +204,6 @@ def pipeline(config_path, overrides, threads, force):
         apply_override(raw, item)
     if threads is not None:
         raw["threads"] = threads
-    elif "threads" not in raw:
-        raw["threads"] = _default_threads()
     cfg = config_from_dict(raw)
     statuses = run_pipeline(cfg, force=force)
     for s in statuses:

@@ -23,14 +23,14 @@ median: it holds rho and has the replicates' spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .cleaning import empirical_quantile
 from .errors import InvalidGrid
-from .series import parse_column, read_csv, write_csv
+from .series import int64, parse_column, read_csv, write_csv
 from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
 EPSILON = 1e-12
@@ -52,22 +52,29 @@ class BootstrapConfig:
             raise ValueError(f"bad quantile pair {self.quantiles}")
 
 
-@dataclass(frozen=True)
-class MirrorPair:
-    lag: int
-    abs_index: int      # 1..n_bins/2
-    abs_center: float   # center of the positive bin
-    n_pos: int
-    n_neg: int
-    mean_zr_pos: float
-    mean_zr_neg: float
-    mean_r_raw_pos: float
-    mean_r_raw_neg: float
-    S: float
-    A: float
-    rho_local: float
-    rho_local_alt: float
-    weight: float
+@dataclass(frozen=True, eq=False)
+class MirrorPairs:
+    """Supported mirror pairs, one equal-length array per heatmap CSV
+    column, in (lag, abs_index) order. `lag`, `abs_index`, `n_pos` and
+    `n_neg` are int64, the rest float64."""
+
+    lag: np.ndarray
+    abs_index: np.ndarray   # 1..n_bins/2
+    abs_center: np.ndarray  # center of the positive bin
+    S: np.ndarray
+    A: np.ndarray
+    rho_local: np.ndarray
+    rho_local_alt: np.ndarray
+    weight: np.ndarray
+    n_pos: np.ndarray
+    n_neg: np.ndarray
+    mean_zr_pos: np.ndarray
+    mean_zr_neg: np.ndarray
+    mean_r_raw_pos: np.ndarray
+    mean_r_raw_neg: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lag)
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ def check_mirror_grid(grid: BinGrid) -> None:
         raise InvalidGrid(f"mirror decomposition needs an even bin count, got {grid.n_bins}")
 
 
-def decompose(surface: Surface, local_index: str = "eq319") -> list[MirrorPair]:
+def decompose(surface: Surface, local_index: str = "eq319") -> MirrorPairs:
     """Mirror pairs with both cells valid, in (lag, abs_index) order.
 
     Weights are the supports normalized per lag over the supported pairs.
@@ -136,14 +143,14 @@ def decompose(surface: Surface, local_index: str = "eq319") -> list[MirrorPair]:
     i, col = np.nonzero(support)
     pos, neg = half + col, half - 1 - col
     lags = np.array(surface.lags, dtype=np.int64)
-    cols = (
-        lags[i], col + 1, grid.centers()[pos],
-        surface.counts[i, pos], surface.counts[i, neg],
-        surface.mean_zr[i, pos], surface.mean_zr[i, neg],
-        surface.mean_r_raw[i, pos], surface.mean_r_raw[i, neg],
-        S[i, col], A[i, col], signed[i, col], share[i, col], weight[i, col],
+    return MirrorPairs(
+        lag=lags[i], abs_index=col + 1, abs_center=grid.centers()[pos],
+        S=S[i, col], A=A[i, col], rho_local=signed[i, col], rho_local_alt=share[i, col],
+        weight=weight[i, col],
+        n_pos=surface.counts[i, pos], n_neg=surface.counts[i, neg],
+        mean_zr_pos=surface.mean_zr[i, pos], mean_zr_neg=surface.mean_zr[i, neg],
+        mean_r_raw_pos=surface.mean_r_raw[i, pos], mean_r_raw_neg=surface.mean_r_raw[i, neg],
     )
-    return [MirrorPair(*row) for row in zip(*(c.tolist() for c in cols))]
 
 
 def dominance_ratio(num_a, num_s) -> np.ndarray:
@@ -249,24 +256,23 @@ def bootstrap_rho(
 
 
 def summarize(
-    pairs: list[MirrorPair], boot: BootstrapConfig, blocks: BlockTables
+    pairs: MirrorPairs, boot: BootstrapConfig, blocks: BlockTables
 ) -> list[LagSummary]:
-    """Per-lag dominance, magnitudes, and block bands (`bootstrap_rho`).
+    """Per-lag dominance, magnitudes, and block bands (`bootstrap_rho`),
+    one per run of equal lags, in the pairs' order. Each lag's pairs form
+    one run, as `decompose` and `read_heatmap_csv` return them.
 
     M and M_raw are the support-weighted means of the pairs' half
     magnitudes (|mean(+j)| + |mean(-j)|) / 2, standardized and raw.
     """
-    pairs = sorted(pairs, key=lambda p: p.lag)  # stable: pair order kept per lag
-    lags, starts = np.unique([p.lag for p in pairs], return_index=True)
-
-    def column(name: str) -> np.ndarray:
-        return np.array([getattr(p, name) for p in pairs], dtype=np.float64)
-
-    w, abs_a, abs_s = column("weight"), np.abs(column("A")), np.abs(column("S"))
-    half_zr = 0.5 * (np.abs(column("mean_zr_pos")) + np.abs(column("mean_zr_neg")))
-    half_raw = 0.5 * (np.abs(column("mean_r_raw_pos")) + np.abs(column("mean_r_raw_neg")))
+    w, abs_a, abs_s = pairs.weight, np.abs(pairs.A), np.abs(pairs.S)
+    half_zr = 0.5 * (np.abs(pairs.mean_zr_pos) + np.abs(pairs.mean_zr_neg))
+    half_raw = 0.5 * (np.abs(pairs.mean_r_raw_pos) + np.abs(pairs.mean_r_raw_neg))
+    # a run starts at row 0 and wherever the lag changes
+    starts = np.flatnonzero(np.diff(pairs.lag, prepend=pairs.lag[:1] - 1)).tolist()
     summaries = []
-    for lag, a, b in zip(lags.tolist(), starts.tolist(), [*starts[1:].tolist(), len(pairs)]):
+    for a, b in zip(starts, [*starts[1:], len(pairs)]):
+        lag = int(pairs.lag[a])
         rho, degenerate = rho_lag(abs_a[a:b], abs_s[a:b], w[a:b])
         lo, hi = bootstrap_rho(blocks[lag], blocks.n_min_support, boot, rho)
         summaries.append(
@@ -284,43 +290,37 @@ def summarize(
     return summaries
 
 
-HEATMAP_HEADER = [
-    "lag", "abs_index", "abs_center", "S", "A", "rho_local", "rho_local_alt",
-    "weight", "n_pos", "n_neg",
-    "mean_zr_pos", "mean_zr_neg", "mean_r_raw_pos", "mean_r_raw_neg",
-]
+HEATMAP_HEADER = [f.name for f in fields(MirrorPairs)]
 
-SUMMARY_HEADER = [
-    "lag", "rho", "ci_low", "ci_high", "M", "M_raw", "n_supported_pairs", "degenerate",
-]
+_HEATMAP_INTS = ("lag", "abs_index", "n_pos", "n_neg")
 
+SUMMARY_HEADER = [f.name for f in fields(LagSummary)]
 
-# how a heatmap or summary column parses; every other column is a float
-_PARSERS = {"lag": int, "abs_index": int, "n_pos": int, "n_neg": int,
-            "n_supported_pairs": int, "degenerate": "true".__eq__}
+# how a summary column parses; every other column is a float
+_SUMMARY_PARSERS = {"lag": int, "n_supported_pairs": int, "degenerate": "true".__eq__}
 
 
-def _write_records(records: list, header: list[str], path: str | Path) -> None:
-    write_csv(path, header, [[getattr(r, name) for r in records] for name in header])
+def write_heatmap_csv(pairs: MirrorPairs, path: str | Path) -> None:
+    write_csv(path, HEATMAP_HEADER, [getattr(pairs, name) for name in HEATMAP_HEADER])
 
 
-def _read_records(path: str | Path, header: list[str], record: type) -> list:
-    cols = read_csv(path, header)
-    values = zip(*(parse_column(path, cols, name, _PARSERS.get(name, float)) for name in header))
-    return [record(**dict(zip(header, row))) for row in values]
-
-
-def write_heatmap_csv(pairs: list[MirrorPair], path: str | Path) -> None:
-    _write_records(pairs, HEATMAP_HEADER, path)
-
-
-def read_heatmap_csv(path: str | Path) -> list[MirrorPair]:
-    return _read_records(path, HEATMAP_HEADER, MirrorPair)
+def read_heatmap_csv(path: str | Path) -> MirrorPairs:
+    """The pairs of a heatmap CSV, parsed one column at a time."""
+    cols = read_csv(path, HEATMAP_HEADER)
+    return MirrorPairs(**{
+        name: np.array(parse_column(path, cols, name, int64), dtype=np.int64)
+        if name in _HEATMAP_INTS else np.array(parse_column(path, cols, name, float))
+        for name in HEATMAP_HEADER
+    })
 
 
 def write_summary_csv(summaries: list[LagSummary], path: str | Path) -> None:
-    _write_records(summaries, SUMMARY_HEADER, path)
+    write_csv(path, SUMMARY_HEADER, [[getattr(s, name) for s in summaries]
+                                     for name in SUMMARY_HEADER])
 
 
 def read_summary_csv(path: str | Path) -> list[LagSummary]:
-    return _read_records(path, SUMMARY_HEADER, LagSummary)
+    cols = read_csv(path, SUMMARY_HEADER)
+    values = zip(*(parse_column(path, cols, name, _SUMMARY_PARSERS.get(name, float))
+                   for name in SUMMARY_HEADER))
+    return [LagSummary(*row) for row in values]

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomposition import HEATMAP_HEADER, read_summary_csv
+from .decomposition import read_heatmap_csv, read_summary_csv
 from .errors import InvalidGrid, MissingArtifact
-from .series import parse_column, read_csv, read_manifest, write_text
+from .series import read_manifest, write_text
 from .surface import Surface, read_surface_csv
 
 WIDTH = 960
@@ -202,23 +202,21 @@ def render_surface_side(spec: FigureSpec) -> str:
 
 
 def render_dominance_heatmap(spec: FigureSpec) -> str:
-    cols = read_csv(spec.heatmap, HEATMAP_HEADER)
+    pairs = read_heatmap_csv(spec.heatmap)
     svg = _Svg("local dominance heatmap")
-    if cols["lag"]:
-        lags = parse_column(spec.heatmap, cols, "lag", int)
-        rank = {lag: row for row, lag in enumerate(sorted(set(lags)))}
-        cells = zip(lags, parse_column(spec.heatmap, cols, "abs_index", int),
-                    parse_column(spec.heatmap, cols, "rho_local", float))
+    if len(pairs):
+        lags, rank = np.unique(pairs.lag, return_inverse=True)
         grid = read_manifest(spec.heatmap)["grid"]
         n_half = grid["n_bins"] // 2
         cw = (WIDTH - MARGIN_L - MARGIN_R) / n_half
-        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(rank)
-        # a cell per supported pair, in (lag, abs_index) order; unsupported pairs stay blank
-        for (lag, k), v in sorted({(lag, k): v for lag, k, v in cells}.items()):
+        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
+        # a cell per supported pair, in the file's (lag, abs_index) order;
+        # unsupported pairs stay blank
+        for row, k, v in zip(rank.tolist(), pairs.abs_index.tolist(), pairs.rho_local.tolist()):
             if 1 <= k <= n_half:
-                svg.rect(MARGIN_L + (k - 1) * cw, MARGIN_T + rank[lag] * ch,
+                svg.rect(MARGIN_L + (k - 1) * cw, MARGIN_T + row * ch,
                          cw + 0.1, ch + 0.1, _diverging_color(v, 1.0))
-        frame = _Frame(0.0, grid["z_max"], 0, len(rank))
+        frame = _Frame(0.0, grid["z_max"], 0, len(lags))
         _axes(svg, frame, "absolute standardized push", "lag rank (top to bottom)")
     return svg.to_string()
 

@@ -47,20 +47,6 @@ class LagMoments:
     sigma_r: float
 
 
-def session_pushes_responses(
-    mids: np.ndarray, session: Session, lag: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pushes/responses over the session's admissible anchors."""
-    a0 = session.start + lag
-    a1 = session.end - lag  # inclusive
-    if a1 < a0:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty
-    pushes = mids[a0 : a1 + 1] - mids[a0 - lag : a1 - lag + 1]
-    responses = mids[a0 + lag : a1 + lag + 1] - mids[a0 : a1 + 1]
-    return pushes, responses
-
-
 def compute_moments(series: MidSeries, lag: int) -> LagMoments:
     """Mean and population std of pushes and responses at one lag.
 

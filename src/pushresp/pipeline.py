@@ -163,12 +163,18 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         build("grid", lambda: decomp_mod.check_mirror_grid(cfg.grid))
     if cfg.local_index not in decomp_mod.LOCAL_INDEX_CHOICES:
         problems.append(f"unknown local_index '{cfg.local_index}'")
-    if not isinstance(cfg.threads, int) or cfg.threads < 1:
-        problems.append(f"threads must be an integer >= 1, got {cfg.threads!r}")
+    problems += _threads_problems(cfg.threads)
 
     if problems:
         raise ValidationFailed(problems)
     return cfg
+
+
+def _threads_problems(threads) -> list[str]:
+    """The problem with a worker-thread count that is not an integer >= 1."""
+    if isinstance(threads, int) and threads >= 1:
+        return []
+    return [f"threads must be an integer >= 1, got {threads!r}"]
 
 
 def _bin_grid(raw: dict) -> surface_mod.BinGrid:
@@ -364,6 +370,8 @@ def surface_stage(
     threads: int = 1,
 ) -> Stage:
     """The surface CSV at `out`, its block tables beside it, and the moments."""
+    if problems := _threads_problems(threads):
+        raise ValidationFailed(problems)
     blocks_out = surface_mod.blocks_path(out)
     stage_cfg = {"lags": list(lags), "grid": grid.to_dict()}
     inputs = _input_hashes("surface", {"clean": src})

@@ -94,23 +94,6 @@ class MidSeries:
         )
 
 
-def from_session_arrays(dates: list[int], arrays: list[np.ndarray]) -> MidSeries:
-    """Assemble a MidSeries from per-session arrays, assigning global indices."""
-    sessions = []
-    start = 0
-    for date, arr in zip(dates, arrays):
-        n = len(arr)
-        if n == 0:
-            continue
-        sessions.append(Session(date=date, start=start, end=start + n - 1))
-        start += n
-    if sessions:
-        mids = np.concatenate([a for a in arrays if len(a)])
-    else:
-        mids = np.empty(0, dtype=np.float64)
-    return MidSeries(sessions=sessions, mids=mids)
-
-
 def write_prms(series: MidSeries, path: str | Path) -> None:
     path = Path(path)
     try:
@@ -279,6 +262,15 @@ def parse_column(
         except ValueError:
             break
     raise ArtifactIOError(f"{path}: line {line}: {name} {text!r} is not a number")
+
+
+def int64(text: str) -> int:
+    """`int` for a field of an int64 column: a value outside int64 is a
+    ValueError, so `parse_column` rejects it like any field that is not a number."""
+    value = int(text)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{text!r} is outside int64")
+    return value
 
 
 def series_summary(series: MidSeries) -> dict:

@@ -43,7 +43,7 @@ from .errors import (
     MissingMoments,
 )
 from .lags import LagMoments, MomentRow
-from .series import MidSeries, parse_column, read_csv, write_csv
+from .series import MidSeries, int64, parse_column, read_csv, write_csv
 
 BLOCK_TARGET = 50
 BLOCK_LAG_FACTOR = 10
@@ -115,11 +115,6 @@ class BinGrid:
             np.putmask(out, z_p >= self.z_max, n + 1)
         return out
 
-    def bin_indices(self, z_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(0-based indices, in-grid mask) from bin_slots."""
-        j0 = self.bin_slots(z_p) - 1
-        return j0, (j0 >= 0) & (j0 < self.n_bins)
-
     def to_dict(self) -> dict:
         return {
             "z_min": self.z_min,
@@ -181,12 +176,6 @@ class Surface:
     @property
     def valid(self) -> np.ndarray:
         return self.counts >= self.grid.n_min_support
-
-    def lag_row(self, lag: int) -> int:
-        try:
-            return self.lags.index(lag)
-        except ValueError:
-            raise MissingMoments(lag) from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Surface):
@@ -394,7 +383,7 @@ def read_surface_csv(path: str | Path, manifest: dict) -> Surface:
     col = [j - 1 for j in parse_column(path, cols, "bin", int)]
     if not all(0 <= c < n_bins for c in col):
         raise ArtifactIOError(f"{path}: a bin lies outside 1..{n_bins}")
-    counts[i, col] = parse_column(path, cols, "count", int)
+    counts[i, col] = parse_column(path, cols, "count", int64)
     for table, name in ((mean_zp, "mean_zp"), (mean_zr, "mean_zr"), (mean_r, "mean_r_raw")):
         table[i, col] = parse_column(path, cols, name, float)
     oog = np.array(

@@ -13,7 +13,9 @@ import math
 import numpy as np
 
 from pushresp.cleaning import CleaningConfig, CleaningReport
-from pushresp.series import MidSeries, from_session_arrays
+from pushresp.series import MidSeries
+
+from conftest import from_session_arrays
 
 
 def _quantile(values: np.ndarray, p: float) -> float:

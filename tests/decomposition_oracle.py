@@ -2,25 +2,27 @@
 
 It states `decompose` and the per-lag magnitudes the plain way (per lag
 the supported columns of `pair_terms`, per pair scalar local indices and
-a `MirrorPair` built field by field, per lag a dot product of the
-weights with a list of half-magnitudes), so that the array forms in
-`pushresp.decomposition` can be checked against it bit for bit. The
-results must be `==`, `repr` included, not merely close. Only the tests
-use it.
+a row of Python values appended field by field, per lag a dot product of
+the weights with a list of half-magnitudes), so that the array forms in
+`pushresp.decomposition` can be checked against it bit for bit. Its
+columns must equal `decompose`'s in `repr` and dtype, not merely be
+close. Only the tests use it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from pushresp.decomposition import EPSILON, MirrorPair, pair_terms
+from pushresp.decomposition import EPSILON, HEATMAP_HEADER, MirrorPairs, pair_terms
 from pushresp.surface import Surface
 
+INT_COLUMNS = ("lag", "abs_index", "n_pos", "n_neg")
 
-def oracle_decompose(surface: Surface, local_index: str = "eq319") -> list[MirrorPair]:
+
+def oracle_decompose(surface: Surface, local_index: str = "eq319") -> MirrorPairs:
     grid = surface.grid
     half = grid.n_bins // 2
-    pairs: list[MirrorPair] = []
+    rows: list[dict] = []
     for i, m in enumerate(surface.moments):
         support, A, S = pair_terms(surface.counts[i], surface.mean_zr[i], grid.n_min_support)
         supported = np.flatnonzero(support)
@@ -33,37 +35,41 @@ def oracle_decompose(surface: Surface, local_index: str = "eq319") -> list[Mirro
             s, a = float(S[col]), float(A[col])
             signed = a / (abs(a) + abs(s) + EPSILON)
             share = (abs(a) - abs(s)) / (abs(a) + abs(s) + EPSILON)
-            pairs.append(
-                MirrorPair(
-                    lag=m.lag,
-                    abs_index=k,
-                    abs_center=grid.bin_center(half + k),
-                    n_pos=int(surface.counts[i, pos]),
-                    n_neg=int(surface.counts[i, neg]),
-                    mean_zr_pos=float(surface.mean_zr[i, pos]),
-                    mean_zr_neg=float(surface.mean_zr[i, neg]),
-                    mean_r_raw_pos=float(surface.mean_r_raw[i, pos]),
-                    mean_r_raw_neg=float(surface.mean_r_raw[i, neg]),
-                    S=s,
-                    A=a,
-                    rho_local=signed if local_index == "eq319" else share,
-                    rho_local_alt=share if local_index == "eq319" else signed,
-                    weight=w,
-                )
-            )
-    return pairs
+            rows.append(dict(
+                lag=m.lag,
+                abs_index=k,
+                abs_center=grid.bin_center(half + k),
+                S=s,
+                A=a,
+                rho_local=signed if local_index == "eq319" else share,
+                rho_local_alt=share if local_index == "eq319" else signed,
+                weight=w,
+                n_pos=int(surface.counts[i, pos]),
+                n_neg=int(surface.counts[i, neg]),
+                mean_zr_pos=float(surface.mean_zr[i, pos]),
+                mean_zr_neg=float(surface.mean_zr[i, neg]),
+                mean_r_raw_pos=float(surface.mean_r_raw[i, pos]),
+                mean_r_raw_neg=float(surface.mean_r_raw[i, neg]),
+            ))
+    return MirrorPairs(**{
+        name: np.array([r[name] for r in rows],
+                       dtype=np.int64 if name in INT_COLUMNS else np.float64)
+        for name in HEATMAP_HEADER
+    })
 
 
-def oracle_magnitudes(pairs: list[MirrorPair]) -> dict[int, tuple[float, float]]:
+def oracle_magnitudes(pairs: MirrorPairs) -> dict[int, tuple[float, float]]:
     """(M, M_raw) per lag: the weighted mean half-magnitude of the
     standardized and the raw mirror means."""
-    by_lag: dict[int, list[MirrorPair]] = {}
-    for p in pairs:
-        by_lag.setdefault(p.lag, []).append(p)
+    by_lag: dict[int, list[dict]] = {}
+    for values in zip(*(getattr(pairs, name).tolist() for name in HEATMAP_HEADER)):
+        p = dict(zip(HEATMAP_HEADER, values))
+        by_lag.setdefault(p["lag"], []).append(p)
     out = {}
     for lag, lp in by_lag.items():
-        w = np.array([p.weight for p in lp])
-        half_zr = np.array([0.5 * (abs(p.mean_zr_pos) + abs(p.mean_zr_neg)) for p in lp])
-        half_raw = np.array([0.5 * (abs(p.mean_r_raw_pos) + abs(p.mean_r_raw_neg)) for p in lp])
+        w = np.array([p["weight"] for p in lp])
+        half_zr = np.array([0.5 * (abs(p["mean_zr_pos"]) + abs(p["mean_zr_neg"])) for p in lp])
+        half_raw = np.array([0.5 * (abs(p["mean_r_raw_pos"]) + abs(p["mean_r_raw_neg"]))
+                             for p in lp])
         out[lag] = (float(np.dot(w, half_zr)), float(np.dot(w, half_raw)))
     return out

@@ -24,7 +24,8 @@ from pushresp.ingest import (
     RTH_OPEN,
     QualityReport,
 )
-from pushresp.series import from_session_arrays
+
+from conftest import from_session_arrays
 
 
 class QuoteEvent(NamedTuple):

@@ -16,8 +16,22 @@ import numpy as np
 from pushresp import surface as surface_mod
 from pushresp.accum import CompensatedSums, MomentAccumulator
 from pushresp.errors import InsufficientSupport, MissingMoments, ZeroVariance
-from pushresp.lags import LagMoments, session_pushes_responses
+from pushresp.lags import LagMoments
 from pushresp.surface import BlockTables, LagBlocks, Surface, block_size
+
+
+def session_pushes_responses(
+    mids: np.ndarray, session, lag: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pushes and responses over the session's admissible anchors."""
+    a0 = session.start + lag
+    a1 = session.end - lag  # inclusive
+    if a1 < a0:
+        empty = np.empty(0, dtype=np.float64)
+        return empty, empty
+    pushes = mids[a0 : a1 + 1] - mids[a0 - lag : a1 - lag + 1]
+    responses = mids[a0 + lag : a1 + lag + 1] - mids[a0 : a1 + 1]
+    return pushes, responses
 
 
 def oracle_moments(series, lag: int) -> LagMoments:

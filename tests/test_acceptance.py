@@ -29,11 +29,12 @@ from pushresp.decomposition import (
     rho_lag,
     summarize,
 )
-from pushresp.lags import LagMoments, compute_moments_table, session_pushes_responses
+from pushresp.lags import LagMoments, compute_moments_table
 from pushresp.surface import BinGrid, Surface, accumulate_surface
 from pushresp.synthetic import SyntheticSpec, expected_response_oracle, generate
 
-from conftest import child_env, make_series
+from conftest import bin_indices, child_env, make_series
+from surface_oracle import session_pushes_responses
 
 BOOT_SEED = 42
 
@@ -79,24 +80,17 @@ def test_criterion_1_decomposition_identities():
         surf, truth = build_random_surface(rng)
         pairs = decompose(surf)
         assert len(pairs) == len(truth)
-        w_sum = 0.0
-        abs_a = np.empty(len(pairs))
-        abs_s = np.empty(len(pairs))
-        for i, p in enumerate(pairs):
-            zr_pos, zr_neg = truth[p.abs_index]
-            scale = max(abs(zr_pos), abs(zr_neg), 1e-12)
-            worst_recon = max(
-                worst_recon,
-                abs((p.S + p.A) - zr_pos) / scale,
-                abs((p.S - p.A) - zr_neg) / scale,
-            )
-            assert -1.0 <= p.rho_local <= 1.0
-            assert -1.0 <= p.rho_local_alt <= 1.0
-            w_sum += p.weight
-            abs_a[i] = abs(p.A)
-            abs_s[i] = abs(p.S)
-        assert abs(w_sum - 1.0) <= 1e-15
-        rho, _ = rho_lag(abs_a, abs_s, np.array([p.weight for p in pairs]))
+        zr_pos, zr_neg = np.array([truth[k] for k in pairs.abs_index.tolist()]).T
+        scale = np.maximum(np.maximum(np.abs(zr_pos), np.abs(zr_neg)), 1e-12)
+        worst_recon = max(
+            worst_recon,
+            float(np.max(np.abs((pairs.S + pairs.A) - zr_pos) / scale)),
+            float(np.max(np.abs((pairs.S - pairs.A) - zr_neg) / scale)),
+        )
+        for col in (pairs.rho_local, pairs.rho_local_alt):
+            assert np.all((-1.0 <= col) & (col <= 1.0))
+        assert abs(sum(pairs.weight.tolist()) - 1.0) <= 1e-15
+        rho, _ = rho_lag(np.abs(pairs.A), np.abs(pairs.S), pairs.weight)
         assert -1.0 <= rho <= 1.0
     elapsed = time.monotonic() - t0
     report(
@@ -119,7 +113,7 @@ def test_criterion_2_brute_force_surface_equivalence():
     worst_mean = 0.0
     for lag in test_lags:
         orc = expected_response_oracle(series, lag, grid)
-        i = surf.lag_row(lag)
+        i = surf.lags.index(lag)
         assert np.array_equal(surf.counts[i], orc.count), f"counts differ at lag {lag}"
         assert int(surf.out_of_grid[i]) == orc.out_of_grid
         assert int(surf.counts[i].sum()) + int(surf.out_of_grid[i]) == orc.moments.n_pairs
@@ -159,7 +153,7 @@ def null_standard_errors(series, surf):
         overlap = np.zeros(grid.n_bins)
         for session in series.sessions:
             pushes, _ = session_pushes_responses(series.mids, session, lag)
-            j0, ok = grid.bin_indices((pushes - m.mu_p) / m.sigma_p)
+            j0, ok = bin_indices(grid, (pushes - m.mu_p) / m.sigma_p)
             b = j0[ok].astype(np.int16)  # 16-bit keys take numpy's radix sort
             order = np.argsort(b, kind="stable")
             b = b[order].astype(np.int64)
@@ -246,9 +240,9 @@ def test_criterion_4_injection_detection():
     lags = (1, 50, 100, 200, 500, 2000)
     pairs, summaries = _injected_surface("momentum", 0.3, 428, lags)
 
-    at_l0 = [p for p in pairs if p.lag == 50 and p.abs_center >= 1.0]
-    assert at_l0, "no supported pairs with |center| >= 1 at the injected lag"
-    a_min = min(p.A for p in at_l0)
+    at_l0 = (pairs.lag == 50) & (pairs.abs_center >= 1.0)
+    assert at_l0.any(), "no supported pairs with |center| >= 1 at the injected lag"
+    a_min = float(pairs.A[at_l0].min())
     band_l0 = summaries[50]
     excludes = band_l0.ci_low > 0.0 or band_l0.ci_high < 0.0
 
@@ -258,8 +252,8 @@ def test_criterion_4_injection_detection():
         far_ok[lag] = s.ci_low <= 0.0 <= s.ci_high
 
     rev_pairs, rev_summaries = _injected_surface("reversal", -0.3, 405, (50,))
-    rev_at_l0 = [p for p in rev_pairs if p.lag == 50 and p.abs_center >= 1.0]
-    rev_a_max = max(p.A for p in rev_at_l0)
+    rev_at_l0 = (rev_pairs.lag == 50) & (rev_pairs.abs_center >= 1.0)
+    rev_a_max = float(rev_pairs.A[rev_at_l0].max())
     rev_band = rev_summaries[50]
     rev_excludes = rev_band.ci_low > 0.0 or rev_band.ci_high < 0.0
 
@@ -284,14 +278,14 @@ def test_criterion_4_injection_detection():
 def test_criterion_5_asymmetry_detection():
     t0 = time.monotonic()
     pairs, _ = _injected_surface("asymmetric", 0.0, 505, (50,), asym_gain=1.0)
-    wings = [p for p in pairs if p.abs_center >= 2.0]
-    assert wings, "no supported pairs with |center| >= 2"
-    s_min = min(p.S for p in wings)
+    wings = pairs.abs_center >= 2.0
+    assert wings.any(), "no supported pairs with |center| >= 2"
+    s_min = float(pairs.S[wings].min())
     elapsed = time.monotonic() - t0
     report(
         5,
         s_min > 0.0,
-        f"asymmetric 1e7: {len(wings)} supported pairs with |center|>=2, "
+        f"asymmetric 1e7: {wings.sum()} supported pairs with |center|>=2, "
         f"min S={s_min:.4f} > 0; {elapsed:.0f}s",
     )
 

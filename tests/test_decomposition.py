@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pushresp.decomposition import (
     EPSILON,
+    HEATMAP_HEADER,
     LOCAL_INDEX_CHOICES,
     BootstrapConfig,
     bootstrap_rho,
@@ -29,7 +30,7 @@ from pushresp.surface import BinGrid, BlockTables, LagBlocks, Surface, accumulat
 from pushresp.synthetic import SyntheticSpec, generate
 
 from conftest import make_series
-from decomposition_oracle import oracle_decompose, oracle_magnitudes
+from decomposition_oracle import INT_COLUMNS, oracle_decompose, oracle_magnitudes
 
 
 def build_surface(cell_data, n_min=200, lag=100):
@@ -103,9 +104,9 @@ class TestMirrorIndex:
         cells.update(mirror_cells(40, 303, 304, 0.3, 0.4))  # bins 200 and 121
         cells.update(mirror_cells(160, 305, 306, 0.5, 0.6))  # bins 320 and 1
         pairs = decompose(build_surface(cells))
-        assert [(p.abs_index, p.n_pos, p.n_neg, p.mean_zr_pos, p.mean_zr_neg)
-                for p in pairs] == [(1, 301, 302, 0.1, 0.2), (40, 303, 304, 0.3, 0.4),
-                                    (160, 305, 306, 0.5, 0.6)]
+        assert list(zip(pairs.abs_index.tolist(), pairs.n_pos.tolist(), pairs.n_neg.tolist(),
+                        pairs.mean_zr_pos.tolist(), pairs.mean_zr_neg.tolist())) == [
+            (1, 301, 302, 0.1, 0.2), (40, 303, 304, 0.3, 0.4), (160, 305, 306, 0.5, 0.6)]
 
     def test_center_negation(self):
         g = BinGrid()
@@ -113,40 +114,42 @@ class TestMirrorIndex:
         cells = {}
         for k in range(1, 161):
             cells.update(mirror_cells(k, 300, 300, 0.1, 0.1))
-        for p in decompose(build_surface(cells)):
-            assert p.abs_center == g.bin_center(160 + p.abs_index)
-            assert abs(p.abs_center + g.bin_center(161 - p.abs_index)) < 2e-15
+        pairs = decompose(build_surface(cells))
+        for k, center in zip(pairs.abs_index.tolist(), pairs.abs_center.tolist()):
+            assert center == g.bin_center(160 + k)
+            assert abs(center + g.bin_center(161 - k)) < 2e-15
 
     def test_out_of_range(self):
         # every cell of the grid pairs up, and no pair reaches past its edges
         surf = build_surface({j: (300, 0.1, 0.0) for j in range(1, 321)})
         pairs = decompose(surf)
-        assert [p.abs_index for p in pairs] == list(range(1, 161))
-        assert pairs[0].abs_center == pytest.approx(0.0125, rel=1e-12)
-        assert pairs[-1].abs_center == pytest.approx(3.9875, rel=1e-12)
+        assert pairs.abs_index.tolist() == list(range(1, 161))
+        assert pairs.abs_center[0] == pytest.approx(0.0125, rel=1e-12)
+        assert pairs.abs_center[-1] == pytest.approx(3.9875, rel=1e-12)
 
 
 class TestDecompose:
     def test_pure_antisymmetry(self):
         surf = build_surface(mirror_cells(40, 300, 300, 0.4, -0.4))
-        (pair,) = decompose(surf)
-        assert pair.S == 0.0
-        assert pair.A == pytest.approx(0.4, rel=1e-15)
-        assert pair.abs_index == 40
+        pairs = decompose(surf)
+        assert pairs.S.item() == 0.0
+        assert pairs.A.item() == pytest.approx(0.4, rel=1e-15)
+        assert pairs.abs_index.item() == 40
 
     def test_pure_symmetry(self):
         surf = build_surface(mirror_cells(40, 300, 300, 0.3, 0.3))
-        (pair,) = decompose(surf)
-        assert pair.S == pytest.approx(0.3, rel=1e-15)
-        assert pair.A == 0.0
+        pairs = decompose(surf)
+        assert pairs.S.item() == pytest.approx(0.3, rel=1e-15)
+        assert pairs.A.item() == 0.0
 
     def test_reconstruction(self):
         surf = build_surface(mirror_cells(12, 250, 400, 0.5, 0.1))
-        (pair,) = decompose(surf)
-        assert pair.S == pytest.approx(0.3, rel=1e-15)
-        assert pair.A == pytest.approx(0.2, rel=1e-15)
-        assert pair.S + pair.A == pytest.approx(0.5, rel=1e-15)
-        assert pair.S - pair.A == pytest.approx(0.1, rel=1e-15)
+        pairs = decompose(surf)
+        S, A = pairs.S.item(), pairs.A.item()
+        assert S == pytest.approx(0.3, rel=1e-15)
+        assert A == pytest.approx(0.2, rel=1e-15)
+        assert S + A == pytest.approx(0.5, rel=1e-15)
+        assert S - A == pytest.approx(0.1, rel=1e-15)
 
     def test_asymmetric_grid_rejected(self):
         # 320 bins over [-3, 5): bin 160 + k and bin 161 - k are not mirrors
@@ -160,15 +163,15 @@ class TestDecompose:
         cells.update(mirror_cells(20, 300, 300, 0.2, 0.1))
         surf = build_surface(cells)
         pairs = decompose(surf)
-        assert [p.abs_index for p in pairs] == [20]
+        assert pairs.abs_index.tolist() == [20]
 
     def test_weights_normalized_per_lag(self):
         cells = mirror_cells(5, 300, 300, 0.1, 0.0)
         cells.update(mirror_cells(9, 600, 600, 0.2, 0.0))
         surf = build_surface(cells)
         pairs = decompose(surf)
-        assert pairs[0].weight == pytest.approx(1 / 3, rel=1e-15)
-        assert pairs[1].weight == pytest.approx(2 / 3, rel=1e-15)
+        assert pairs.weight[0] == pytest.approx(1 / 3, rel=1e-15)
+        assert pairs.weight[1] == pytest.approx(2 / 3, rel=1e-15)
 
     @given(
         st.dictionaries(
@@ -191,13 +194,14 @@ class TestDecompose:
         surf = build_surface(cells)
         pairs = decompose(surf)
         assert len(pairs) == len(table)
-        for p in pairs:
-            zr_pos = table[p.abs_index][2]
-            zr_neg = table[p.abs_index][3]
-            assert p.S + p.A == pytest.approx(zr_pos, rel=1e-15, abs=1e-15)
-            assert p.S - p.A == pytest.approx(zr_neg, rel=1e-15, abs=1e-15)
-            assert -1.0 <= p.rho_local <= 1.0
-        assert sum(p.weight for p in pairs) == pytest.approx(1.0, abs=1e-15)
+        for k, S, A, rho_local in zip(pairs.abs_index.tolist(), pairs.S.tolist(),
+                                      pairs.A.tolist(), pairs.rho_local.tolist()):
+            zr_pos = table[k][2]
+            zr_neg = table[k][3]
+            assert S + A == pytest.approx(zr_pos, rel=1e-15, abs=1e-15)
+            assert S - A == pytest.approx(zr_neg, rel=1e-15, abs=1e-15)
+            assert -1.0 <= rho_local <= 1.0
+        assert sum(pairs.weight.tolist()) == pytest.approx(1.0, abs=1e-15)
 
 
 @st.composite
@@ -240,8 +244,14 @@ def small_surfaces(draw):
 
 
 def assert_same_pairs(got, want):
-    assert got == want
-    assert [repr(p) for p in got] == [repr(p) for p in want]
+    """Every column of `got` holds `want`'s values, `repr` for `repr`,
+    int64 for the integer columns and float64 for the rest."""
+    assert len(got) == len(want)
+    for name in HEATMAP_HEADER:
+        col, ref = getattr(got, name), getattr(want, name)
+        dtype = np.int64 if name in INT_COLUMNS else np.float64
+        assert col.dtype == ref.dtype == dtype, name
+        assert repr(col.tolist()) == repr(ref.tolist()), name
 
 
 class TestDecomposeOracle:
@@ -271,30 +281,30 @@ class TestDecomposeOracle:
                                   BinGrid(n_min_support=50))
         for local_index in LOCAL_INDEX_CHOICES:
             pairs = decompose(surf, local_index)
-            assert len({p.lag for p in pairs}) == 4
+            assert len(np.unique(pairs.lag)) == 4
             assert_same_pairs(pairs, oracle_decompose(surf, local_index))
 
 
 class TestLocalDominance:
     @staticmethod
-    def _pair(zr_pos, zr_neg, local_index="eq319"):
-        (pair,) = decompose(build_surface(mirror_cells(30, 300, 300, zr_pos, zr_neg)),
-                            local_index)
-        return pair
+    def _rho_local(zr_pos, zr_neg, local_index="eq319"):
+        pairs = decompose(build_surface(mirror_cells(30, 300, 300, zr_pos, zr_neg)),
+                          local_index)
+        return pairs.rho_local.item()
 
     def test_pure_antisymmetry_near_one(self):
-        assert self._pair(0.4, -0.4).rho_local == pytest.approx(1.0, abs=1e-11)
+        assert self._rho_local(0.4, -0.4) == pytest.approx(1.0, abs=1e-11)
 
     def test_zero_numerator(self):
-        assert self._pair(0.3, 0.3).rho_local == 0.0
+        assert self._rho_local(0.3, 0.3) == 0.0
 
     def test_direct_evaluation(self):
         # S = 0.2, A = -0.2
-        assert self._pair(0.0, 0.4).rho_local == pytest.approx(-0.5, rel=1e-11)
+        assert self._rho_local(0.0, 0.4) == pytest.approx(-0.5, rel=1e-11)
 
     def test_alt_index_maps_symmetry_to_minus_one(self):
-        assert self._pair(0.3, 0.3, "absratio").rho_local == pytest.approx(-1.0, abs=1e-11)
-        assert self._pair(0.4, -0.4, "absratio").rho_local == pytest.approx(1.0, abs=1e-11)
+        assert self._rho_local(0.3, 0.3, "absratio") == pytest.approx(-1.0, abs=1e-11)
+        assert self._rho_local(0.4, -0.4, "absratio") == pytest.approx(1.0, abs=1e-11)
 
     def test_epsilon_value(self):
         assert EPSILON == 1e-12
@@ -499,15 +509,15 @@ class TestEquivariance:
         boot = BootstrapConfig(n_replicates=50, seed=7)
         rho_base = summarize(base, boot, split_blocks(build_surface(cells)))[0].rho
         rho_neg = summarize(neg, boot, split_blocks(build_surface(flipped)))[0].rho
-        for pb, pn, pm in zip(base, neg, mir):
-            # negating all means flips S and A jointly, flips rho_local
-            assert pn.S == pytest.approx(-pb.S, rel=1e-12, abs=1e-15)
-            assert pn.A == pytest.approx(-pb.A, rel=1e-12, abs=1e-15)
-            assert pn.rho_local == pytest.approx(-pb.rho_local, rel=1e-9, abs=1e-12)
-            # mirroring the push axis negates A, preserves S, flips rho_local
-            assert pm.S == pytest.approx(pb.S, rel=1e-12, abs=1e-15)
-            assert pm.A == pytest.approx(-pb.A, rel=1e-12, abs=1e-15)
-            assert pm.rho_local == pytest.approx(-pb.rho_local, rel=1e-9, abs=1e-12)
+        assert len(base) == len(neg) == len(mir) == len(rows)
+        # negating all means flips S and A jointly, flips rho_local
+        assert neg.S == pytest.approx(-base.S, rel=1e-12, abs=1e-15)
+        assert neg.A == pytest.approx(-base.A, rel=1e-12, abs=1e-15)
+        assert neg.rho_local == pytest.approx(-base.rho_local, rel=1e-9, abs=1e-12)
+        # mirroring the push axis negates A, preserves S, flips rho_local
+        assert mir.S == pytest.approx(base.S, rel=1e-12, abs=1e-15)
+        assert mir.A == pytest.approx(-base.A, rel=1e-12, abs=1e-15)
+        assert mir.rho_local == pytest.approx(-base.rho_local, rel=1e-9, abs=1e-12)
         assert rho_neg == pytest.approx(rho_base, rel=1e-12, abs=1e-15)
 
 
@@ -551,7 +561,7 @@ class TestSummaries:
         sp = tmp_path / "lags.csv"
         write_heatmap_csv(pairs, hp)
         write_summary_csv(summaries, sp)
-        assert read_heatmap_csv(hp) == pairs
+        assert_same_pairs(read_heatmap_csv(hp), pairs)
         assert read_summary_csv(sp) == summaries
         head = hp.read_text().splitlines()[0].split(",")
         assert head[:7] == ["lag", "abs_index", "abs_center", "S", "A",
@@ -569,21 +579,55 @@ class TestSummaries:
         with pytest.raises(ArtifactIOError, match="line 2: rho 'nope' is not a number"):
             read_summary_csv(sp)
 
+    @pytest.mark.parametrize("column,text", [("n_pos", "1.5"), ("S", "nope"),
+                                             ("n_pos", "9223372036854775808")])
+    def test_heatmap_non_numeric_field_rejected(self, tmp_path, column, text):
+        surf = build_surface(mirror_cells(25, 300, 300, 0.3, 0.1))
+        hp = tmp_path / "heat.csv"
+        write_heatmap_csv(decompose(surf), hp)
+        head, row = hp.read_text().splitlines()
+        fields = row.split(",")
+        fields[HEATMAP_HEADER.index(column)] = text
+        hp.write_text(head + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(ArtifactIOError, match=f"line 2: {column} '{text}' is not a number"):
+            read_heatmap_csv(hp)
+
     def test_empty_tables_are_header_only(self, tmp_path):
         hp = tmp_path / "heat.csv"
         sp = tmp_path / "lags.csv"
-        write_heatmap_csv([], hp)
+        # the negative side is below n_min: no pair is supported
+        write_heatmap_csv(decompose(build_surface(mirror_cells(10, 300, 199, 0.2, 0.1))), hp)
         write_summary_csv([], sp)
         assert len(hp.read_text().splitlines()) == 1
         assert len(sp.read_text().splitlines()) == 1
-        assert read_heatmap_csv(hp) == []
+        empty = read_heatmap_csv(hp)
+        assert len(empty) == 0
+        for name in HEATMAP_HEADER:
+            col = getattr(empty, name)
+            assert col.shape == (0,)
+            assert col.dtype == (np.int64 if name in INT_COLUMNS else np.float64), name
         assert read_summary_csv(sp) == []
+
+    @pytest.mark.parametrize("nmin", [50, 10**9])
+    def test_pair_count_is_heatmap_rows(self, tmp_path, nmin):
+        # a walk's surface holds pairs at nmin 50 and none at 1e9
+        series = generate(SyntheticSpec(kind="null_walk", n_events=40_000, n_sessions=2,
+                                        seed=3))
+        surf = accumulate_surface(series, compute_moments_table(series, [1, 5, 20]),
+                                  BinGrid(n_min_support=nmin))
+        pairs = decompose(surf)
+        hp = tmp_path / "heat.csv"
+        write_heatmap_csv(pairs, hp)
+        n_rows = len(hp.read_text().splitlines()) - 1
+        assert len(pairs) == n_rows
+        assert (n_rows > 0) == (nmin == 50)
+        assert_same_pairs(read_heatmap_csv(hp), pairs)
 
     def test_local_index_flag_swaps_columns(self):
         surf = build_surface(mirror_cells(25, 300, 300, 0.3, 0.3))
-        (default_pair,) = decompose(surf, "eq319")
-        (alt_pair,) = decompose(surf, "absratio")
-        assert default_pair.rho_local == 0.0           # signed share of pure symmetry
-        assert alt_pair.rho_local == pytest.approx(-1.0, abs=1e-11)
-        assert default_pair.rho_local_alt == alt_pair.rho_local
-        assert alt_pair.rho_local_alt == default_pair.rho_local
+        default = decompose(surf, "eq319")
+        alt = decompose(surf, "absratio")
+        assert default.rho_local.item() == 0.0           # signed share of pure symmetry
+        assert alt.rho_local.item() == pytest.approx(-1.0, abs=1e-11)
+        assert default.rho_local_alt.item() == alt.rho_local.item()
+        assert alt.rho_local_alt.item() == default.rho_local.item()

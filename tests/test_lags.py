@@ -14,13 +14,13 @@ from pushresp.lags import (
     compute_moments_table,
     parse_lag_selector,
     read_moments_csv,
-    session_pushes_responses,
     validate_lags,
     write_moments_csv,
 )
 from pushresp.series import Session
 
 from conftest import make_series
+from surface_oracle import session_pushes_responses
 
 
 def naive_moments(series, lag):

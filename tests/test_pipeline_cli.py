@@ -391,13 +391,16 @@ class TestCliSubcommands:
         ])
         assert code == 2
 
-    def test_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PUSHRESP_THREADS", "2")
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         mids = tmp_path / "m.prms"
         assert main(["synth", "--kind", "null_walk", "--n", "5000",
                      "--seed", "1", "--out", str(mids)]) == 0
-        assert main(["surface", "--in", str(mids), "--lags", "1,5",
-                     "--nmin", "20", "--out", str(tmp_path / "s.csv")]) == 0
+        before = sorted(tmp_path.iterdir())
+        assert main(["surface", "--in", str(mids), "--lags", "1,5", "--nmin", "20",
+                     "--threads", threads, "--out", str(tmp_path / "s.csv")]) == 1
+        assert f"threads must be an integer >= 1, got {int(threads)}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_ingest_cli_venue_dir(self, tmp_path):
         from test_ingest import ns_at, write_venue_file

@@ -12,7 +12,6 @@ from pushresp.errors import ArtifactIOError
 from pushresp.series import (
     MidSeries,
     Session,
-    from_session_arrays,
     parse_column,
     read_csv,
     read_manifest,
@@ -23,7 +22,7 @@ from pushresp.series import (
     write_prms,
 )
 
-from conftest import make_series
+from conftest import from_session_arrays, make_series
 
 
 def test_session_length_and_date():

@@ -10,7 +10,6 @@ from pushresp.errors import (
     IndexOutOfRange,
     InvalidGrid,
     MissingArtifact,
-    MissingMoments,
 )
 from pushresp.lags import compute_moments_table
 from pushresp.series import read_manifest, write_manifest
@@ -27,7 +26,7 @@ from pushresp.surface import (
 )
 from pushresp.synthetic import SyntheticSpec, generate
 
-from conftest import make_series, traced_peak
+from conftest import bin_indices, make_series, traced_peak
 
 
 def verbatim_bin_index(z, z_min=-4.0, z_max=4.0, step=0.025, n=320):
@@ -108,7 +107,7 @@ class TestBinGrid:
     def test_vectorized_matches_scalar(self, rng):
         g = BinGrid()
         zs = rng.standard_normal(5000) * 2.5
-        j0, ok = g.bin_indices(zs)
+        j0, ok = bin_indices(g, zs)
         for z, j, valid in zip(zs, j0, ok):
             want = verbatim_bin_index(float(z))
             if want is None:
@@ -168,7 +167,7 @@ class TestAccumulateSurface:
         surf = accumulate_surface(series, rows, grid)
         for lag in lags:
             groups, oog = brute_force_bins(series, lag, grid)
-            i = surf.lag_row(lag)
+            i = surf.lags.index(lag)
             assert int(surf.out_of_grid[i]) == oog
             got_nonzero = {int(c) + 1 for c in np.nonzero(surf.counts[i])[0]}
             assert got_nonzero == set(groups)
@@ -230,8 +229,6 @@ class TestAccumulateSurface:
         assert surf.excluded_lags == [
             {"lag": 400, "n_pairs": 0, "reason": "insufficient_support"}
         ]
-        with pytest.raises(MissingMoments):
-            surf.lag_row(400)
 
 
 class TestSurfaceCsv:
@@ -259,6 +256,20 @@ class TestSurfaceCsv:
         lag, _, *fields = first.split(",")
         path.write_text("\n".join([header, ",".join([lag, bin_text, *fields]), *rest]) + "\n")
         with pytest.raises(ArtifactIOError, match="outside 1..320"):
+            read_surface_csv(path, read_manifest(path))
+
+    def test_count_outside_int64_rejected(self, tmp_path, rng):
+        series = make_series([100 + np.cumsum(rng.standard_normal(3000) * 0.01)])
+        surf = accumulate_surface(series, compute_moments_table(series, [1]), BinGrid())
+        path = tmp_path / "surface.csv"
+        write_surface_csv(surf, path)
+        write_manifest(path, surface_manifest(surf))
+        header, first, *rest = path.read_text().splitlines()
+        lag, bin_text, center, _, *fields = first.split(",")
+        big = str(1 << 63)
+        path.write_text(
+            "\n".join([header, ",".join([lag, bin_text, center, big, *fields]), *rest]) + "\n")
+        with pytest.raises(ArtifactIOError, match=f"line 2: count '{big}' is not a number"):
             read_surface_csv(path, read_manifest(path))
 
     def test_empty_surface_is_header_only(self, tmp_path):
