@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import datetime
 import logging
+import re
+import string
+import warnings
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from pathlib import Path
@@ -49,6 +52,7 @@ _FILL_ROWS = 1 << 16
 # The checks a record must pass, in the order they are made; a malformed
 # record is reported under the field of the first one it fails.
 _CHECKS = (
+    ("record", "not UTF-8 text"),
     ("record", "expected 7 fields"),
     ("timestamp_ns", "must be a positive integer"),
     ("venue", "not a listed venue"),
@@ -132,60 +136,127 @@ def _bad_size(text: str) -> bool:
         return True
 
 
-def _parse_lines(
-    lines: list[str], first_line_no: int, rank: dict[str, int], clock: np.ndarray,
+class _Fields(NamedTuple):
+    """A batch's records as columns, before any check is made."""
+
+    row: np.ndarray  # int64 index of the record's line in the batch
+    escaped: np.ndarray  # bool: the line holds a byte that is not UTF-8
+    shaped: np.ndarray  # bool: the line has 7 fields
+    ts: np.ndarray  # int64, 0 where the text is not an int64
+    venue: np.ndarray  # int16 rank, -1 where not a listed venue
+    bid: np.ndarray  # float64, nan where the text is not a number
+    ask: np.ndarray
+    bad_size: np.ndarray  # bool: either size is not an integer >= 0
+    bad_condition: np.ndarray  # bool: the condition is not one character
+    regular: np.ndarray  # bool: the condition is "R"
+
+
+# Bytes the C reader may see: a batch holding any other byte, such as
+# `+`, `_`, a space, `\r` or `#`, is one whose spellings numpy's parsers and
+# the `int`/`float` builtins might read differently.
+_C_BYTES = "0123456789.-,\n" + string.ascii_uppercase
+# Text an undecodable byte was read as (errors="surrogateescape").
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+def _c_fields(lines: list[str], rank: dict[str, int]) -> _Fields | None:
+    """The batch parsed by numpy's C text reader, or None where the batch
+    is not plainly spelt and must go to `_str_fields`."""
+    text = "".join(lines)
+    allowed = (_C_BYTES + "".join(c for c in "".join(rank) if c in string.ascii_letters)).encode()
+    # loadtxt skips blank lines, which would shift the line numbers.
+    if (not text.isascii() or text.startswith("\n") or "\n\n" in text
+            or text.encode().translate(None, allowed)):
+        return None
+    width = max((len(v.encode()) for v in rank), default=0) + 1  # longer names stay unlisted
+    dtype = [("ts", "i8"), ("venue", f"S{width}"), ("bid", "f8"), ("bid_size", "i8"),
+             ("ask", "f8"), ("ask_size", "i8"), ("condition", "S2")]
+    with warnings.catch_warnings():
+        # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                               ndmin=1, dtype=dtype)
+        except (ValueError, Warning):
+            return None
+    n = len(table)
+    venue = np.full(n, -1, np.int16)
+    for name, k in rank.items():
+        venue[table["venue"] == name.encode()] = k
+    condition = table["condition"]
+    return _Fields(
+        np.arange(n), np.zeros(n, bool), np.ones(n, bool), table["ts"], venue,
+        table["bid"], table["ask"], (table["bid_size"] < 0) | (table["ask_size"] < 0),
+        np.char.str_len(condition) != 1, condition == b"R",
+    )
+
+
+def _str_fields(lines: list[str], rank: dict[str, int]) -> _Fields:
+    """The batch parsed by the `int`/`float` builtins: any spelling they
+    accept is read. Blank lines are not records; misshapen ones get empty
+    fields and fail the field-count check."""
+    row = np.arange(len(lines))
+    shaped = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines)) == 6
+    texts = lines
+    if not shaped.all():
+        keep = shaped | np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
+        lines, row, shaped = list(compress(lines, keep)), row[keep], shaped[keep]
+        texts = [text if ok else ",,,,,," for text, ok in zip(lines, shaped)]
+    n = len(texts)
+    escaped = np.zeros(n, bool) if all(map(str.isascii, lines)) else _flags(lines, _ESCAPED.search)
+    fields = ",".join(texts).split(",")  # a line's last field keeps its terminator
+    condition = fields[6::7]
+    return _Fields(
+        row, escaped, shaped,
+        _numbers(fields[0::7], int, np.int64, 0),
+        np.fromiter(map(rank.get, fields[1::7], repeat(-1)), np.int16, n),
+        _numbers(fields[2::7], float, np.float64, np.nan),
+        _numbers(fields[4::7], float, np.float64, np.nan),
+        _flags(fields[3::7], _bad_size) | _flags(fields[5::7], _bad_size),
+        _flags(condition, lambda c: len(c.rstrip("\n")) != 1),
+        _flags(condition, lambda c: c.rstrip("\n") == "R"),
+    )
+
+
+def _check(
+    f: _Fields, lines: list[str], first_line_no: int, clock: np.ndarray,
     strict: bool, report: QualityReport,
 ) -> Quotes:
-    """The well-formed records of a batch of lines as columns.
+    """The well-formed records of a parsed batch of lines as columns.
 
     `clock` holds each venue's latest timestamp so far and is advanced in
     place; a record earlier than its venue's clock is out of order.
     """
-    line_no = np.arange(first_line_no, first_line_no + len(lines))
-    shaped = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines)) == 6
-    texts = lines
-    if not shaped.all():
-        # Blank lines are not records; misshapen ones get empty fields and
-        # fail the field-count check.
-        keep = shaped | np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
-        lines, line_no, shaped = list(compress(lines, keep)), line_no[keep], shaped[keep]
-        texts = [text if ok else ",,,,,," for text, ok in zip(lines, shaped)]
-    if not (n := len(texts)):
+    if not (n := len(f.row)):
         return NO_QUOTES
     report.n_records += n
-    fields = ",".join(texts).split(",")  # a line's last field keeps its terminator
-    ts = _numbers(fields[0::7], int, np.int64, 0)
-    venue = np.fromiter(map(rank.get, fields[1::7], repeat(-1)), np.int16, n)
-    bid = _numbers(fields[2::7], float, np.float64, np.nan)
-    ask = _numbers(fields[4::7], float, np.float64, np.nan)
-    condition = fields[6::7]
     bad = (  # in the order of _CHECKS
-        ~shaped,
-        ts <= 0,
-        venue < 0,
-        ~((bid > 0) & (ask > 0) & np.isfinite(bid) & np.isfinite(ask)),
-        _flags(fields[3::7], _bad_size) | _flags(fields[5::7], _bad_size),
-        _flags(condition, lambda c: len(c.rstrip("\n")) != 1),
+        f.escaped,
+        ~f.shaped,
+        f.ts <= 0,
+        f.venue < 0,
+        ~((f.bid > 0) & (f.ask > 0) & np.isfinite(f.bid) & np.isfinite(f.ask)),
+        f.bad_size,
+        f.bad_condition,
     )
     check = np.zeros(n, np.int8)  # 1 + index of the first failed check, 0 if none
     for i in reversed(range(len(bad))):
         check[bad[i]] = i + 1
     ok = check == 0
-    for v in np.unique(venue[ok]):
-        rows = np.flatnonzero(ok & (venue == v))
-        latest = np.maximum(np.maximum.accumulate(ts[rows]), clock[v])
-        check[rows[ts[rows] < latest]] = len(_CHECKS)
+    for v in np.unique(f.venue[ok]):
+        rows = np.flatnonzero(ok & (f.venue == v))
+        latest = np.maximum(np.maximum.accumulate(f.ts[rows]), clock[v])
+        check[rows[f.ts[rows] < latest]] = len(_CHECKS)
         clock[v] = latest[-1]
-    regular = _flags(condition, lambda c: c.rstrip("\n") == "R")
-    quotes = Quotes(ts, venue, bid, ask, regular, line_no)
+    quotes = Quotes(f.ts, f.venue, f.bid, f.ask, f.regular, first_line_no + f.row)
     failed = check != 0
     if not failed.any():
         return quotes
     if strict:
         first = int(failed.argmax())
         name, detail = _CHECKS[check[first] - 1]
-        text = lines[first].rstrip("\n")
-        raise MalformedRecord(int(line_no[first]), name, f"{detail}: {text!r}")
+        text = lines[f.row[first]].rstrip("\n")
+        raise MalformedRecord(int(quotes.line[first]), name, f"{detail}: {text!r}")
     report.n_malformed_skipped += int(failed.sum())
     return quotes.take(~failed)
 
@@ -199,22 +270,35 @@ def read_quote_csv(
     """Parse one quote file into columns, venues ranked by their place in
     `venues`. In lenient mode malformed records are skipped and tallied;
     strict mode raises on the first problem. A skipped record does not
-    advance its venue's clock."""
+    advance its venue's clock.
+
+    Each batch of lines is parsed by numpy's C reader when it is plainly
+    spelt and by the `int`/`float` builtins otherwise; both give the same
+    columns, which go through the same checks."""
     report = report if report is not None else QualityReport()
     rank = {v: i for i, v in enumerate(venues)}
     clock = np.full(len(venues), np.iinfo(np.int64).min)
     parts = []
+    n_batches = n_c = 0
     try:
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
             header = f.readline().rstrip("\n")
             if header != QUOTE_HEADER:
-                raise MalformedRecord(1, "header", f"expected '{QUOTE_HEADER}'")
+                detail = f"expected '{QUOTE_HEADER}'"
+                if header.endswith("\r"):
+                    detail = f"ends in '\\r', but quote files use LF line ends; {detail}"
+                raise MalformedRecord(1, "header", detail)
             line_no = 2
             while lines := f.readlines(_BATCH_CHARS):
-                parts.append(_parse_lines(lines, line_no, rank, clock, strict, report))
+                fields = _c_fields(lines, rank)
+                n_batches, n_c = n_batches + 1, n_c + (fields is not None)
+                if fields is None:
+                    fields = _str_fields(lines, rank)
+                parts.append(_check(fields, lines, line_no, clock, strict, report))
                 line_no += len(lines)
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+    logger.info("%s: %d of %d batches by the C reader", Path(path).name, n_c, n_batches)
     return Quotes.concat(parts)
 
 

@@ -38,6 +38,8 @@ class QuoteEvent(NamedTuple):
 
 
 def parse_quote_record(line: str, line_no: int, venues=DEFAULT_VENUES) -> QuoteEvent:
+    if any("\udc80" <= c <= "\udcff" for c in line):  # a byte decoded with surrogateescape
+        raise MalformedRecord(line_no, "record", "not UTF-8 text")
     parts = line.rstrip("\n").split(",")
     if len(parts) != 7:
         raise MalformedRecord(line_no, "record", f"expected 7 fields, got {len(parts)}")
@@ -46,8 +48,8 @@ def parse_quote_record(line: str, line_no: int, venues=DEFAULT_VENUES) -> QuoteE
         ts = int(ts_s)
     except ValueError:
         raise MalformedRecord(line_no, "timestamp_ns", ts_s) from None
-    if ts <= 0:
-        raise MalformedRecord(line_no, "timestamp_ns", "must be positive")
+    if not 0 < ts < 2**63:
+        raise MalformedRecord(line_no, "timestamp_ns", "must be a positive int64")
     if venue not in venues:
         raise MalformedRecord(line_no, "venue", venue)
     try:
@@ -70,7 +72,7 @@ def parse_quote_record(line: str, line_no: int, venues=DEFAULT_VENUES) -> QuoteE
 def read_quote_csv(path, strict, venues, report) -> list[QuoteEvent]:
     events: list[QuoteEvent] = []
     last_ts: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
         if f.readline().rstrip("\n") != QUOTE_HEADER:
             raise MalformedRecord(1, "header", f"expected '{QUOTE_HEADER}'")
         for line_no, line in enumerate(f, start=2):

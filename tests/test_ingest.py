@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import datetime
+import re
 from unittest import mock
 from zoneinfo import ZoneInfo
 
@@ -62,7 +63,9 @@ def books(out: Nbbo) -> list[tuple[float, float]]:
 
 
 def write_lines(path, lines, header=QUOTE_HEADER):
-    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    """Lines joined by LF; "\\udcXX" in a line is written as the byte XX."""
+    text = "\n".join([header, *lines]) + "\n"
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -276,6 +279,28 @@ class TestFiles:
         with pytest.raises(MalformedRecord):
             read_quote_csv(p)
 
+    def test_crlf_header_names_the_line_end(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_bytes(f"{QUOTE_HEADER}\r\n{DOCUMENTED}\r\n".encode())
+        with pytest.raises(MalformedRecord) as err:
+            read_quote_csv(p)
+        assert (err.value.line_no, err.value.field) == (1, "header")
+        assert "ends in '\\r'" in str(err.value) and "LF" in str(err.value)
+
+    def test_non_utf8_line_is_malformed_record(self, tmp_path):
+        # the byte 0xff on line 3 inside a price, and on line 5 as the whole
+        # condition, where it would read as a one-character condition
+        lines = [DOCUMENTED, DOCUMENTED.replace("249.90", "249.9\udcff"), DOCUMENTED,
+                 DOCUMENTED[:-1] + "\udcff", DOCUMENTED]
+        p = write_lines(tmp_path / "arca.csv", lines)
+        with pytest.raises(MalformedRecord) as err:
+            read_quote_csv(p)
+        assert (err.value.line_no, err.value.field) == (3, "record")
+        assert "not UTF-8" in str(err.value)
+        report = QualityReport()
+        assert read_quote_csv(p, strict=False, report=report).line.tolist() == [2, 4, 6]
+        assert (report.n_records, report.n_malformed_skipped) == (5, 2)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactIOError):
             read_quote_csv(tmp_path / "absent.csv")
@@ -404,14 +429,33 @@ MALFORMED = {
     "field count": (None, "1,ARCA,1.0,2"),
     "timestamp": (0, "12:00"),
     "timestamp sign": (0, "0"),
+    "timestamp overflow": (0, str(2**63)),
     "venue": (1, "MARS"),
+    # a listed name plus a letter, which a narrow text field would cut back
+    "venue longer": (1, "NASDAQX"),
+    "venue suffix": (1, "NYSEE"),
     "price": (2, "abc"),
     "price value": (4, "inf"),
+    "price nan": (2, "NAN"),
+    "price overflow": (4, "1e999"),
     "size": (3, "1.5"),
     "size sign": (5, "-100"),
     "condition": (6, "RR"),
+    "condition long": (6, "RRR"),
     "condition space": (6, "R "),
+    "line end CRLF": (6, "R\r"),
+    "line end CR": (6, "R\rR"),  # and a one-field record after the CR
+    "not UTF-8": (6, "\udcff"),  # the byte 0xff, one character once decoded
 }
+# Spellings the `int`/`float` builtins accept; the C reader's byte gate
+# keeps those it might read otherwise away from it.
+ACCEPTED = {
+    "size plus": (3, "+5"),
+    "size underscore": (5, "1_000"),
+    "price space": (2, " 1.5"),
+    "price exponent": (4, "1E2"),
+}
+SPELLINGS = {**MALFORMED, **ACCEPTED}
 
 record = st.tuples(
     st.integers(0, 1),                        # file
@@ -422,7 +466,7 @@ record = st.tuples(
     st.integers(9998, 10001),                 # bid in cents
     st.integers(-1, 2),                       # spread in cents: crossed, locked
     st.sampled_from("RRRRA"),
-    st.sampled_from([None] * 12 + sorted(MALFORMED) + ["blank"]),
+    st.sampled_from([None] * 24 + sorted(SPELLINGS) + ["blank"]),
 )
 
 
@@ -435,8 +479,8 @@ def render(ts, venue, bid_c, spread_c, cond, bad) -> str:
         return ""
     bid, ask = f"{bid_c / 100:.2f}", f"{(bid_c + spread_c) / 100:.2f}"
     fields = [str(ts), venue, bid, "100", ask, "200", cond]
-    if bad in MALFORMED:
-        col, text = MALFORMED[bad]
+    if bad in SPELLINGS:
+        col, text = SPELLINGS[bad]
         if col is None:
             return text
         fields[col] = text
@@ -524,3 +568,65 @@ class TestOracle:
             theirs(p)
         assert (got.value.line_no, got.value.field) == (want.value.line_no, want.value.field)
         assert got.value.line_no == (1 if bad == "header" else 6)
+
+
+def canonical_lines(n, t0=ns_at(2019, 1, 2, 10, 0)):
+    return [render(t0 + i * 1000, VENUES[i % 3], 9998 + i % 4, i % 3, "RRRRA"[i % 5], None)
+            for i in range(n)]
+
+
+def batch_tally(caplog, name="feed.csv") -> tuple[int, int]:
+    """(batches by the C reader, all batches) as logged for file `name`."""
+    [tally] = [re.fullmatch(rf"{name}: (\d+) of (\d+) batches by the C reader", r.getMessage())
+               for r in caplog.records if "batches" in r.getMessage()]
+    return int(tally[1]), int(tally[2])
+
+
+class TestConverters:
+    """Plainly spelt batches are parsed by numpy's C reader, and the
+    checks after it still find a bad record's line and field."""
+
+    @pytest.fixture
+    def c_reader_only(self, monkeypatch):
+        def refuse(lines, rank):
+            raise AssertionError(f"batch at {lines[0]!r} left the C reader")
+        monkeypatch.setattr(ingest, "_str_fields", refuse)
+
+    @pytest.mark.parametrize("batch_chars, n_batches", [(1, 300), (200, 60), (1 << 20, 1)])
+    def test_canonical_feed_takes_the_c_reader(
+        self, tmp_path, c_reader_only, caplog, batch_chars, n_batches
+    ):
+        p = write_lines(tmp_path / "feed.csv", canonical_lines(300))
+        with chunked(batch_chars, 1 << 16), caplog.at_level("INFO", logger="pushresp.ingest"):
+            got = ingest_files({"X": p})
+        assert_same_ingest(got, ingest_oracle.ingest_files({"X": p}), tmp_path)
+        assert batch_tally(caplog) == (n_batches, n_batches)
+
+    @pytest.mark.parametrize("bad", ["price nan", "price value", "venue longer",
+                                     "condition long", "out of order"])
+    def test_c_reader_batch_keeps_the_checks(self, tmp_path, c_reader_only, bad):
+        t0 = ns_at(2019, 1, 2, 10, 0)
+        lines = canonical_lines(40)
+        if bad == "out of order":
+            lines[20] = render(t0, "NASDAQ", 10000, 1, "R", None)
+        else:  # upper case, so that the byte gate lets it through
+            lines[20] = render(t0 + 20_000, "NASDAQ", 10000, 1, "R", bad).upper()
+        p = write_lines(tmp_path / "feed.csv", lines)
+        with pytest.raises(MalformedRecord) as got:
+            read_quote_csv(p)
+        with pytest.raises(MalformedRecord) as want:
+            ingest_oracle.ingest_files({"X": p})
+        assert (got.value.line_no, got.value.field) == (want.value.line_no, want.value.field)
+        assert got.value.line_no == 22
+        assert_same_ingest(ingest_files({"X": p}, strict=False),
+                           ingest_oracle.ingest_files({"X": p}, strict=False), tmp_path)
+
+    def test_unusual_spelling_sends_only_its_batch_to_the_builtins(self, tmp_path, caplog):
+        lines = canonical_lines(40)
+        lines[20] = render(ns_at(2019, 1, 2, 10, 0) + 20_000, "NASDAQ", 10000, 1, "R", "size plus")
+        p = write_lines(tmp_path / "feed.csv", lines)
+        with chunked(200, 1 << 16), caplog.at_level("INFO", logger="pushresp.ingest"):
+            got = ingest_files({"X": p})
+        assert_same_ingest(got, ingest_oracle.ingest_files({"X": p}), tmp_path)
+        n_c, n_batches = batch_tally(caplog)
+        assert n_c == n_batches - 1 > 0
