@@ -30,7 +30,7 @@ import numpy as np
 
 from .cleaning import empirical_quantile
 from .errors import InvalidGrid
-from .series import int64, parse_column, read_csv, write_csv
+from .series import flag, int64, read_table, write_csv
 from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
 EPSILON = 1e-12
@@ -292,12 +292,13 @@ def summarize(
 
 HEATMAP_HEADER = [f.name for f in fields(MirrorPairs)]
 
-_HEATMAP_INTS = ("lag", "abs_index", "n_pos", "n_neg")
+_HEATMAP_KINDS = {name: int64 if name in ("lag", "abs_index", "n_pos", "n_neg") else float
+                  for name in HEATMAP_HEADER}
 
 SUMMARY_HEADER = [f.name for f in fields(LagSummary)]
 
-# how a summary column parses; every other column is a float
-_SUMMARY_PARSERS = {"lag": int, "n_supported_pairs": int, "degenerate": "true".__eq__}
+_SUMMARY_KINDS = {name: float for name in SUMMARY_HEADER} | {
+    "lag": int64, "n_supported_pairs": int64, "degenerate": flag}
 
 
 def write_heatmap_csv(pairs: MirrorPairs, path: str | Path) -> None:
@@ -305,13 +306,7 @@ def write_heatmap_csv(pairs: MirrorPairs, path: str | Path) -> None:
 
 
 def read_heatmap_csv(path: str | Path) -> MirrorPairs:
-    """The pairs of a heatmap CSV, parsed one column at a time."""
-    cols = read_csv(path, HEATMAP_HEADER)
-    return MirrorPairs(**{
-        name: np.array(parse_column(path, cols, name, int64), dtype=np.int64)
-        if name in _HEATMAP_INTS else np.array(parse_column(path, cols, name, float))
-        for name in HEATMAP_HEADER
-    })
+    return MirrorPairs(**read_table(path, HEATMAP_HEADER, _HEATMAP_KINDS))
 
 
 def write_summary_csv(summaries: list[LagSummary], path: str | Path) -> None:
@@ -320,7 +315,5 @@ def write_summary_csv(summaries: list[LagSummary], path: str | Path) -> None:
 
 
 def read_summary_csv(path: str | Path) -> list[LagSummary]:
-    cols = read_csv(path, SUMMARY_HEADER)
-    values = zip(*(parse_column(path, cols, name, _SUMMARY_PARSERS.get(name, float))
-                   for name in SUMMARY_HEADER))
-    return [LagSummary(*row) for row in values]
+    cols = read_table(path, SUMMARY_HEADER, _SUMMARY_KINDS)
+    return [LagSummary(*row) for row in zip(*(cols[name].tolist() for name in SUMMARY_HEADER))]

@@ -43,12 +43,16 @@ class ArtifactIOError(PushRespError):
 
 
 class MalformedRecord(PushRespError):
-    """A quote record failed to parse; carries line number and field name."""
+    """A quote record failed to parse; carries line number and field name,
+    and the file's name once the reader of that file has added it."""
 
-    def __init__(self, line_no: int, field: str, detail: str = ""):
+    def __init__(self, line_no: int, field: str, detail: str = "", source: str = ""):
         self.line_no = line_no
         self.field = field
+        self.detail = detail
         msg = f"line {line_no}: bad field '{field}'"
+        if source:
+            msg = f"{source}: {msg}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

@@ -56,16 +56,21 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _diverging_color(v: float, vmax: float) -> str:
-    """Blue-white-red map on [-vmax, vmax], clipped."""
-    t = max(-1.0, min(1.0, v / vmax))
-    if t < 0:
-        f = 1.0 + t  # 0 at -1, 1 at 0
-        r, g, b = 59 + (255 - 59) * f, 76 + (255 - 76) * f, 192 + (255 - 192) * f
-    else:
-        f = 1.0 - t
-        r, g, b = 255 - (255 - 180) * (1 - f), 255 * f + 4 * (1 - f), 255 * f + 38 * (1 - f)
-    return f"#{round(r):02x}{round(g):02x}{round(b):02x}"
+def _diverging_colors(values: np.ndarray, vmax: float) -> list[str]:
+    """`#rrggbb` of each value on a blue-white-red map over [-vmax, vmax],
+    clipped: t = max(-1, min(1, v / vmax)) (so NaN maps to 1), and each
+    channel a float64 line in t, rounded half to even."""
+    t = values / vmax
+    t = np.where(t < 1.0, t, 1.0)
+    t = np.where(t > -1.0, t, -1.0)
+    neg = t < 0
+    f = np.where(neg, 1.0 + t, 1.0 - t)  # 0 at -1 and at 1, 1 at 0
+    r = np.where(neg, 59 + (255 - 59) * f, 255 - (255 - 180) * (1 - f))
+    g = np.where(neg, 76 + (255 - 76) * f, 255 * f + 4 * (1 - f))
+    b = np.where(neg, 192 + (255 - 192) * f, 255 * f + 38 * (1 - f))
+    rgb = (np.rint(r).astype(np.int64) << 16) | (np.rint(g).astype(np.int64) << 8) \
+        | np.rint(b).astype(np.int64)
+    return [f"#{c:06x}" for c in rgb.tolist()]
 
 
 def _lag_color(i: int, n: int) -> str:
@@ -90,6 +95,16 @@ class _Svg:
         self.parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
             f'height="{_fmt(h)}" fill="{color}"/>'
+        )
+
+    def cells(self, xs, ys, cols, rows, colors, w, h):
+        """One rect per cell k, at x `xs[cols[k]]` and y `ys[rows[k]]`, all
+        of width `w` and height `h`; coordinates are formatted once each."""
+        xs, ys = list(map(_fmt, xs)), list(map(_fmt, ys))
+        size = f'width="{_fmt(w)}" height="{_fmt(h)}"'
+        self.parts.extend(
+            f'<rect x="{xs[c]}" y="{ys[r]}" {size} fill="{color}"/>'
+            for c, r, color in zip(cols.tolist(), rows.tolist(), colors)
         )
 
     def line(self, x1, y1, x2, y2, color="#888888", width=1.0, dash=None):
@@ -168,11 +183,11 @@ def render_surface_top(spec: FigureSpec) -> str:
         grid = surf.grid
         cw = (WIDTH - MARGIN_L - MARGIN_R) / grid.n_bins
         ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(rows)
-        for row, i in enumerate(rows):
-            cols = np.flatnonzero(surf.valid[i])
-            for col, v in zip(cols.tolist(), surf.mean_zr[i, cols].tolist()):
-                svg.rect(MARGIN_L + col * cw, MARGIN_T + row * ch, cw + 0.1, ch + 0.1,
-                         _diverging_color(v, spec.vmax))
+        row, col = np.nonzero(surf.valid[rows])  # row by row, bins in order
+        svg.cells([MARGIN_L + k * cw for k in range(grid.n_bins)],
+                  [MARGIN_T + k * ch for k in range(len(rows))], col, row,
+                  _diverging_colors(surf.mean_zr[rows[row], col], spec.vmax),
+                  cw + 0.1, ch + 0.1)
         frame = _Frame(grid.z_min, grid.z_max, 0, len(rows))
         _axes(svg, frame, "standardized push", "lag rank (top to bottom)")
     return svg.to_string()
@@ -212,10 +227,11 @@ def render_dominance_heatmap(spec: FigureSpec) -> str:
         ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
         # a cell per supported pair, in the file's (lag, abs_index) order;
         # unsupported pairs stay blank
-        for row, k, v in zip(rank.tolist(), pairs.abs_index.tolist(), pairs.rho_local.tolist()):
-            if 1 <= k <= n_half:
-                svg.rect(MARGIN_L + (k - 1) * cw, MARGIN_T + row * ch,
-                         cw + 0.1, ch + 0.1, _diverging_color(v, 1.0))
+        on = (1 <= pairs.abs_index) & (pairs.abs_index <= n_half)
+        svg.cells([MARGIN_L + k * cw for k in range(n_half)],
+                  [MARGIN_T + k * ch for k in range(len(lags))],
+                  pairs.abs_index[on] - 1, rank[on],
+                  _diverging_colors(pairs.rho_local[on], 1.0), cw + 0.1, ch + 0.1)
         frame = _Frame(0.0, grid["z_max"], 0, len(lags))
         _axes(svg, frame, "absolute standardized push", "lag rank (top to bottom)")
     return svg.to_string()

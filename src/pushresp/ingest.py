@@ -20,7 +20,6 @@ import datetime
 import logging
 import re
 import string
-import warnings
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from pathlib import Path
@@ -30,7 +29,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .errors import ArtifactIOError, MalformedRecord
-from .series import MidSeries, Session
+from .series import MidSeries, Session, c_columns
 
 logger = logging.getLogger(__name__)
 
@@ -151,9 +150,10 @@ class _Fields(NamedTuple):
     regular: np.ndarray  # bool: the condition is "R"
 
 
-# Bytes the C reader may see: a batch holding any other byte, such as
-# `+`, `_`, a space, `\r` or `#`, is one whose spellings numpy's parsers and
-# the `int`/`float` builtins might read differently.
+# Bytes the C reader may see besides the letters of the listed venues: a
+# batch holding any other byte, such as `+`, `_`, a space, `\r` or `#`, is one
+# whose spellings numpy's parsers and the `int`/`float` builtins might read
+# differently (see `series.c_columns`).
 _C_BYTES = "0123456789.-,\n" + string.ascii_uppercase
 # Text an undecodable byte was read as (errors="surrogateescape").
 _ESCAPED = re.compile("[\udc80-\udcff]")
@@ -162,23 +162,14 @@ _ESCAPED = re.compile("[\udc80-\udcff]")
 def _c_fields(lines: list[str], rank: dict[str, int]) -> _Fields | None:
     """The batch parsed by numpy's C text reader, or None where the batch
     is not plainly spelt and must go to `_str_fields`."""
-    text = "".join(lines)
     allowed = (_C_BYTES + "".join(c for c in "".join(rank) if c in string.ascii_letters)).encode()
-    # loadtxt skips blank lines, which would shift the line numbers.
-    if (not text.isascii() or text.startswith("\n") or "\n\n" in text
-            or text.encode().translate(None, allowed)):
-        return None
     width = max((len(v.encode()) for v in rank), default=0) + 1  # longer names stay unlisted
     dtype = [("ts", "i8"), ("venue", f"S{width}"), ("bid", "f8"), ("bid_size", "i8"),
              ("ask", "f8"), ("ask_size", "i8"), ("condition", "S2")]
-    with warnings.catch_warnings():
-        # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
-        warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                               ndmin=1, dtype=dtype)
-        except (ValueError, Warning):
-            return None
+    # an undecodable byte goes back to itself, outside `allowed`
+    table = c_columns("".join(lines).encode(errors="surrogateescape"), dtype, allowed, lines=lines)
+    if table is None:
+        return None
     n = len(table)
     venue = np.full(n, -1, np.int16)
     for name, k in rank.items():
@@ -298,6 +289,8 @@ def read_quote_csv(
                 line_no += len(lines)
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+    except MalformedRecord as exc:
+        raise MalformedRecord(exc.line_no, exc.field, exc.detail, Path(path).name) from None
     logger.info("%s: %d of %d batches by the C reader", Path(path).name, n_c, n_batches)
     return Quotes.concat(parts)
 
@@ -436,7 +429,8 @@ def ingest_consolidated(
     late = quotes.ts < np.maximum.accumulate(quotes.ts)
     if late.any():
         if strict:
-            raise MalformedRecord(int(quotes.line[late.argmax()]), "timestamp_ns", "out of order")
+            raise MalformedRecord(int(quotes.line[late.argmax()]), "timestamp_ns",
+                                  "out of order", Path(path).name)
         report.n_malformed_skipped += int(late.sum())
         quotes = quotes.take(~late)
     # Each record is the whole book, so all of them form one venue.

@@ -9,6 +9,7 @@ standardization constants for everything downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .accum import MomentAccumulator
 from .errors import ArtifactIOError, InsufficientSupport, InvalidGrid, ZeroVariance
-from .series import MidSeries, Session, parse_column, read_csv, write_csv
+from .series import MidSeries, Session, float_or_blank, int64, read_table, write_csv
 
 DEFAULT_SHORT_LAGS = (1,) + tuple(range(50, 5001, 50))
 DEFAULT_LONG_LAGS = tuple(range(1000, 500001, 1000))
@@ -124,18 +125,18 @@ def write_moments_csv(rows: list[MomentRow], path: str | Path) -> None:
                                      *map(column, MOMENTS_HEADER[2:])])
 
 
-def _float_or_blank(text: str) -> float | None:
-    return float(text) if text else None
+_MOMENTS_KINDS = {"lag": int64, "n_pairs": int64} | dict.fromkeys(MOMENTS_HEADER[2:],
+                                                                 float_or_blank)
 
 
 def read_moments_csv(path: str | Path) -> list[MomentRow]:
-    cols = read_csv(path, MOMENTS_HEADER)
+    """The rows of a moments CSV; a lag whose `mu_p` is blank (or NaN) is
+    excluded. Blank cells are spelt only by the str path, so a table with an
+    excluded lag is read there."""
+    cols = read_table(path, MOMENTS_HEADER, _MOMENTS_KINDS)
     rows: list[MomentRow] = []
-    for lag, n_pairs, *values in zip(
-        parse_column(path, cols, "lag", int), parse_column(path, cols, "n_pairs", int),
-        *(parse_column(path, cols, name, _float_or_blank) for name in MOMENTS_HEADER[2:]),
-    ):
-        if values[0] is None:
+    for lag, n_pairs, *values in zip(*(cols[name].tolist() for name in MOMENTS_HEADER)):
+        if math.isnan(values[0]):
             reason = "insufficient_support" if n_pairs < 2 else "zero_variance"
             rows.append(MomentRow(lag, n_pairs, None, reason))
         else:

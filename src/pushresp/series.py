@@ -12,8 +12,14 @@ u32, count u64, mids as f64 array), all little-endian, with a JSON
 sidecar manifest next to it.
 
 Every table artifact (moments, surface, heatmap, summary) is a CSV
-written and read here by `write_csv`/`read_csv`, and every artifact
-carries a JSON sidecar manifest (`write_manifest`/`read_manifest`).
+written here by `write_csv` and read by `read_table` into typed numpy
+columns, and every artifact carries a JSON sidecar manifest
+(`write_manifest`/`read_manifest`). A table is read by numpy's C text
+reader (`c_columns`, which also parses ingest's quote batches) when its
+bytes are plainly spelt; any other file, and any the C reader rejects,
+goes to the str path (`read_csv` + `parse_column`), which reads every
+spelling the `csv` module and the `int`/`float` builtins accept and
+gives every error.
 """
 
 from __future__ import annotations
@@ -21,9 +27,12 @@ from __future__ import annotations
 import csv
 import datetime
 import hashlib
+import io
 import json
+import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -233,6 +242,8 @@ def read_csv(path: str | Path, header: list[str]) -> dict[str, tuple[str, ...]]:
         raise MissingArtifact(f"{path} does not exist") from exc
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ArtifactIOError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows or rows[0] != header:
         raise ArtifactIOError(f"{path}: header is not {','.join(header)}")
     for line, row in enumerate(rows[1:], start=2):
@@ -271,6 +282,91 @@ def int64(text: str) -> int:
     if not -(1 << 63) <= value < 1 << 63:
         raise ValueError(f"{text!r} is outside int64")
     return value
+
+
+def float_or_blank(text: str) -> float:
+    """`float` for a field that may be blank; a blank field is NaN."""
+    return float(text) if text else math.nan
+
+
+def flag(text: str) -> bool:
+    """A boolean field: `true` is True, any other text False."""
+    return text == "true"
+
+
+def c_columns(
+    data: bytes, dtype, spelt: bytes, start: int = 0, lines=None,
+) -> np.ndarray | None:
+    """The comma-separated lines of `data[start:]` as a structured array of
+    `dtype`, parsed by numpy's C text reader; None where the str path must
+    read them instead: `data` holds a byte outside `spelt` after `start`, or
+    a blank line (which the C reader skips, so line numbers would shift), or
+    the C reader rejects a field or warns about one. A caller that holds the
+    same lines as a list of str passes them as `lines`: the C reader takes
+    short lines faster from str than from bytes.
+
+    `spelt` keeps away the spellings that the C reader and the `int`/`float`
+    builtins might read differently: spaces, `_`, `\\r`, quotes, `#`, non-ASCII
+    text. Within it both parse a float with the same correctly rounded
+    routine and an int with the same digits, so what the C reader accepts
+    the builtins read to the same values."""
+    if (data.translate(None, spelt) != data[:start].translate(None, spelt)
+            or data.startswith(b"\n", start) or data.find(b"\n\n", start) >= 0):
+        return None
+    if start == len(data):
+        return np.empty(0, dtype)
+    if lines is None:
+        lines = io.BytesIO(data)
+        lines.seek(start)
+    with warnings.catch_warnings():
+        # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                              ndmin=1, dtype=dtype, encoding="ascii")
+        except (ValueError, Warning):
+            return None
+
+
+# Bytes a table artifact may hold for the C reader: digits, signs, the point,
+# exponents, and the letters of `nan`, `inf`, `true` and `false`.
+_TABLE_BYTES = b"0123456789+-.eE,\nnaiftrusl"
+
+# The dtype the C reader fills for a column the str path converts by each
+# function; a `flag` field is read as text, whose first five bytes tell
+# `true` from any other text.
+_C_DTYPES = {int64: "<i8", float: "<f8", float_or_blank: "<f8", flag: "S5"}
+
+
+def read_table(
+    path: str | Path, header: list[str], kinds: dict[str, Callable[[str], object]],
+) -> dict[str, np.ndarray]:
+    """The columns named in `kinds` of a table artifact whose header row is
+    `header`, each as a numpy array: int64 for `int64`, float64 for `float`
+    and `float_or_blank`, bool for `flag`. A column not in `kinds` is held
+    to the field count but not read.
+
+    The C reader reads a plainly spelt file; any other file goes to the str
+    path, which reads it as `read_csv` + `parse_column` and raises their
+    errors (file, line, column and text; exit 3)."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise MissingArtifact(f"{path} does not exist") from exc
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+    head = (",".join(header) + "\n").encode()
+    if data.startswith(head):
+        dtype = [(name, _C_DTYPES.get(kinds.get(name), "S1")) for name in header]
+        table = c_columns(data, dtype, _TABLE_BYTES, len(head))
+        if table is not None:
+            return {name: table[name] == b"true" if kind is flag else table[name]
+                    for name, kind in kinds.items()}
+    del data
+    columns = read_csv(path, header)
+    return {name: np.array(parse_column(path, columns, name, kind),
+                           dtype=bool if kind is flag else _C_DTYPES[kind])
+            for name, kind in kinds.items()}
 
 
 def series_summary(series: MidSeries) -> dict:

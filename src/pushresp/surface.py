@@ -43,7 +43,7 @@ from .errors import (
     MissingMoments,
 )
 from .lags import LagMoments, MomentRow
-from .series import MidSeries, int64, parse_column, read_csv, write_csv
+from .series import MidSeries, int64, read_table, write_csv
 
 BLOCK_TARGET = 50
 BLOCK_LAG_FACTOR = 10
@@ -338,6 +338,11 @@ def accumulate_surface(
 
 SURFACE_HEADER = ["lag", "bin", "center", "count", "mean_zp", "mean_zr", "mean_r_raw", "valid"]
 
+# the columns a surface is rebuilt from; `center` and `valid` follow from the
+# grid and the counts
+_SURFACE_KINDS = {"lag": int64, "bin": int64, "count": int64,
+                  "mean_zp": float, "mean_zr": float, "mean_r_raw": float}
+
 
 def write_surface_csv(surface: Surface, path: str | Path) -> None:
     """One row per cell with count > 0, in (lag, bin) order; zero-count
@@ -375,17 +380,18 @@ def read_surface_csv(path: str | Path, manifest: dict) -> Surface:
     n_lags, n_bins = len(moments), grid.n_bins
     counts = np.zeros((n_lags, n_bins), dtype=np.int64)
     mean_zp, mean_zr, mean_r = np.full((3, n_lags, n_bins), np.nan)
-    cols = read_csv(path, SURFACE_HEADER)
-    try:
-        i = [row_of[lag] for lag in parse_column(path, cols, "lag", int)]
-    except KeyError as exc:
-        raise ArtifactIOError(f"{path}: lag {exc} is not in its manifest") from None
-    col = [j - 1 for j in parse_column(path, cols, "bin", int)]
-    if not all(0 <= c < n_bins for c in col):
+    cols = read_table(path, SURFACE_HEADER, _SURFACE_KINDS)
+    lags, where = np.unique(cols["lag"], return_inverse=True)
+    i = np.array([row_of.get(lag, -1) for lag in lags.tolist()], dtype=np.int64)[where]
+    if (i < 0).any():
+        lag = cols["lag"][(i < 0).argmax()]
+        raise ArtifactIOError(f"{path}: lag {lag} is not in its manifest")
+    col = cols["bin"] - 1
+    if not ((0 <= col) & (col < n_bins)).all():
         raise ArtifactIOError(f"{path}: a bin lies outside 1..{n_bins}")
-    counts[i, col] = parse_column(path, cols, "count", int64)
+    counts[i, col] = cols["count"]
     for table, name in ((mean_zp, "mean_zp"), (mean_zr, "mean_zr"), (mean_r, "mean_r_raw")):
-        table[i, col] = parse_column(path, cols, name, float)
+        table[i, col] = cols[name]
     oog = np.array(
         [int(manifest["out_of_grid"][str(m.lag)]) for m in moments], dtype=np.int64
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pushresp.decomposition import (
     HEATMAP_HEADER,
     LOCAL_INDEX_CHOICES,
     BootstrapConfig,
+    MirrorPairs,
     bootstrap_rho,
     block_replicates,
     decompose,
@@ -26,7 +28,17 @@ from pushresp.decomposition import (
 from pushresp.cleaning import empirical_quantile
 from pushresp.errors import ArtifactIOError, InvalidGrid
 from pushresp.lags import LagMoments, compute_moments_table
-from pushresp.surface import BinGrid, BlockTables, LagBlocks, Surface, accumulate_surface
+from pushresp.series import write_manifest
+from pushresp.surface import (
+    BinGrid,
+    BlockTables,
+    LagBlocks,
+    Surface,
+    accumulate_surface,
+    read_surface_csv,
+    surface_manifest,
+    write_surface_csv,
+)
 from pushresp.synthetic import SyntheticSpec, generate
 
 from conftest import make_series
@@ -631,3 +643,44 @@ class TestSummaries:
         assert alt.rho_local.item() == pytest.approx(-1.0, abs=1e-11)
         assert default.rho_local_alt.item() == alt.rho_local.item()
         assert alt.rho_local_alt.item() == default.rho_local.item()
+
+    @pytest.mark.parametrize("table", ["surface", "heatmap"])
+    def test_table_read_peak_allocation(self, tmp_path, table):
+        # about 30k rows of 17-digit floats. The C reader holds the file's
+        # bytes, one structured array and the result: traced peaks of 2.36x
+        # (surface) and 2.00x (heatmap) the file's size, against 8.29x and
+        # 5.73x when every field was a str and every column a tuple.
+        rng = np.random.default_rng(8)
+        path = tmp_path / f"{table}.csv"
+        if table == "surface":
+            grid, n_lags = BinGrid(n_min_support=1), 94
+            shape = (n_lags, grid.n_bins)
+            surf = Surface(
+                grid=grid, counts=rng.integers(1, 10**6, shape),
+                mean_zp=rng.standard_normal(shape),
+                mean_zr=rng.standard_normal(shape), mean_r_raw=rng.standard_normal(shape),
+                out_of_grid=np.zeros(n_lags, np.int64),
+                moments=[LagMoments(lag, 10**6, 0.0, 1.0, 0.0, 1.0)
+                         for lag in range(1, n_lags + 1)],
+            )
+            write_surface_csv(surf, path)
+            manifest = write_manifest(path, surface_manifest(surf))
+            read = lambda: read_surface_csv(path, manifest)  # noqa: E731
+        else:
+            n = 30_000
+            pairs = MirrorPairs(**{
+                name: rng.integers(1, 10**5, n) if name in INT_COLUMNS else rng.standard_normal(n)
+                for name in HEATMAP_HEADER})
+            write_heatmap_csv(pairs, path)
+            read = lambda: read_heatmap_csv(path)  # noqa: E731
+        tracemalloc.start()
+        try:
+            back = read()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if table == "surface":
+            assert back == surf
+        else:
+            assert_same_pairs(back, pairs)
+        assert peak < 3 * path.stat().st_size

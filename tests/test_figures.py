@@ -1,10 +1,13 @@
 import dataclasses
 
+import figures_oracle
 import numpy as np
 import pytest
 
 from pushresp.decomposition import (
     BootstrapConfig,
+    HEATMAP_HEADER,
+    MirrorPairs,
     decompose,
     summarize,
     write_heatmap_csv,
@@ -12,10 +15,11 @@ from pushresp.decomposition import (
 )
 from pushresp.errors import InvalidGrid, MissingArtifact
 from pushresp.figures import FigureSpec, render_figure
-from pushresp.lags import compute_moments_table
+from pushresp.lags import LagMoments, compute_moments_table
 from pushresp.series import write_manifest
 from pushresp.surface import (
     BinGrid,
+    Surface,
     accumulate_surface,
     surface_manifest,
     write_surface_csv,
@@ -163,3 +167,85 @@ def test_empty_csv_renders_blank_figure(tmp_path):
     out = tmp_path / "empty.svg"
     render_figure(FigureSpec(kind="rho_curve", out=str(out), summary=str(src)))
     assert "<polyline" not in out.read_text()
+
+
+def channels(v: float, vmax: float) -> tuple[float, float, float]:
+    """The unrounded color channels of `v`, as the scalar map computes them."""
+    t = max(-1.0, min(1.0, v / vmax))
+    if t < 0:
+        f = 1.0 + t
+        return 59 + 196 * f, 76 + 179 * f, 192 + 63 * f
+    f = 1.0 - t
+    return 255 - 75 * (1 - f), 255 * f + 4 * (1 - f), 255 * f + 38 * (1 - f)
+
+
+def half_way_values(vmax: float) -> list[float]:
+    """Values one of whose color channels lands exactly on x.5, where the
+    rounding goes half to even: each channel's line in t solved for every
+    k + 0.5, kept where the float arithmetic hits it."""
+    out = set()
+    for k in range(256):
+        h = k + 0.5
+        for t in ((h - 59) / 196 - 1, (h - 76) / 179 - 1, (h - 192) / 63 - 1,
+                  (255 - h) / 75, (255 - h) / 251, (255 - h) / 217):
+            v = t * vmax
+            if -1 <= t <= 1 and any(c % 1 == 0.5 for c in channels(v, vmax)):
+                out.add(v)
+    return sorted(out)
+
+
+def edge_values(vmax: float) -> np.ndarray:
+    halves = half_way_values(vmax)
+    assert min(halves) < 0 < max(halves) and len(halves) >= 100
+    return np.array(
+        [vmax, -vmax, np.nextafter(vmax, 0), np.nextafter(-vmax, 0), 1.5 * vmax, -1.5 * vmax,
+         0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan] + halves)
+
+
+@pytest.mark.parametrize("vmax", [0.5, 0.3])
+def test_surface_top_matches_per_cell_oracle(tmp_path, vmax):
+    # every edge value in a valid cell, then random ones; the last lag is
+    # left blank and every third bin of the one before holds nothing
+    values = edge_values(vmax)
+    grid = BinGrid(n_min_support=1)
+    n_lags = len(values) // grid.n_bins + 2
+    counts = np.ones((n_lags, grid.n_bins), dtype=np.int64)
+    counts[-2, ::3] = counts[-1] = 0
+    mean_zr = np.random.default_rng(5).uniform(-2 * vmax, 2 * vmax, counts.shape)
+    mean_zr.flat[:len(values)] = values
+    mean_zr[counts == 0] = np.nan
+    lags = range(1, n_lags + 1)
+    surf = Surface(
+        grid=grid, counts=counts, mean_zp=np.where(counts > 0, 0.0, np.nan), mean_zr=mean_zr,
+        mean_r_raw=np.where(counts > 0, 0.0, np.nan), out_of_grid=np.zeros(n_lags, np.int64),
+        moments=[LagMoments(lag, grid.n_bins, 0.0, 1.0, 0.0, 1.0) for lag in lags],
+    )
+    write_surface_csv(surf, tmp_path / "surface.csv")
+    write_manifest(tmp_path / "surface.csv", surface_manifest(surf))
+    spec = FigureSpec(kind="surface_top", out=str(tmp_path / "top.svg"),
+                      surface=str(tmp_path / "surface.csv"), vmax=vmax)
+    render_figure(spec)
+    want = figures_oracle.render_surface_top(spec)
+    assert want.count("<rect") == 1 + counts.sum()
+    assert (tmp_path / "top.svg").read_text() == want
+
+
+def test_dominance_heatmap_matches_per_cell_oracle(tmp_path):
+    # every edge value as a pair's rho_local, over bins 0..161 of a 320-bin
+    # grid's 160 half bins: the pairs at 0 and 161 get no cell
+    values = edge_values(1.0)
+    n = len(values) + 100
+    index = np.arange(n)
+    rho = np.random.default_rng(6).uniform(-2, 2, n)
+    rho[:len(values)] = values
+    columns = {name: np.zeros(n) for name in HEATMAP_HEADER}
+    columns |= {"lag": 1 + index // 162, "abs_index": index % 162, "rho_local": rho,
+                "n_pos": np.ones(n, np.int64), "n_neg": np.ones(n, np.int64)}
+    write_heatmap_csv(MirrorPairs(**columns), tmp_path / "heat.csv")
+    write_manifest(tmp_path / "heat.csv", {"grid": BinGrid().to_dict()})
+    spec = FigureSpec(kind="dominance_heatmap", out=str(tmp_path / "heat.svg"),
+                      heatmap=str(tmp_path / "heat.csv"))
+    render_figure(spec)
+    want = figures_oracle.render_dominance_heatmap(spec)
+    assert want.count("<rect") == 1 + np.count_nonzero((index % 162 >= 1) & (index % 162 <= 160))
+    assert (tmp_path / "heat.svg").read_text() == want

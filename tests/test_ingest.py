@@ -349,6 +349,18 @@ class TestFiles:
         assert report.n_dropped_outside_rth == 1
         assert report.n_emitted == 2
 
+    def test_malformed_record_names_its_file(self, tmp_path):
+        # of two venue files only arca.csv is bad, on line 3
+        t0 = ns_at(2019, 1, 2, 10, 0)
+        write_venue_file(tmp_path / "nyse.csv", [
+            (t0 + i, "NYSE", 100.00, 100, 100.03, 100, "R") for i in range(3)
+        ])
+        write_lines(tmp_path / "arca.csv", [DOCUMENTED, DOCUMENTED.replace("249.90", "\udcff")])
+        with pytest.raises(MalformedRecord) as err:
+            ingest_files({"ARCA": tmp_path / "arca.csv", "NYSE": tmp_path / "nyse.csv"})
+        assert (err.value.line_no, err.value.field) == (3, "record")
+        assert str(err.value).startswith("arca.csv: line 3: bad field 'record' (not UTF-8 text: ")
+
     def test_chunked_venue_file_equivalence(self, tmp_path):
         # the same venue split across two files produces identical output
         t0 = ns_at(2019, 1, 2, 10, 0)

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushresp.errors import ArtifactIOError
+from pushresp import series
+from pushresp.errors import ArtifactIOError, MissingArtifact
 from pushresp.series import (
     MidSeries,
     Session,
+    flag,
+    int64,
     parse_column,
     read_csv,
     read_manifest,
     read_prms,
+    read_table,
     series_summary,
     write_csv,
     write_manifest,
@@ -190,3 +194,113 @@ def test_parse_column_names_the_field_that_does_not_convert(tmp_path, body, wher
     with pytest.raises(ArtifactIOError, match=f"t.csv: {where} is not a number"):
         parse_column(path, cols, "a", int)
         parse_column(path, cols, "b", float)
+
+
+# A property test of `read_table`: on any table, its typed columns equal those
+# of the str path (`read_csv` + `parse_column`), or it raises the same error.
+TABLE_HEADER = ["n", "x", "ok", "note"]
+TABLE_KINDS = {"n": int64, "x": float, "ok": flag}
+INT64 = np.iinfo(np.int64)
+
+plain_ints = st.integers(INT64.min, INT64.max).map(str)
+plain_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.floats(min_value=-1e-300, max_value=1e-300).map(repr),  # subnormals
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0.0", "1e-05", "1E5", "+1", ".5", "5."]),
+)
+plain_flags = st.sampled_from(["true", "false", "", "tru", "truee"])
+plain_notes = st.sampled_from(["", "false", "true", "nan"])
+# any mix of the bytes the C reader may see
+gate_texts = st.text(alphabet="0123456789+-.eEnaiftrusl", max_size=6)
+odd_texts = st.sampled_from([str(INT64.min - 1), str(INT64.max + 1), " 1", "1 ", "1_0",
+                             "1.5", "Infinity", "abc", "a b", '"5"', '"q,r"', '"true"'])
+PLAIN = (plain_ints, plain_floats, plain_flags, plain_notes)
+
+
+@st.composite
+def tables(draw) -> bytes:
+    """A table: half of them with plainly spelt fields, the rest with odd
+    ones too; over either, one defect or none (a wrong field count, a blank
+    line, CRLF line ends, no line end after the last row)."""
+    plain = draw(st.booleans())
+    defect = draw(st.sampled_from([None, None, None, "count", "blank", "crlf", "open"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(texts if plain or draw(st.integers(0, 2)) else st.one_of(gate_texts, odd_texts))
+               for texts in PLAIN]
+        rows.append(",".join(row))
+    if rows and defect == "count":  # a field too few or too many
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = rows[k].rpartition(",")[0] if draw(st.booleans()) else rows[k] + ",1"
+    if defect == "blank":
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    end = "\r\n" if defect == "crlf" else "\n"
+    text = end.join([",".join(TABLE_HEADER), *rows])
+    return (text if defect == "open" else text + end).encode()
+
+
+def str_path_columns(path):
+    """The columns as the str path reads them."""
+    columns = read_csv(path, TABLE_HEADER)
+    dtypes = {int64: np.int64, float: np.float64, flag: bool}
+    return {name: np.array(parse_column(path, columns, name, kind), dtype=dtypes[kind])
+            for name, kind in TABLE_KINDS.items()}
+
+
+def read_or_error(read, path):
+    try:
+        return read(path)
+    except ArtifactIOError as exc:
+        assert exc.exit_code == 3
+        return str(exc)
+
+
+@given(tables())
+@settings(max_examples=400, deadline=None)
+def test_read_table_matches_the_str_path(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(data)
+        got = read_or_error(lambda p: read_table(p, TABLE_HEADER, TABLE_KINDS), path)
+        want = read_or_error(str_path_columns, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.keys() == want.keys()
+    for name, col in want.items():
+        assert got[name].dtype == col.dtype, name
+        if col.dtype == np.float64:  # equal bits: NaNs and -0.0 included
+            assert got[name].view(np.int64).tolist() == col.view(np.int64).tolist(), name
+        else:
+            assert got[name].tolist() == col.tolist(), name
+
+
+def test_read_table_reads_a_plain_table_without_the_str_path(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text("n,x,ok,note\n-9223372036854775808,-0.0,true,false\n"
+                    "9223372036854775807,1e-05,false,true\n3,nan,true,\n"
+                    "4,5e-324,tru,na\n")
+    monkeypatch.setattr(series, "read_csv", None)
+    cols = read_table(path, TABLE_HEADER, TABLE_KINDS)
+    assert cols["n"].tolist() == [INT64.min, INT64.max, 3, 4]
+    assert cols["x"].view(np.int64).tolist() == np.array(
+        [-0.0, 1e-05, float("nan"), 5e-324]).view(np.int64).tolist()
+    assert cols["ok"].tolist() == [True, False, True, False]
+    path.write_text("n,x,ok,note\n")
+    empty = read_table(path, TABLE_HEADER, TABLE_KINDS)
+    assert {name: (col.dtype, col.shape) for name, col in empty.items()} == {
+        "n": (np.int64, (0,)), "x": (np.float64, (0,)), "ok": (bool, (0,))}
+
+
+def test_read_table_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"n,x,ok,note\n1,0.5\xff,true,\n")
+    with pytest.raises(ArtifactIOError, match=r"t.csv: not UTF-8 text \(invalid") as err:
+        read_table(path, TABLE_HEADER, TABLE_KINDS)
+    assert err.value.exit_code == 3
+
+
+def test_read_table_missing_file_is_missing_artifact(tmp_path):
+    with pytest.raises(MissingArtifact):
+        read_table(tmp_path / "absent.csv", TABLE_HEADER, TABLE_KINDS)
