@@ -4,7 +4,8 @@ Per-session partial statistics are computed vectorized (numpy pairwise
 summation inside a batch) and folded into running accumulators with
 compensated merge formulas, so a sweep over sessions matches a naive
 two-pass computation to near machine precision regardless of how the
-input is chunked.
+input is chunked. `cumsum_in_place` is a running sum that needs no copy
+of its input.
 """
 
 from __future__ import annotations
@@ -66,3 +67,13 @@ class CompensatedSums:
         t = self.total + y
         self._carry = (t - self.total) - y
         self.total = t
+
+
+def cumsum_in_place(x: np.ndarray, run: int = 1 << 16) -> None:
+    """`np.cumsum(x, out=x)`, the same bits, without the copy of `x` that
+    numpy makes when the output is the input: each run of `run` values
+    starts from the last sum before it (addition commutes exactly)."""
+    for lo in range(0, len(x), run):
+        if lo:
+            x[lo] += x[lo - 1]
+        np.cumsum(x[lo : lo + run], out=x[lo : lo + run])

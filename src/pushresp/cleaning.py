@@ -12,9 +12,16 @@ Two passes, applied in this order:
    single pass against the original neighbor structure; compaction may
    create new adjacencies which are deliberately not re-filtered.
 
-Memory: neither pass modifies its input, and each holds at most one more
-series (the pooled increments, then the winsorized copy, which `clean`
-lets the jump filter compact in place) plus scratch for one session.
+Both passes work one session at a time, so a session winsorized and
+filtered is final. `clean` runs them on an in-memory series; `clean_prms`
+runs them from one PRMS file to another.
+
+Memory: nothing modifies its input. The quantiles are found in one read
+of the sessions that holds, besides one session's increments, only the
+k_low + 1 smallest and n - k_high largest increments: a few for the
+default tails, about one series for a central quantile. The in-memory
+passes then write one new series; `clean_prms` holds the session read,
+the session cleaned and its increments.
 """
 
 from __future__ import annotations
@@ -22,11 +29,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from .accum import cumsum_in_place
 from .errors import EmptyInput
-from .series import MidSeries, Session
+from .series import MidSeries, PrmsReader, PrmsWriter, Session
 
 logger = logging.getLogger(__name__)
 
@@ -96,25 +106,170 @@ def empirical_quantile(values: np.ndarray, p: float) -> float:
     return float(np.partition(values, k)[k])
 
 
-def _increments(series: MidSeries, session: Session, out: np.ndarray) -> np.ndarray:
-    """The session's one-event increments, written to out[:len(session) - 1]."""
-    mids = series.mids
-    return np.subtract(mids[session.start + 1 : session.end + 1],
-                       mids[session.start : session.end], out=out[: len(session) - 1])
+def _extremes(values: np.ndarray, keep: int, largest: bool) -> np.ndarray:
+    """The `keep` largest or smallest of `values`, which are reordered in place."""
+    if values.size <= keep:
+        return values
+    if largest:
+        values.partition(values.size - keep)
+        return values[values.size - keep :]
+    values.partition(keep - 1)
+    return values[:keep]
 
 
-def _session_scratch(series: MidSeries) -> np.ndarray:
-    """A buffer for the increments of the longest session."""
-    return np.empty(max((len(s) - 1 for s in series.sessions), default=0))
+class _Tail:
+    """The `keep` smallest (or largest) of the values offered so far, held in
+    a buffer with room for one more offer of at most `keep` values."""
+
+    def __init__(self, keep: int, largest: bool, longest_offer: int):
+        self.keep, self.largest = keep, largest
+        self.buf = np.empty(keep + min(keep, longest_offer))
+        self.held = 0
+
+    def offer(self, values: np.ndarray) -> None:
+        """Take in `values`, which are reordered in place."""
+        tail = _extremes(values, self.keep, self.largest)
+        self.buf[self.held : self.held + tail.size] = tail
+        self.held += tail.size
+        if self.held > self.keep:
+            self.buf[: self.keep] = _extremes(self.buf[: self.held], self.keep, self.largest)
+            self.held = self.keep
+
+    def bound(self) -> float:
+        """The smallest of the largest values kept, or the largest of the smallest."""
+        kept = self.buf[: self.held]
+        return float(kept.min() if self.largest else kept.max())
 
 
-def pooled_increments(series: MidSeries) -> np.ndarray:
-    """Every within-session increment, sessions in order, in one new buffer."""
-    out = np.empty(sum(len(s) - 1 for s in series.sessions))
+def _quantile_bounds(source, cfg: CleaningConfig) -> tuple[float, float, bool]:
+    """(q_low, q_high, degenerate) of every within-session increment of
+    `source`, which has at least one, read one session at a time.
+
+    With n increments the nearest-rank quantiles sit at ranks k_low and
+    k_high, so each session's k_low + 1 smallest and n - k_high largest
+    increments (one partition each) join two tails that keep that many:
+    q_low is the largest of the one, q_high the smallest of the other.
+    When every increment is equal the pass is degenerate, and both bounds
+    are the first increment."""
+    n = sum(len(s) - 1 for s in source.sessions)
+    k_low, k_high = (_nearest_rank(p, n) for p in (cfg.lower_q, cfg.upper_q))
+    longest = max(len(s) - 1 for s in source.sessions)
+    low, high = _Tail(k_low + 1, False, longest), _Tail(n - k_high, True, longest)
+    scratch = np.empty(longest)
+    first = None
+    for _, mids in source.blocks():
+        if len(mids) < 2:
+            continue
+        r = np.subtract(mids[1:], mids[:-1], out=scratch[: len(mids) - 1])
+        if first is None:
+            first, r_min, r_max = float(r[0]), float(r.min()), float(r.max())
+        else:
+            r_min, r_max = min(r_min, float(r.min())), max(r_max, float(r.max()))
+        low.offer(r)
+        high.offer(r)
+    if r_min == r_max:
+        return first, first, True
+    return low.bound(), high.bound(), False
+
+
+def _bounds(source, cfg: CleaningConfig, report: CleaningReport, bounds=None):
+    """The winsorizing bounds, recorded in `report`: `bounds` when given,
+    else the pooled quantiles; None when there is nothing to winsorize
+    (no increments, or all of them equal)."""
+    if all(len(s) < 2 for s in source.sessions):
+        logger.warning("winsorize: no increments (all sessions shorter than 2 events)")
+        return None
+    if bounds is None:
+        q_low, q_high, degenerate = _quantile_bounds(source, cfg)
+        if degenerate:
+            logger.warning("winsorize: all increments identical; passing through")
+            report.degenerate = True
+            report.q_low = report.q_high = q_low
+            return None
+        bounds = q_low, q_high
+    report.q_low, report.q_high = bounds
+    return bounds
+
+
+def _clean_session(
+    mids: np.ndarray, out: np.ndarray, bounds, threshold: float | None,
+    scratch: np.ndarray, report: CleaningReport,
+) -> int:
+    """Copy one session's mids to `out`, clamp its increments to `bounds`
+    (unless None) and drop both events of every increment beyond
+    `threshold` (unless None), keeping the events at the head of `out`;
+    returns how many were kept. `scratch` holds the session's increments."""
+    n = len(mids)
+    out[:n] = mids
+    r = scratch[: n - 1]
+    if bounds is not None and n > 1:
+        q_low, q_high = bounds
+        np.subtract(mids[1:], mids[:-1], out=r)
+        low_mask = r < q_low
+        high_mask = r > q_high
+        n_low = int(low_mask.sum())
+        n_high = int(high_mask.sum())
+        report.n_winsorized_low += n_low
+        report.n_winsorized_high += n_high
+        if n_low or n_high:  # else the session stays bit-identical
+            # the increments' buffer becomes the clamp adjustments, then their drift
+            r_low, r_high = r[low_mask], r[high_mask]
+            r.fill(0.0)
+            r[low_mask] = q_low - r_low
+            r[high_mask] = q_high - r_high
+            cumsum_in_place(r)
+            out[1:n] += r
+    if threshold is None:
+        return n
+    # jumps are judged on the winsorized increments, all in one pass
+    np.abs(np.subtract(out[1:n], out[: n - 1], out=r), out=r)
+    first = np.flatnonzero(r > threshold)
+    if not first.size:
+        return n
+    drop = np.union1d(first, first + 1)
+    report.n_jump_events_removed += int(drop.size)
+    los, his = np.append(0, drop + 1), np.append(drop, n)
+    runs = his > los  # the kept runs, shifted left in place
+    kept = 0
+    for lo, hi in zip(los[runs].tolist(), his[runs].tolist()):
+        out[kept : kept + hi - lo] = out[lo:hi]
+        kept += hi - lo
+    return kept
+
+
+def _clean_sessions(
+    source, report: CleaningReport, bounds, threshold: float | None, out=None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(date, kept mids) of each session of `source` that keeps an event,
+    after `_clean_session`; a session the jump filter empties is counted
+    and logged. The sessions are cleaned one after another into `out` (an
+    array of len(source)) when it is given, else each into one buffer the
+    size of the longest session, valid until the next is yielded."""
+    longest = max((len(s) for s in source.sessions), default=0)
+    scratch = np.empty(max(longest - 1, 0))
+    buf = np.empty(longest) if out is None else out
     pos = 0
-    for s in series.sessions:
-        pos += _increments(series, s, out[pos:]).size
-    return out
+    for s, mids in source.blocks():
+        kept = _clean_session(mids, buf[pos : pos + len(s)], bounds, threshold, scratch, report)
+        report.n_output += kept
+        if kept == 0:
+            report.n_sessions_dropped += 1
+            logger.warning("session %s emptied by jump filter", s.calendar_date)
+            continue
+        yield s.date, buf[pos : pos + kept]
+        if out is not None:
+            pos += kept
+
+
+def _collect(series: MidSeries, report: CleaningReport, bounds, threshold) -> MidSeries:
+    """`_clean_sessions` of an in-memory series, into one new array."""
+    mids = np.empty(len(series))
+    sessions: list[Session] = []
+    start = 0
+    for date, kept in _clean_sessions(series, report, bounds, threshold, out=mids):
+        sessions.append(Session(date=date, start=start, end=start + len(kept) - 1))
+        start += len(kept)
+    return MidSeries(sessions=sessions, mids=mids[:start])
 
 
 def winsorize_returns(
@@ -126,117 +281,43 @@ def winsorize_returns(
 
     `bounds` overrides the quantile values (used to re-apply a previous
     pass exactly); otherwise they are estimated from the pooled
-    increments of this series. The input is never modified: the pooled
-    increments are the one extra series until the copy that is rebuilt.
-    """
-    report = CleaningReport(n_input=len(series), n_output=len(series))
-    if all(len(s) < 2 for s in series.sessions):
-        logger.warning("winsorize: no increments (all sessions shorter than 2 events)")
-        return series, report
-    if bounds is None:
-        incr = pooled_increments(series)
-        if float(incr.min()) == float(incr.max()):
-            logger.warning("winsorize: all increments identical; passing through")
-            report.degenerate = True
-            report.q_low = report.q_high = float(incr[0])
-            return series, report
-        k_low, k_high = (_nearest_rank(p, incr.size) for p in (cfg.lower_q, cfg.upper_q))
-        incr.partition([k_low, k_high])  # the buffer is ours to reorder
-        q_low, q_high = float(incr[k_low]), float(incr[k_high])
-        del incr
-    else:
-        q_low, q_high = bounds
-    report.q_low = q_low
-    report.q_high = q_high
-
-    new_mids = series.mids.copy()
-    scratch = _session_scratch(series)
-    for s in series.sessions:
-        r = _increments(series, s, scratch)
-        low_mask = r < q_low
-        high_mask = r > q_high
-        n_low = int(low_mask.sum())
-        n_high = int(high_mask.sum())
-        report.n_winsorized_low += n_low
-        report.n_winsorized_high += n_high
-        if n_low == 0 and n_high == 0:
-            continue  # session untouched, stays bit-identical
-        # the increments' buffer becomes the clamp adjustments, then their drift
-        r_low, r_high = r[low_mask], r[high_mask]
-        r.fill(0.0)
-        r[low_mask] = q_low - r_low
-        r[high_mask] = q_high - r_high
-        new_mids[s.start + 1 : s.end + 1] += np.cumsum(r, out=r)
-    return MidSeries(sessions=list(series.sessions), mids=new_mids), report
-
-
-def jump_events(series: MidSeries, threshold: float) -> np.ndarray:
-    """Sorted global indices of the events to drop: both endpoints of every
-    within-session pair with |increment| > threshold, judged on original
-    indices in one pass."""
-    scratch = _session_scratch(series)
-    ends = []
-    for s in series.sessions:
-        r = np.abs(_increments(series, s, scratch), out=scratch[: len(s) - 1])
-        ends.append(s.start + np.flatnonzero(r > threshold))
-    first = np.concatenate(ends) if ends else np.empty(0, dtype=np.int64)
-    return np.union1d(first, first + 1)
-
-
-def remove_jumps(
-    series: MidSeries, cfg: CleaningConfig, in_place: bool = False
-) -> tuple[MidSeries, CleaningReport]:
-    """Drop both events of every jump. The kept runs are shifted left in a
-    copy of the mids, or in `series.mids` itself when `in_place` is set
-    (for a caller that owns them), so no second copy is made."""
+    increments of this series. The input is never modified."""
     report = CleaningReport(n_input=len(series))
-    drop = jump_events(series, cfg.jump_threshold)
-    report.n_jump_events_removed = int(drop.size)
-    if drop.size == 0:
+    bounds = _bounds(series, cfg, report, bounds)
+    if bounds is None:
         report.n_output = len(series)
         return series, report
-
-    mids = series.mids if in_place else series.mids.copy()
-    los, his = np.append(0, drop + 1), np.append(drop, len(mids))
-    runs = his > los  # the kept runs
-    n_out = 0
-    for lo, hi in zip(los[runs].tolist(), his[runs].tolist()):
-        mids[n_out : n_out + hi - lo] = mids[lo:hi]
-        n_out += hi - lo
-
-    firsts = [s.start for s in series.sessions]
-    lasts = [s.end for s in series.sessions]
-    n_dropped = np.searchsorted(drop, lasts, "right") - np.searchsorted(drop, firsts)
-    sessions: list[Session] = []
-    start = 0
-    for s, gone in zip(series.sessions, n_dropped.tolist()):
-        kept = len(s) - gone
-        if kept == 0:
-            report.n_sessions_dropped += 1
-            logger.warning("session %s emptied by jump filter", s.calendar_date)
-            continue
-        sessions.append(Session(date=s.date, start=start, end=start + kept - 1))
-        start += kept
-    report.n_output = n_out
-    return MidSeries(sessions=sessions, mids=mids[:n_out]), report
+    return _collect(series, report, bounds, None), report
 
 
-def clean(
-    series: MidSeries, cfg: CleaningConfig
-) -> tuple[MidSeries, CleaningReport]:
-    """Winsorize first, then remove jumps; merge the two reports."""
-    wins, wrep = winsorize_returns(series, cfg)
-    # a winsorized copy is ours, so the jump filter compacts it in place
-    out, jrep = remove_jumps(wins, cfg, in_place=wins is not series)
-    merged = CleaningReport(
-        n_input=wrep.n_input,
-        n_output=jrep.n_output,
-        n_winsorized_low=wrep.n_winsorized_low,
-        n_winsorized_high=wrep.n_winsorized_high,
-        n_jump_events_removed=jrep.n_jump_events_removed,
-        n_sessions_dropped=jrep.n_sessions_dropped,
-        degenerate=wrep.degenerate,
-        q_low=wrep.q_low,
-        q_high=wrep.q_high,
-    )
-    return out, merged
+def remove_jumps(series: MidSeries, cfg: CleaningConfig) -> tuple[MidSeries, CleaningReport]:
+    """Drop both events of every jump into a new series; a session left
+    with no event is dropped."""
+    report = CleaningReport(n_input=len(series))
+    return _collect(series, report, None, cfg.jump_threshold), report
+
+
+def clean(series: MidSeries, cfg: CleaningConfig) -> tuple[MidSeries, CleaningReport]:
+    """Winsorize first, then remove jumps, one session at a time, into one
+    new series."""
+    report = CleaningReport(n_input=len(series))
+    bounds = _bounds(series, cfg, report)
+    return _collect(series, report, bounds, cfg.jump_threshold), report
+
+
+def clean_prms(
+    src: str | Path, out: str | Path, cfg: CleaningConfig
+) -> tuple[PrmsWriter, CleaningReport]:
+    """`clean` from one PRMS file to another. The input is read twice, one
+    session at a time: once for the quantiles, and once to clean each
+    session and write it, so a session (and the tails of the quantile
+    pass) is all that is held. The output is opened only after the first
+    read has checked every mid (when some session has an increment to
+    read; else the second read checks them)."""
+    source = PrmsReader(src)
+    report = CleaningReport(n_input=len(source))
+    bounds = _bounds(source, cfg, report)
+    with PrmsWriter(out) as writer:
+        for date, mids in _clean_sessions(source, report, bounds, cfg.jump_threshold):
+            writer.write(date, mids)
+    return writer, report

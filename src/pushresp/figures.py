@@ -18,7 +18,7 @@ import numpy as np
 from .decomposition import read_heatmap_csv, read_summary_csv
 from .errors import InvalidGrid, MissingArtifact
 from .series import read_manifest, write_text
-from .surface import Surface, read_surface_csv
+from . import surface as surface_mod
 
 WIDTH = 960
 HEIGHT = 560
@@ -170,9 +170,10 @@ def _axes(svg: _Svg, frame: _Frame, x_label: str, y_label: str):
     svg.text(16, MARGIN_T - 14, y_label, anchor="start")
 
 
-def _read_surface(path) -> tuple[Surface, np.ndarray]:
-    """The surface at `path` and the indices of its lags that hold a cell."""
-    surf = read_surface_csv(path, read_manifest(path))
+def _read_surface(path) -> tuple[surface_mod.Surface, np.ndarray]:
+    """The surface at `path` and the indices of its lags that hold a cell,
+    read through the module, so a wrapper of the reader sees this read."""
+    surf = surface_mod.read_surface_csv(path, read_manifest(path))
     return surf, np.flatnonzero(surf.counts.any(axis=1))
 
 

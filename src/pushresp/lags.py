@@ -9,7 +9,6 @@ standardization constants for everything downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .accum import MomentAccumulator
 from .errors import ArtifactIOError, InsufficientSupport, InvalidGrid, ZeroVariance
-from .series import MidSeries, Session, float_or_blank, int64, read_table, write_csv
+from .series import MidSeries, Session, write_csv
 
 DEFAULT_SHORT_LAGS = (1,) + tuple(range(50, 5001, 50))
 DEFAULT_LONG_LAGS = tuple(range(1000, 500001, 1000))
@@ -48,24 +47,29 @@ class LagMoments:
     sigma_r: float
 
 
-def compute_moments(series: MidSeries, lag: int) -> LagMoments:
-    """Mean and population std of pushes and responses at one lag.
+def _moment_sums(source, lags: tuple[int, ...]) -> list[tuple[MomentAccumulator, MomentAccumulator]]:
+    """Push and response accumulators of each lag, from one read of the
+    sessions of `source` (a MidSeries or a PrmsReader).
 
     A session's differences d = mids[t+L] - mids[t] fill one reused buffer:
     its a pushes are d[:a], its responses d[L:] (then their deviations).
-    Session partials merge in session order, so chunking cannot change it.
-    """
-    acc_p, acc_r = MomentAccumulator(), MomentAccumulator()
-    longest = max((len(s) for s in series.sessions), default=0)
-    diffs, scratch = np.empty((2, max(0, longest - lag)))
-    for s in series.sessions:
-        a = len(s) - 2 * lag
-        if a <= 0:
-            continue
-        d = np.subtract(series.mids[s.start + lag : s.end + 1],
-                        series.mids[s.start : s.end + 1 - lag], out=diffs[: a + lag])
-        acc_p.add_batch(d[:a], scratch)
-        acc_r.add_batch(d[lag:], d[lag:])
+    Each lag folds its session partials in session order, so neither the
+    other lags nor chunking can change it."""
+    accs = [(MomentAccumulator(), MomentAccumulator()) for _ in lags]
+    longest = max((len(s) for s in source.sessions), default=0)
+    diffs, scratch = np.empty((2, max(0, longest - min(lags, default=0))))
+    for s, mids in source.blocks():
+        for lag, (acc_p, acc_r) in zip(lags, accs):
+            a = len(s) - 2 * lag
+            if a <= 0:
+                continue
+            d = np.subtract(mids[lag:], mids[: len(s) - lag], out=diffs[: a + lag])
+            acc_p.add_batch(d[:a], scratch)
+            acc_r.add_batch(d[lag:], d[lag:])
+    return accs
+
+
+def _lag_moments(lag: int, acc_p: MomentAccumulator, acc_r: MomentAccumulator) -> LagMoments:
     if acc_p.count < 2:
         raise InsufficientSupport(lag, acc_p.count)
     sigma_p, sigma_r = acc_p.std, acc_r.std
@@ -83,6 +87,11 @@ def compute_moments(series: MidSeries, lag: int) -> LagMoments:
     )
 
 
+def compute_moments(series: MidSeries, lag: int) -> LagMoments:
+    """Mean and population std of pushes and responses at one lag."""
+    return _lag_moments(lag, *_moment_sums(series, (lag,))[0])
+
+
 @dataclass(frozen=True)
 class MomentRow:
     """One lag's moments, or the reason the lag was excluded."""
@@ -93,11 +102,14 @@ class MomentRow:
     excluded: str | None  # None, "insufficient_support" or "zero_variance"
 
 
-def compute_moments_table(series: MidSeries, lags) -> list[MomentRow]:
+def compute_moments_table(source, lags) -> list[MomentRow]:
+    """Every lag's moments from one read of the sessions of `source`, a
+    MidSeries or a PrmsReader; each lag equals its `compute_moments`."""
+    lags = validate_lags(lags)
     rows = []
-    for lag in validate_lags(lags):
+    for lag, accs in zip(lags, _moment_sums(source, lags)):
         try:
-            m = compute_moments(series, lag)
+            m = _lag_moments(lag, *accs)
             rows.append(MomentRow(lag=lag, n_pairs=m.n_pairs, moments=m, excluded=None))
         except InsufficientSupport as exc:
             rows.append(
@@ -106,7 +118,7 @@ def compute_moments_table(series: MidSeries, lags) -> list[MomentRow]:
             )
         except ZeroVariance:
             rows.append(
-                MomentRow(lag=lag, n_pairs=anchor_count(series.sessions, lag),
+                MomentRow(lag=lag, n_pairs=anchor_count(source.sessions, lag),
                           moments=None, excluded="zero_variance")
             )
     return rows
@@ -123,26 +135,6 @@ def write_moments_csv(rows: list[MomentRow], path: str | Path) -> None:
 
     write_csv(path, MOMENTS_HEADER, [[r.lag for r in rows], [r.n_pairs for r in rows],
                                      *map(column, MOMENTS_HEADER[2:])])
-
-
-_MOMENTS_KINDS = {"lag": int64, "n_pairs": int64} | dict.fromkeys(MOMENTS_HEADER[2:],
-                                                                 float_or_blank)
-
-
-def read_moments_csv(path: str | Path) -> list[MomentRow]:
-    """The rows of a moments CSV; a lag whose `mu_p` is blank (or NaN) is
-    excluded. Blank cells are spelt only by the str path, so a table with an
-    excluded lag is read there."""
-    cols = read_table(path, MOMENTS_HEADER, _MOMENTS_KINDS)
-    rows: list[MomentRow] = []
-    for lag, n_pairs, *values in zip(*(cols[name].tolist() for name in MOMENTS_HEADER)):
-        if math.isnan(values[0]):
-            reason = "insufficient_support" if n_pairs < 2 else "zero_variance"
-            rows.append(MomentRow(lag, n_pairs, None, reason))
-        else:
-            m = LagMoments(lag, n_pairs, *values)
-            rows.append(MomentRow(lag, n_pairs, m, None))
-    return rows
 
 
 def parse_lag_selector(selector: str) -> tuple[int, ...]:

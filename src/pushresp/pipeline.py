@@ -42,15 +42,16 @@ from .errors import (
     ValidationFailed,
 )
 from .series import (
+    PrmsReader,
     canonical_json,
     manifest_path,
     read_manifest,
-    read_prms,
     series_summary,
     write_manifest,
     write_prms,
     write_text,
 )
+from .series import read_prms  # noqa: F401  (perfbench/tracing.py wraps pipeline.read_prms)
 
 logger = logging.getLogger(__name__)
 
@@ -317,12 +318,12 @@ def source_stage(
     def produce():
         payload = {"stage": "source", "stage_key": key, "config": stage_cfg}
         if synth is not None:
-            series = synth_mod.generate(synth)
+            written = synth_mod.write_series(synth, out)  # one session at a time
         else:
-            series, report = _ingest(ingest)
+            written, report = _ingest(ingest)
             payload["quality"] = asdict(report)
-        write_prms(series, out)
-        write_manifest(out, {**series_summary(series), **payload})
+            write_prms(written, out)
+        write_manifest(out, {**series_summary(written), **payload})
 
     return Stage("source", [out], key, produce)
 
@@ -349,8 +350,7 @@ def clean_stage(
     key = _key_of("clean", stage_cfg, inputs)
 
     def produce():
-        cleaned, report = cleaning_mod.clean(read_prms(src), cfg)
-        write_prms(cleaned, out)
+        cleaned, report = cleaning_mod.clean_prms(src, out, cfg)
         write_text(report_out, canonical_json(report.to_dict()) + "\n")
         write_manifest(out, {
             **series_summary(cleaned), "stage": "clean", "stage_key": key,
@@ -378,7 +378,7 @@ def surface_stage(
     key = _key_of("surface", stage_cfg, inputs)
 
     def produce():
-        series = read_prms(src)
+        series = PrmsReader(src)  # read twice, one session at a time
         rows = lags_mod.compute_moments_table(series, lags)
         lags_mod.write_moments_csv(rows, moments_out)
         surf = surface_mod.accumulate_surface(series, rows, grid, threads=threads)

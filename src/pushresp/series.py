@@ -9,7 +9,11 @@ no pair construction ever crosses a session boundary.
 On disk the series is a compact binary file ("PRMS"): magic, u16
 version, then one block per session of (date as days-since-epoch
 u32, count u64, mids as f64 array), all little-endian, with a JSON
-sidecar manifest next to it.
+sidecar manifest next to it. `PrmsWriter` writes it and `PrmsReader`
+reads it one session at a time, so a stage that goes session by session
+holds one session, not the series; `write_prms` and `read_prms` write
+and read a whole MidSeries through them. Per-session code takes either
+kind of source: both have `sessions`, `len()` and `blocks()`.
 
 Every table artifact (moments, surface, heatmap, summary) is a CSV
 written here by `write_csv` and read by `read_table` into typed numpy
@@ -35,7 +39,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -95,6 +99,12 @@ class MidSeries:
     def session_slice(self, session: Session) -> np.ndarray:
         return self.mids[session.start : session.end + 1]
 
+    def blocks(self) -> Iterator[tuple[Session, np.ndarray]]:
+        """Each session with its mids (a view), as `PrmsReader.blocks` gives
+        them, so the per-session code reads memory and files alike."""
+        for s in self.sessions:
+            yield s, self.session_slice(s)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MidSeries):
             return NotImplemented
@@ -104,67 +114,141 @@ class MidSeries:
 
 
 def write_prms(series: MidSeries, path: str | Path) -> None:
-    path = Path(path)
-    try:
-        with open(path, "wb") as f:
-            f.write(_HEADER.pack(PRMS_MAGIC, PRMS_VERSION))
-            for s in series.sessions:
-                block = series.session_slice(s)
-                f.write(_SESSION_HEADER.pack(s.date, len(block)))
-                f.write(np.ascontiguousarray(block, dtype="<f8").data)  # no copy
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+    with PrmsWriter(path) as out:
+        for s, mids in series.blocks():
+            out.write(s.date, mids)
+
+
+class PrmsWriter:
+    """A PRMS file written one session at a time:
+
+        with PrmsWriter(path) as out:
+            out.write(date, mids)
+
+    `sessions` lists the sessions written so far, with global indices, and
+    `len()` counts their events. A session of no events is not written."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.sessions: list[Session] = []
+        self._n = 0
+        try:
+            self._f = open(self.path, "wb")
+            self._f.write(_HEADER.pack(PRMS_MAGIC, PRMS_VERSION))
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+
+    def write(self, date: int, mids: np.ndarray) -> None:
+        if not len(mids):
+            return
+        try:
+            self._f.write(_SESSION_HEADER.pack(date, len(mids)))
+            self._f.write(np.ascontiguousarray(mids, dtype="<f8").data)  # no copy
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot write {self.path}: {exc}") from exc
+        self.sessions.append(Session(date=date, start=self._n, end=self._n + len(mids) - 1))
+        self._n += len(mids)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __enter__(self) -> PrmsWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            self._f.close()
+        except OSError as err:
+            if exc[0] is None:
+                raise ArtifactIOError(f"cannot write {self.path}: {err}") from err
+
+
+class PrmsReader:
+    """A PRMS file read one session at a time. Opening it indexes every
+    session header, so a cut or edited file is rejected before a caller
+    writes anything; `sessions` then holds the global event indices and
+    `len()` the event count. `blocks()` reads the sessions in order.
+
+    Each session read is checked for a NaN or infinite mid, which is
+    rejected naming the session and its global event index, because every
+    lag statistic downstream would turn it into plausible-looking numbers."""
+
+    def __init__(self, path: str | Path):
+        self.path = path = Path(path)
+        self.sessions: list[Session] = []
+        self._offsets: list[int] = []  # where each session's mids start in the file
+        try:
+            with open(path, "rb") as f:
+                size = os.fstat(f.fileno()).st_size
+                head = f.read(_HEADER.size)
+                if len(head) < _HEADER.size:
+                    raise ArtifactIOError(f"{path}: truncated header")
+                magic, version = _HEADER.unpack(head)
+                if magic != PRMS_MAGIC:
+                    raise ArtifactIOError(f"{path}: bad magic {magic!r}")
+                if version != PRMS_VERSION:
+                    raise ArtifactIOError(f"{path}: unsupported version {version}")
+                pos, n = _HEADER.size, 0
+                while pos < size:
+                    rec = f.read(_SESSION_HEADER.size)
+                    if len(rec) < _SESSION_HEADER.size:
+                        raise ArtifactIOError(f"{path}: truncated session header at {pos}")
+                    date, count = _SESSION_HEADER.unpack(rec)
+                    pos += _SESSION_HEADER.size
+                    if pos + 8 * count > size:
+                        raise ArtifactIOError(f"{path}: truncated session block at {pos}")
+                    if count:  # an empty block is legal on disk and skipped
+                        self.sessions.append(Session(date=date, start=n, end=n + count - 1))
+                        self._offsets.append(pos)
+                        n += count
+                    pos = f.seek(pos + 8 * count)
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+
+    def __len__(self) -> int:
+        return self.sessions[-1].end + 1 if self.sessions else 0
+
+    def _read(self, f, i: int, out: np.ndarray) -> np.ndarray:
+        """Session i's mids, read from the open file `f` into `out`."""
+        offset, start = self._offsets[i], self.sessions[i].start
+        f.seek(offset)
+        if f.readinto(out) < out.nbytes:
+            raise ArtifactIOError(f"{self.path}: truncated session block at {offset}")
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise ArtifactIOError(
+                f"{self.path}: session {i} holds a non-finite mid "
+                f"{out[bad[0]]!r} at event index {start + bad[0]}"
+            )
+        return out
+
+    def blocks(self) -> Iterator[tuple[Session, np.ndarray]]:
+        """Each session with its mids, read into one buffer the size of the
+        longest session: a block is valid until the next one is read."""
+        buf = np.empty(max((len(s) for s in self.sessions), default=0), dtype="<f8")
+        try:
+            with open(self.path, "rb") as f:
+                for i, s in enumerate(self.sessions):
+                    yield s, self._read(f, i, buf[: len(s)])
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot read {self.path}: {exc}") from exc
+
+    def series(self) -> MidSeries:
+        """The whole file, each session read straight into its place in one
+        array of the total event count."""
+        mids = np.empty(len(self), dtype="<f8")
+        try:
+            with open(self.path, "rb") as f:
+                for i, s in enumerate(self.sessions):
+                    self._read(f, i, mids[s.start : s.end + 1])
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot read {self.path}: {exc}") from exc
+        return MidSeries(sessions=list(self.sessions), mids=mids)
 
 
 def read_prms(path: str | Path) -> MidSeries:
-    """Read a PRMS file; a NaN or infinite mid is rejected, naming the
-    session and its global event index, because every lag statistic
-    downstream would turn it into plausible-looking numbers.
-
-    The session headers are indexed first; the mids are then read
-    straight into one array of the total event count."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
-            head = f.read(_HEADER.size)
-            if len(head) < _HEADER.size:
-                raise ArtifactIOError(f"{path}: truncated header")
-            magic, version = _HEADER.unpack(head)
-            if magic != PRMS_MAGIC:
-                raise ArtifactIOError(f"{path}: bad magic {magic!r}")
-            if version != PRMS_VERSION:
-                raise ArtifactIOError(f"{path}: unsupported version {version}")
-            pos, blocks = _HEADER.size, []  # (date, count, offset) of nonempty sessions
-            while pos < size:
-                rec = f.read(_SESSION_HEADER.size)
-                if len(rec) < _SESSION_HEADER.size:
-                    raise ArtifactIOError(f"{path}: truncated session header at {pos}")
-                date, count = _SESSION_HEADER.unpack(rec)
-                pos += _SESSION_HEADER.size
-                if pos + 8 * count > size:
-                    raise ArtifactIOError(f"{path}: truncated session block at {pos}")
-                if count:
-                    blocks.append((date, count, pos))
-                pos = f.seek(pos + 8 * count)
-            mids = np.empty(sum(count for _, count, _ in blocks), dtype="<f8")
-            sessions: list[Session] = []
-            for date, count, offset in blocks:
-                start = sessions[-1].end + 1 if sessions else 0
-                block = mids[start : start + count]
-                f.seek(offset)
-                if f.readinto(block) < 8 * count:
-                    raise ArtifactIOError(f"{path}: truncated session block at {offset}")
-                bad = np.flatnonzero(~np.isfinite(block))
-                if bad.size:
-                    raise ArtifactIOError(
-                        f"{path}: session {len(sessions)} holds a non-finite mid "
-                        f"{block[bad[0]]!r} at event index {start + bad[0]}"
-                    )
-                sessions.append(Session(date=date, start=start, end=start + count - 1))
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    return MidSeries(sessions=sessions, mids=mids)
+    """Read a whole PRMS file into memory."""
+    return PrmsReader(path).series()
 
 
 def sha256_file(path: str | Path) -> str:
@@ -209,24 +293,47 @@ def read_manifest(artifact: str | Path) -> dict:
         raise ArtifactIOError(f"{p}: invalid JSON: {exc}") from exc
 
 
-def _cells(column) -> list:
+# Characters that make `csv.writer` quote a cell.
+_NEEDS_QUOTES = frozenset(',"\r\n')
+# Rows whose text `write_csv` holds at once.
+_CSV_ROWS = 256
+
+
+def _texts(column) -> list[str]:
+    """The text of each cell of a column, as `csv.writer` spells it: `repr`
+    for a float (of the float itself, also for a float subclass), `str` for
+    anything else, and `true`/`false` for a column of booleans."""
     cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
     if cells and isinstance(cells[0], bool):
         return ["true" if c else "false" for c in cells]
-    return cells
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        return list(map(float.__repr__ if column.dtype.kind == "f" else str, cells))
+    texts = [float.__repr__(c) if isinstance(c, float) else str(c) for c in cells]
+    for text in texts:
+        if _NEEDS_QUOTES.intersection(text):
+            raise ValueError(f"table cell {text!r} would need quoting")
+    return texts
 
 
 def write_csv(path: str | Path, header: list[str], columns) -> None:
     """Write a table artifact: the header row, then row i of every column,
     each line ending in LF. Columns are arrays or sequences of equal length;
     floats are written by `repr`, so they read back exactly, and a column
-    of booleans as `true`/`false`."""
-    rows = zip(*map(_cells, columns), strict=True)
+    of booleans as `true`/`false`. The text of each column is built a run
+    of `_CSV_ROWS` rows at a time and the rows are joined with commas; the
+    bytes are those `csv.writer` writes for such cells (numbers, booleans,
+    blanks and plain text), and a text cell that `csv.writer` would quote
+    is a ValueError."""
+    columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"columns of {sorted({len(c) for c in columns})} rows")
     try:
         with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+            f.write(",".join(_texts(header)) + "\n")
+            for lo in range(0, n_rows, _CSV_ROWS):
+                texts = [_texts(c[lo : lo + _CSV_ROWS]) for c in columns]
+                f.write("\n".join(map(",".join, zip(*texts))) + "\n")
     except OSError as exc:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
 
@@ -369,12 +476,12 @@ def read_table(
             for name, kind in kinds.items()}
 
 
-def series_summary(series: MidSeries) -> dict:
+def series_summary(series: MidSeries | PrmsReader | PrmsWriter) -> dict:
     return {
         "format": "prms",
         "version": PRMS_VERSION,
         "n_sessions": len(series.sessions),
-        "n_events": int(len(series.mids)),
+        "n_events": len(series),
         "sessions": [
             {"date": s.date, "count": len(s)} for s in series.sessions
         ],

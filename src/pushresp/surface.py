@@ -22,12 +22,19 @@ Anchors are binned in passes of at most 50,000; the surface totals are
 compensated sums over the passes. The tables are stored beside the
 surface CSV as a binary artifact ("PRBK") that is read back one lag at
 a time.
+
+Memory: the surface is built in one read of the sessions, every lag's
+accumulator alive throughout, so it holds one session, one set of pass
+buffers per thread and every lag's tables, whose block rows are
+allocated whole before the read (their count follows from the session
+lengths alone).
 """
 
 from __future__ import annotations
 
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -37,13 +44,12 @@ import numpy as np
 from .accum import CompensatedSums
 from .errors import (
     ArtifactIOError,
-    IndexOutOfRange,
     InvalidGrid,
     MissingArtifact,
     MissingMoments,
 )
 from .lags import LagMoments, MomentRow
-from .series import MidSeries, int64, read_table, write_csv
+from .series import int64, read_table, write_csv
 
 BLOCK_TARGET = 50
 BLOCK_LAG_FACTOR = 10
@@ -82,16 +88,6 @@ class BinGrid:
     @property
     def n_bins(self) -> int:
         return round((self.z_max - self.z_min) / self.step)
-
-    def bin_index(self, z_p: float):
-        """1-based bin of one push, or None when it falls off the grid."""
-        j = int(self.bin_slots(np.array([z_p], dtype=np.float64))[0])
-        return j if 1 <= j <= self.n_bins else None
-
-    def bin_center(self, j: int) -> float:
-        if not (1 <= j <= self.n_bins):
-            raise IndexOutOfRange(f"bin index {j} outside 1..{self.n_bins}")
-        return self.z_min + (j - 0.5) * self.step
 
     def centers(self) -> np.ndarray:
         return self.z_min + (np.arange(1, self.n_bins + 1) - 0.5) * self.step
@@ -195,12 +191,21 @@ def _nan_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool(np.all((a == b) | (np.isnan(a) & np.isnan(b))))
 
 
-class _LagAccumulator:
-    """Per-lag bin tables: exact counts, compensated sums, and block tables.
-    Each pass fills buffers of `width` anchors (plus the lag) allocated once
-    and freed by `finish`, so only the lags in progress hold them."""
+class _PassBuffers:
+    """Scratch for one pass of at most `width` anchors at lags up to
+    `max_lag`. Each thread owns one and lends it to the lags it runs."""
 
-    def __init__(self, grid: BinGrid, moments: LagMoments, width: int):
+    def __init__(self, width: int, max_lag: int):
+        self.diffs = np.empty(width + max_lag)
+        self.z_p, self.z_r = np.empty((2, width))
+        self.slots = np.empty(width, dtype=np.int64)
+
+
+class _LagAccumulator:
+    """Per-lag bin tables: exact counts, compensated sums, and block tables,
+    the last allocated whole for the blocks that `sessions` will hold."""
+
+    def __init__(self, grid: BinGrid, moments: LagMoments, sessions):
         self.grid = grid
         self.moments = moments
         n = grid.n_bins
@@ -210,44 +215,52 @@ class _LagAccumulator:
         self.sum_r = CompensatedSums((n,))
         self.out_of_grid = 0
         self.n_seen = 0
-        self.block_bounds: list[tuple[int, int]] = []
-        self.block_counts: list[np.ndarray] = []
-        self.block_sum_zr: list[np.ndarray] = []
-        self._diffs = np.empty(width + moments.lag)
-        self._z_p, self._z_r, self._work = np.empty((3, width))
-        self._slots = np.empty(width, dtype=np.int64)
+        n_blocks = sum(self._n_blocks(s) for s in sessions)
+        self.blocks = LagBlocks(
+            lag=moments.lag,
+            starts=np.zeros(n_blocks, dtype=np.int64),
+            stops=np.zeros(n_blocks, dtype=np.int64),
+            counts=np.zeros((n_blocks, n), dtype=np.int64),
+            sum_zr=np.zeros((n_blocks, n)),
+        )
+        self._next_block = 0
 
-    def add_session(self, mids: np.ndarray, session) -> None:
-        lag = self.moments.lag
-        a = len(session) - 2 * lag
-        if a <= 0:
-            return
-        n_blocks = max(1, a // block_size(lag, self.moments.n_pairs))
-        edges = [session.start + lag + i * a // n_blocks for i in range(n_blocks + 1)]
-        n = self.grid.n_bins
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            counts, sum_zr = np.zeros(n, dtype=np.int64), np.zeros(n)
+    def anchors(self, session) -> int:
+        return max(0, len(session) - 2 * self.moments.lag)
+
+    def _n_blocks(self, session) -> int:
+        a = self.anchors(session)
+        return max(1, a // block_size(self.moments.lag, self.moments.n_pairs)) if a else 0
+
+    def add_session(self, session, mids: np.ndarray, buf: _PassBuffers) -> None:
+        """Bin the anchors of one session, whose mids are `mids`."""
+        lag, a, n_blocks = self.moments.lag, self.anchors(session), self._n_blocks(session)
+        edges = [lag + i * a // n_blocks for i in range(n_blocks + 1)] if a else []
+        t = self.blocks
+        for lo, hi in zip(edges[:-1], edges[1:]):  # within the session
+            b = self._next_block
             for c in range(lo, hi, CHUNK_ANCHORS):
-                c_counts, c_sum_zr = self._add_chunk(mids, c, min(c + CHUNK_ANCHORS, hi))
-                counts += c_counts
-                sum_zr += c_sum_zr
-            self.block_bounds.append((lo, hi))
-            self.block_counts.append(counts)
-            self.block_sum_zr.append(sum_zr)
+                c_counts, c_sum_zr = self._add_chunk(mids, c, min(c + CHUNK_ANCHORS, hi), buf)
+                t.counts[b] += c_counts
+                t.sum_zr[b] += c_sum_zr
+            t.starts[b], t.stops[b] = session.start + lo, session.start + hi
+            self._next_block += 1
 
-    def _add_chunk(self, mids: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bin the anchors [t0, t1) into the totals; return their count and
-        standardized-response-sum tables."""
+    def _add_chunk(
+        self, mids: np.ndarray, t0: int, t1: int, buf: _PassBuffers
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Bin the anchors [t0, t1) of `mids` into the totals; return their
+        count and standardized-response-sum tables."""
         m = self.moments
         lag, k, n = m.lag, t1 - t0, self.grid.n_bins
         # d[i] = mids[t0+i] - mids[t0+i-L]: anchor t0+i's push is d[i], its response d[i+L]
-        d = np.subtract(mids[t0 : t1 + lag], mids[t0 - lag : t1], out=self._diffs[: k + lag])
-        z_p = np.subtract(d[:k], m.mu_p, out=self._z_p[:k])
+        d = np.subtract(mids[t0 : t1 + lag], mids[t0 - lag : t1], out=buf.diffs[: k + lag])
+        z_p = np.subtract(d[:k], m.mu_p, out=buf.z_p[:k])
         z_p /= m.sigma_p
+        j = self.grid.bin_slots(z_p, out=buf.slots[:k], work=buf.z_r[:k])
         r = d[lag:]
-        z_r = np.subtract(r, m.mu_r, out=self._z_r[:k])
+        z_r = np.subtract(r, m.mu_r, out=buf.z_r[:k])
         z_r /= m.sigma_r
-        j = self.grid.bin_slots(z_p, out=self._slots[:k], work=self._work[:k])
         counts = np.bincount(j, minlength=n + 2)[1 : n + 1]  # slots 0, n+1: off the grid
         self.n_seen += k
         self.out_of_grid += k - int(counts.sum())
@@ -259,50 +272,55 @@ class _LagAccumulator:
         return counts, sum_zr
 
     def finish(self) -> LagBlocks:
-        """Free the pass buffers; stack the per-block rows into a LagBlocks
-        and drop the rows."""
-        del self._diffs, self._z_p, self._z_r, self._work, self._slots
-        n = self.grid.n_bins
-        bounds = np.array(self.block_bounds, dtype=np.int64).reshape(-1, 2)
-        blocks = LagBlocks(
-            lag=self.moments.lag,
-            starts=bounds[:, 0].copy(),
-            stops=bounds[:, 1].copy(),
-            counts=np.array(self.block_counts, dtype=np.int64).reshape(-1, n),
-            sum_zr=np.array(self.block_sum_zr, dtype=np.float64).reshape(-1, n),
-        )
-        self.block_bounds, self.block_counts, self.block_sum_zr = [], [], []
-        return blocks
+        """The block tables, once every anchor of the moments is binned."""
+        if self.n_seen != self.moments.n_pairs:
+            raise MissingMoments(self.moments.lag)
+        return self.blocks
+
+
+def _add_session(accs: list[_LagAccumulator], session, mids, buf: _PassBuffers) -> None:
+    for acc in accs:
+        acc.add_session(session, mids, buf)
 
 
 def accumulate_surface(
-    series: MidSeries,
+    source,
     moment_rows: list[MomentRow],
     grid: BinGrid,
     threads: int = 1,
 ) -> Surface:
-    """One sweep per lag over all sessions; lags are independent jobs."""
+    """Bin every lag in one read of the sessions of `source`, a MidSeries
+    or a PrmsReader. A session is binned at every lag before the next is
+    read, so the session, the per-lag tables and one pass's buffers per
+    thread are all that is held. Each lag folds its passes in session
+    order, whichever thread runs it, so the thread count changes no bit.
+
+    With more than one thread a session's lags are dealt out among them,
+    unless its anchors over all lags come to less than one pass of
+    `CHUNK_ANCHORS` per thread: the calling thread bins those alone."""
     usable = [row.moments for row in moment_rows if row.moments is not None]
     excluded = [
         {"lag": row.lag, "n_pairs": row.n_pairs, "reason": row.excluded}
         for row in moment_rows
         if row.moments is None
     ]
-
-    def run(m: LagMoments) -> tuple[_LagAccumulator, LagBlocks]:
-        longest = max(len(s) - 2 * m.lag for s in series.sessions)
-        acc = _LagAccumulator(grid, m, min(CHUNK_ANCHORS, longest))
-        for s in series.sessions:
-            acc.add_session(series.mids, s)
-        if acc.n_seen != m.n_pairs:
-            raise MissingMoments(m.lag)
-        return acc, acc.finish()
-
-    if threads > 1 and len(usable) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, usable))
-    else:
-        done = [run(m) for m in usable]
+    accs = [_LagAccumulator(grid, m, source.sessions) for m in usable]
+    threads = max(1, min(threads, len(accs)))
+    widest = max((acc.anchors(s) for acc in accs for s in source.sessions), default=0)
+    max_lag = max((m.lag for m in usable), default=0)
+    bufs = [_PassBuffers(min(CHUNK_ANCHORS, widest), max_lag) for _ in range(threads)]
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for s, mids in source.blocks():
+            busy = [acc for acc in accs if acc.anchors(s)]
+            if pool is None or sum(acc.anchors(s) for acc in busy) < threads * CHUNK_ANCHORS:
+                _add_session(busy, s, mids, bufs[0])
+                continue
+            # lags increase, so every threads-th lag makes shares of near-equal anchors
+            jobs = [pool.submit(_add_session, busy[i::threads], s, mids, bufs[i])
+                    for i in range(threads)]
+            for job in jobs:
+                job.result()
+    done = [(acc, acc.finish()) for acc in accs]
 
     n_lags, n_bins = len(usable), grid.n_bins
     counts = np.zeros((n_lags, n_bins), dtype=np.int64)

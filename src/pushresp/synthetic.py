@@ -15,18 +15,23 @@ which produces a positive magnitude-driven (even) response component
 that grows with push size.
 
 Generation is per-session with seeds derived from the spec seed, so a
-series is reproducible byte-for-byte regardless of scheduling.
+series is reproducible byte-for-byte regardless of scheduling. `generate`
+draws every session into one array; `write_series` draws one session at
+a time into a PRMS file, with the same bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from .accum import cumsum_in_place
 from .errors import InvalidSpec
 from .lags import LagMoments
-from .series import MidSeries, Session
+from .series import MidSeries, PrmsWriter, Session
 from .surface import BinGrid
 
 KINDS = ("null_walk", "momentum", "reversal", "asymmetric")
@@ -93,6 +98,14 @@ def _session_sizes(spec: SyntheticSpec) -> list[int]:
     return sizes
 
 
+def _sessions(spec: SyntheticSpec) -> Iterator[tuple[int, int, np.random.Generator]]:
+    """(date, size, generator) of each session in order; each session draws
+    from its own child of the spec seed."""
+    children = np.random.SeedSequence(entropy=spec.seed).spawn(spec.n_sessions)
+    for i, (size, child) in enumerate(zip(_session_sizes(spec), children)):
+        yield BASE_DATE + i, size, np.random.default_rng(child)
+
+
 def _fill_session(rng: np.random.Generator, spec: SyntheticSpec, out: np.ndarray) -> None:
     """Write one session's prices to `out`: BASE_PRICE, then a walk of
     len(out) - 1 increments drawn from `rng`, summed in place."""
@@ -115,22 +128,33 @@ def _fill_session(rng: np.random.Generator, spec: SyntheticSpec, out: np.ndarray
         if spec.kind == "asymmetric" and spec.asym_gain != 0.0 and len(x) > lag:
             x[lag:] += spec.asym_gain * np.maximum(-eps[:-lag], 0.0)
     out[0] = 0.0
-    np.cumsum(x, out=x)
+    cumsum_in_place(x)
     out += BASE_PRICE
 
 
 def generate(spec: SyntheticSpec) -> MidSeries:
-    """Deterministic series for the spec; one session per derived seed.
-    Each session is written straight into one array of n_events."""
-    children = np.random.SeedSequence(entropy=spec.seed).spawn(spec.n_sessions)
+    """Deterministic series for the spec, each session drawn straight into
+    one array of n_events."""
     mids = np.empty(spec.n_events)
     sessions = []
     start = 0
-    for i, (size, child) in enumerate(zip(_session_sizes(spec), children)):
-        _fill_session(np.random.default_rng(child), spec, mids[start : start + size])
-        sessions.append(Session(date=BASE_DATE + i, start=start, end=start + size - 1))
+    for date, size, rng in _sessions(spec):
+        _fill_session(rng, spec, mids[start : start + size])
+        sessions.append(Session(date=date, start=start, end=start + size - 1))
         start += size
     return MidSeries(sessions=sessions, mids=mids)
+
+
+def write_series(spec: SyntheticSpec, path: str | Path) -> PrmsWriter:
+    """Write the series of `generate(spec)` to a PRMS file, each session drawn
+    into one buffer the size of the longest and written before the next, so
+    no more than a session is held. Returns the closed writer."""
+    buf = np.empty(max(_session_sizes(spec)))
+    with PrmsWriter(path) as out:
+        for date, size, rng in _sessions(spec):
+            _fill_session(rng, spec, buf[:size])
+            out.write(date, buf[:size])
+    return out
 
 
 @dataclass

@@ -24,7 +24,8 @@ def _quantile(values: np.ndarray, p: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-def _pooled(series: MidSeries) -> np.ndarray:
+def pooled_increments(series: MidSeries) -> np.ndarray:
+    """Every within-session increment, sessions in order, in one array."""
     parts = [np.diff(series.session_slice(s)) for s in series.sessions]
     parts = [p for p in parts if p.size]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
@@ -32,7 +33,7 @@ def _pooled(series: MidSeries) -> np.ndarray:
 
 def winsorize_returns(series: MidSeries, cfg: CleaningConfig, bounds=None):
     report = CleaningReport(n_input=len(series), n_output=len(series))
-    incr = _pooled(series)
+    incr = pooled_increments(series)
     if incr.size == 0:
         return series, report
     if bounds is None:

@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 import pushresp
-from pushresp.series import MidSeries, Session
+from pushresp.errors import IndexOutOfRange
+from pushresp.lags import MOMENTS_HEADER, LagMoments, MomentRow
+from pushresp.series import MidSeries, Session, float_or_blank, int64, read_table
 
 
 def from_session_arrays(dates: list[int], arrays: list[np.ndarray]) -> MidSeries:
@@ -38,6 +41,35 @@ def bin_indices(grid, z_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(0-based indices, in-grid mask) from `grid.bin_slots`."""
     j0 = grid.bin_slots(z_p) - 1
     return j0, (j0 >= 0) & (j0 < grid.n_bins)
+
+
+def bin_index(grid, z_p: float):
+    """1-based bin of one push, or None when it falls off the grid."""
+    j = int(grid.bin_slots(np.array([z_p], dtype=np.float64))[0])
+    return j if 1 <= j <= grid.n_bins else None
+
+
+def bin_center(grid, j: int) -> float:
+    """Center of the 1-based bin j; IndexOutOfRange off the grid."""
+    if not (1 <= j <= grid.n_bins):
+        raise IndexOutOfRange(f"bin index {j} outside 1..{grid.n_bins}")
+    return grid.z_min + (j - 0.5) * grid.step
+
+
+def read_moments_csv(path) -> list[MomentRow]:
+    """The rows of a moments CSV; a lag whose `mu_p` is blank (or NaN) is
+    excluded. Blank cells are spelt only by the str path, so a table with an
+    excluded lag is read there."""
+    kinds = {"lag": int64, "n_pairs": int64} | dict.fromkeys(MOMENTS_HEADER[2:], float_or_blank)
+    cols = read_table(path, MOMENTS_HEADER, kinds)
+    rows: list[MomentRow] = []
+    for lag, n_pairs, *values in zip(*(cols[name].tolist() for name in MOMENTS_HEADER)):
+        if math.isnan(values[0]):
+            reason = "insufficient_support" if n_pairs < 2 else "zero_variance"
+            rows.append(MomentRow(lag, n_pairs, None, reason))
+        else:
+            rows.append(MomentRow(lag, n_pairs, LagMoments(lag, n_pairs, *values), None))
+    return rows
 
 
 def traced_peak(fn):

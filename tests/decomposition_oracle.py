@@ -16,6 +16,8 @@ import numpy as np
 from pushresp.decomposition import EPSILON, HEATMAP_HEADER, MirrorPairs, pair_terms
 from pushresp.surface import Surface
 
+from conftest import bin_center
+
 INT_COLUMNS = ("lag", "abs_index", "n_pos", "n_neg")
 
 
@@ -38,7 +40,7 @@ def oracle_decompose(surface: Surface, local_index: str = "eq319") -> MirrorPair
             rows.append(dict(
                 lag=m.lag,
                 abs_index=k,
-                abs_center=grid.bin_center(half + k),
+                abs_center=bin_center(grid, half + k),
                 S=s,
                 A=a,
                 rho_local=signed if local_index == "eq319" else share,

@@ -9,7 +9,6 @@ from pushresp.cleaning import (
     CleaningConfig,
     clean,
     empirical_quantile,
-    pooled_increments,
     remove_jumps,
     winsorize_returns,
 )
@@ -18,6 +17,7 @@ from pushresp.series import MidSeries
 from pushresp.synthetic import SyntheticSpec, generate
 
 import cleaning_oracle
+from cleaning_oracle import pooled_increments
 from conftest import make_series, traced_peak
 
 

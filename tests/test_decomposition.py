@@ -41,7 +41,7 @@ from pushresp.surface import (
 )
 from pushresp.synthetic import SyntheticSpec, generate
 
-from conftest import make_series
+from conftest import bin_center, make_series
 from decomposition_oracle import INT_COLUMNS, oracle_decompose, oracle_magnitudes
 
 
@@ -54,7 +54,7 @@ def build_surface(cell_data, n_min=200, lag=100):
     mean_r = np.full((1, grid.n_bins), np.nan)
     for j, (count, zr, rr) in cell_data.items():
         counts[0, j - 1] = count
-        mean_zp[0, j - 1] = grid.bin_center(j)
+        mean_zp[0, j - 1] = bin_center(grid, j)
         mean_zr[0, j - 1] = zr
         mean_r[0, j - 1] = rr
     moments = [LagMoments(lag=lag, n_pairs=int(counts.sum()), mu_p=0.0,
@@ -122,14 +122,14 @@ class TestMirrorIndex:
 
     def test_center_negation(self):
         g = BinGrid()
-        assert g.bin_center(50) + g.bin_center(271) == 0.0
+        assert bin_center(g, 50) + bin_center(g, 271) == 0.0
         cells = {}
         for k in range(1, 161):
             cells.update(mirror_cells(k, 300, 300, 0.1, 0.1))
         pairs = decompose(build_surface(cells))
         for k, center in zip(pairs.abs_index.tolist(), pairs.abs_center.tolist()):
-            assert center == g.bin_center(160 + k)
-            assert abs(center + g.bin_center(161 - k)) < 2e-15
+            assert center == bin_center(g, 160 + k)
+            assert abs(center + bin_center(g, 161 - k)) < 2e-15
 
     def test_out_of_range(self):
         # every cell of the grid pairs up, and no pair reaches past its edges

@@ -13,13 +13,12 @@ from pushresp.lags import (
     compute_moments,
     compute_moments_table,
     parse_lag_selector,
-    read_moments_csv,
     validate_lags,
     write_moments_csv,
 )
 from pushresp.series import Session
 
-from conftest import make_series
+from conftest import make_series, read_moments_csv
 from surface_oracle import session_pushes_responses
 
 

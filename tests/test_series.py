@@ -1,3 +1,5 @@
+import csv
+import io
 import struct
 import tempfile
 import tracemalloc
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushresp import series
+from pushresp.accum import cumsum_in_place
 from pushresp.errors import ArtifactIOError, MissingArtifact
 from pushresp.series import (
     MidSeries,
@@ -304,3 +307,68 @@ def test_read_table_rejects_bytes_that_are_not_utf8(tmp_path):
 def test_read_table_missing_file_is_missing_artifact(tmp_path):
     with pytest.raises(MissingArtifact):
         read_table(tmp_path / "absent.csv", TABLE_HEADER, TABLE_KINDS)
+
+
+def csv_writer_bytes(header, columns) -> bytes:
+    """What `write_csv` once wrote: each row's cells through `csv.writer`."""
+
+    def cells(column):
+        cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        if cells and isinstance(cells[0], bool):
+            return ["true" if c else "false" for c in cells]
+        return cells
+
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(zip(*map(cells, columns)))
+    return out.getvalue().encode()
+
+
+_INT64 = st.integers(INT64.min, INT64.max)
+
+
+@st.composite
+def csv_columns(draw):
+    """Two to five equal columns: float64, int64 and bool arrays, and lists of
+    floats or ints with blank cells, with values at every edge."""
+    n = draw(st.integers(0, 100))
+    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    kinds = {
+        "f8": lambda: np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64),
+        "i8": lambda: np.array(draw(st.lists(_INT64, min_size=n, max_size=n)), dtype=np.int64),
+        "bool": lambda: np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+        "blank": lambda: draw(st.lists(floats | _INT64 | st.just(""), min_size=n, max_size=n)),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=2, max_size=5))
+    return [f"c{i}" for i in range(len(names))], [kinds[k]() for k in names]
+
+
+@given(csv_columns())
+@settings(max_examples=200, deadline=None)
+def test_write_csv_writes_the_bytes_of_csv_writer(data):
+    header, columns = data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == csv_writer_bytes(header, columns)
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+def test_write_csv_rejects_a_cell_that_needs_quoting(tmp_path, cell):
+    with pytest.raises(ValueError, match="would need quoting"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1], [cell]])
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
+
+
+@given(st.lists(st.floats(-1e300, 1e300), max_size=200), st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_cumsum_in_place_is_cumsum(values, run):
+    x = np.array(values, dtype=np.float64)
+    want = np.cumsum(x)
+    cumsum_in_place(x, run)
+    assert x.tobytes() == want.tobytes()
