@@ -17,9 +17,10 @@ filtered is final. `clean` runs them on an in-memory series; `clean_prms`
 runs them from one PRMS file to another.
 
 Memory: nothing modifies its input. The quantiles are found in one read
-of the sessions that holds, besides one session's increments, only the
-k_low + 1 smallest and n - k_high largest increments: a few for the
-default tails, about one series for a central quantile. The in-memory
+of the sessions that holds, besides one session's increments, the
+k_low + 1 smallest and n - k_high largest increments, in buffers of up
+to twice that plus a session each: little for the default tails, up
+to about two series for a central quantile. The in-memory
 passes then write one new series; `clean_prms` holds the session read,
 the session cleaned and its increments.
 """
@@ -118,26 +119,29 @@ def _extremes(values: np.ndarray, keep: int, largest: bool) -> np.ndarray:
 
 
 class _Tail:
-    """The `keep` smallest (or largest) of the values offered so far, held in
-    a buffer with room for one more offer of at most `keep` values."""
+    """The `keep` smallest (or largest) of the values offered so far.
+
+    The buffer holds twice `keep` plus one offer: it is cut back to `keep`
+    (one partition) only when an offer would not fit, so at most once per
+    `keep` values taken in, and n values cost O(n) partition work."""
 
     def __init__(self, keep: int, largest: bool, longest_offer: int):
         self.keep, self.largest = keep, largest
-        self.buf = np.empty(keep + min(keep, longest_offer))
+        self.buf = np.empty(2 * keep + min(keep, longest_offer))
         self.held = 0
 
     def offer(self, values: np.ndarray) -> None:
         """Take in `values`, which are reordered in place."""
         tail = _extremes(values, self.keep, self.largest)
-        self.buf[self.held : self.held + tail.size] = tail
-        self.held += tail.size
-        if self.held > self.keep:
+        if self.held + tail.size > self.buf.size:
             self.buf[: self.keep] = _extremes(self.buf[: self.held], self.keep, self.largest)
             self.held = self.keep
+        self.buf[self.held : self.held + tail.size] = tail
+        self.held += tail.size
 
     def bound(self) -> float:
         """The smallest of the largest values kept, or the largest of the smallest."""
-        kept = self.buf[: self.held]
+        kept = _extremes(self.buf[: self.held], self.keep, self.largest)
         return float(kept.min() if self.largest else kept.max())
 
 
@@ -238,35 +242,32 @@ def _clean_session(
 
 
 def _clean_sessions(
-    source, report: CleaningReport, bounds, threshold: float | None, out=None,
+    source, report: CleaningReport, bounds, threshold: float | None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(date, kept mids) of each session of `source` that keeps an event,
     after `_clean_session`; a session the jump filter empties is counted
-    and logged. The sessions are cleaned one after another into `out` (an
-    array of len(source)) when it is given, else each into one buffer the
-    size of the longest session, valid until the next is yielded."""
+    and logged. Each session is cleaned into one buffer the size of the
+    longest, valid until the next is yielded."""
     longest = max((len(s) for s in source.sessions), default=0)
     scratch = np.empty(max(longest - 1, 0))
-    buf = np.empty(longest) if out is None else out
-    pos = 0
+    buf = np.empty(longest)
     for s, mids in source.blocks():
-        kept = _clean_session(mids, buf[pos : pos + len(s)], bounds, threshold, scratch, report)
+        kept = _clean_session(mids, buf, bounds, threshold, scratch, report)
         report.n_output += kept
         if kept == 0:
             report.n_sessions_dropped += 1
             logger.warning("session %s emptied by jump filter", s.calendar_date)
             continue
-        yield s.date, buf[pos : pos + kept]
-        if out is not None:
-            pos += kept
+        yield s.date, buf[:kept]
 
 
 def _collect(series: MidSeries, report: CleaningReport, bounds, threshold) -> MidSeries:
-    """`_clean_sessions` of an in-memory series, into one new array."""
+    """`_clean_sessions` of an in-memory series, copied into one new array."""
     mids = np.empty(len(series))
     sessions: list[Session] = []
     start = 0
-    for date, kept in _clean_sessions(series, report, bounds, threshold, out=mids):
+    for date, kept in _clean_sessions(series, report, bounds, threshold):
+        mids[start : start + len(kept)] = kept
         sessions.append(Session(date=date, start=start, end=start + len(kept) - 1))
         start += len(kept)
     return MidSeries(sessions=sessions, mids=mids[:start])

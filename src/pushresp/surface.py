@@ -294,10 +294,7 @@ def accumulate_surface(
     read, so the session, the per-lag tables and one pass's buffers per
     thread are all that is held. Each lag folds its passes in session
     order, whichever thread runs it, so the thread count changes no bit.
-
-    With more than one thread a session's lags are dealt out among them,
-    unless its anchors over all lags come to less than one pass of
-    `CHUNK_ANCHORS` per thread: the calling thread bins those alone."""
+    With more than one thread a session's lags are dealt out among them."""
     usable = [row.moments for row in moment_rows if row.moments is not None]
     excluded = [
         {"lag": row.lag, "n_pairs": row.n_pairs, "reason": row.excluded}
@@ -312,7 +309,7 @@ def accumulate_surface(
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for s, mids in source.blocks():
             busy = [acc for acc in accs if acc.anchors(s)]
-            if pool is None or sum(acc.anchors(s) for acc in busy) < threads * CHUNK_ANCHORS:
+            if pool is None:
                 _add_session(busy, s, mids, bufs[0])
                 continue
             # lags increase, so every threads-th lag makes shares of near-equal anchors

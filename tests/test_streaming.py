@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from pushresp import cleaning as cleaning_mod
 from pushresp import surface as surface_mod
 from pushresp.cleaning import CleaningConfig, clean, clean_prms
 from pushresp.errors import ArtifactIOError
@@ -146,8 +147,7 @@ def test_non_finite_mid_in_last_session_is_rejected_before_any_output(tmp_path):
     assert not (tmp_path / "c.prms").exists()
 
 
-def test_small_sessions_are_binned_on_the_calling_thread(monkeypatch):
-    # below one CHUNK_ANCHORS pass per thread a second thread costs more than it gives
+def test_each_session_s_lags_are_dealt_out_to_both_threads(monkeypatch):
     where = []
     add_session = surface_mod._add_session
 
@@ -156,17 +156,13 @@ def test_small_sessions_are_binned_on_the_calling_thread(monkeypatch):
         add_session(accs, *args)
 
     monkeypatch.setattr(surface_mod, "_add_session", spy)
-    small = make_series([_walk(np.random.default_rng(1), 3000) for _ in range(3)])
-    rows = compute_moments_table(small, LAGS)
-    accumulate_surface(small, rows, GRID, threads=2)
+    series = make_series([_walk(np.random.default_rng(1), 3000) for _ in range(3)])
+    rows = compute_moments_table(series, LAGS)
+    one = accumulate_surface(series, rows, GRID, threads=1)
     assert where == [True] * 3
     where.clear()
-    big = make_series([_walk(np.random.default_rng(2), CHUNK_ANCHORS + 500)])
-    rows = compute_moments_table(big, LAGS)
-    one = accumulate_surface(big, rows, GRID, threads=1)
-    where.clear()
-    two = accumulate_surface(big, rows, GRID, threads=2)
-    assert where == [False, False]  # the lags dealt out to both threads
+    two = accumulate_surface(series, rows, GRID, threads=2)
+    assert where == [False] * 6
     assert one == two
 
 
@@ -204,11 +200,33 @@ def test_clean_holds_a_few_sessions(tmp_path, mids_path):
     assert peak <= 4 * UNIT
 
 
-def test_clean_of_a_central_quantile_holds_about_one_series(tmp_path, mids_path):
-    # a central quantile keeps about half the increments in each tail
+def test_clean_of_a_central_quantile_holds_its_tails_twice(tmp_path, mids_path):
+    # each tail keeps 40% of the increments, in a buffer of twice that plus
+    # a session; besides them, the session read and its increments
     cfg = CleaningConfig(lower_q=0.4, upper_q=0.6)
     _, peak = traced_peak(lambda: clean_prms(mids_path, tmp_path / "c.prms", cfg))
-    assert peak <= N_SESSIONS * UNIT + 4 * UNIT
+    tails = 2 * 0.4 * N_SESSIONS * UNIT
+    assert peak <= 2 * tails + 5 * UNIT
+
+
+@pytest.mark.parametrize("keep, sizes", [
+    (3, [1, 5, 2, 40, 3, 3, 3]),
+    (50, [10] * 30),
+    (500, [7, 1000, 3, 400, 999] * 8),
+])
+@pytest.mark.parametrize("largest", [False, True])
+def test_tail_keeps_the_extremes_with_a_cut_per_keep_values(keep, sizes, largest):
+    rng = np.random.default_rng(keep)
+    offers = [np.round(rng.normal(size=s), 1) for s in sizes]  # with ties
+    tail = cleaning_mod._Tail(keep, largest, max(sizes))
+    cuts = 0
+    for values in offers:
+        before = tail.held
+        tail.offer(values.copy())
+        cuts += tail.held < before + min(keep, values.size)  # cut back to keep first
+    pooled = np.sort(np.concatenate(offers))
+    assert tail.bound() == (pooled[-keep] if largest else pooled[keep - 1])
+    assert cuts <= sum(sizes) / keep
 
 
 @pytest.mark.parametrize("threads", [1, 2])
