@@ -6,8 +6,10 @@ condition flag and fall inside regular trading hours, 09:30 inclusive
 to 16:00 exclusive Eastern, with DST handled by the zone database.
 
 Every step works on numpy columns (`Quotes`), not on one object per
-quote. Eligible quotes are ordered by timestamp (ties broken by a fixed
-venue priority), each venue's standing bid and ask are forward-filled,
+quote. Each file is filtered as soon as it is read, so only its eligible
+quotes are kept, and only the columns the merge reads (`Updates`).
+Eligible quotes are ordered by timestamp (ties broken by a fixed venue
+priority), each venue's standing bid and ask are forward-filled,
 and the best bid/ask is the row max/min over venues; an event is emitted
 only when it changes. Crossed books (bid > ask) are withheld from
 output; locked books (bid == ask) pass through; both are tallied in the
@@ -44,9 +46,9 @@ DAY_NS = 86_400 * NS
 EPOCH = datetime.date(1970, 1, 1)
 
 # Lines parsed per batch (in characters): bounds the str objects alive at once.
-_BATCH_CHARS = 1 << 20
+_BATCH_CHARS = 1 << 18
 # Rows per forward-fill chunk of the NBBO merge: bounds its temporaries.
-_FILL_ROWS = 1 << 16
+_FILL_ROWS = 1 << 14
 
 # The checks a record must pass, in the order they are made; a malformed
 # record is reported under the field of the first one it fails.
@@ -75,12 +77,27 @@ class Quotes(NamedTuple):
     def take(self, rows) -> Quotes:
         return Quotes(*(col[rows] for col in self))
 
-    @staticmethod
-    def concat(parts: list[Quotes]) -> Quotes:
-        return Quotes(*map(np.concatenate, zip(NO_QUOTES, *parts)))
+
+class Updates(NamedTuple):
+    """Eligible quotes as the columns the NBBO merge reads, one entry per quote."""
+
+    ts: np.ndarray  # int64 ns since epoch
+    venue: np.ndarray  # int16 rank of the venue in the priority order
+    bid: np.ndarray  # float64
+    ask: np.ndarray  # float64
 
 
 NO_QUOTES = Quotes(*(np.empty(0, t) for t in (np.int64, np.int16, float, float, bool, np.int64)))
+NO_UPDATES = Updates(*NO_QUOTES[:4])
+
+
+def _join(parts: list, empty: tuple):
+    """The tables in `parts` as one table of `empty`'s type, emptying `parts`:
+    each column of the parts is released as soon as it is joined, so that
+    no record is held twice over."""
+    columns = list(zip(empty, *parts))
+    parts.clear()
+    return type(empty)(*(np.concatenate(columns.pop(0)) for _ in empty))
 
 
 class Nbbo(NamedTuple):
@@ -292,7 +309,7 @@ def read_quote_csv(
     except MalformedRecord as exc:
         raise MalformedRecord(exc.line_no, exc.field, exc.detail, Path(path).name) from None
     logger.info("%s: %d of %d batches by the C reader", Path(path).name, n_c, n_batches)
-    return Quotes.concat(parts)
+    return _join(parts, NO_QUOTES)
 
 
 def _calendar(ts: np.ndarray, tz: str) -> tuple[np.ndarray, np.ndarray]:
@@ -319,34 +336,37 @@ def _calendar(ts: np.ndarray, tz: str) -> tuple[np.ndarray, np.ndarray]:
 
 def filter_eligible(
     quotes: Quotes, tz: str = DEFAULT_TZ, report: QualityReport | None = None
-) -> Quotes:
-    """Keep regular-condition quotes inside regular trading hours."""
+) -> Updates:
+    """Keep regular-condition quotes inside regular trading hours, as the
+    columns the merge reads."""
     _, in_rth = _calendar(quotes.ts, tz)
     if report is not None:
         report.n_dropped_condition += int((~quotes.regular).sum())
         report.n_dropped_outside_rth += int((quotes.regular & ~in_rth).sum())
-    return quotes.take(quotes.regular & in_rth)
+    keep = quotes.regular & in_rth
+    return Updates(quotes.ts[keep], quotes.venue[keep], quotes.bid[keep], quotes.ask[keep])
 
 
-def consolidate_nbbo(quotes: Quotes, report: QualityReport | None = None) -> Nbbo:
+def consolidate_nbbo(quotes: Updates, report: QualityReport | None = None) -> Nbbo:
     """Merge the venues' quotes into the consolidated best bid/offer.
 
     Quotes apply in timestamp order, ties in venue-rank order and then in
     record order. After each update best_bid is the max over the venues'
     standing bids and best_ask the min over their asks; an update is
     emitted only when the pair differs from the last uncrossed one, and
-    updates that leave the book crossed are withheld.
+    updates that leave the book crossed are withheld. Each chunk of rows is
+    gathered through the sort order, so the quotes are not copied whole.
     """
     report = report if report is not None else QualityReport()
-    q = quotes.take(np.lexsort((quotes.venue, quotes.ts)))
-    venues = np.unique(q.venue)
+    order = np.lexsort((quotes.venue, quotes.ts))  # stable: ties keep file and record order
+    venues = np.unique(quotes.venue)
     bids = np.full(len(venues), -np.inf)  # each venue's standing quote
     asks = np.full(len(venues), np.inf)
     last = (np.nan, np.nan)  # the last uncrossed book
     parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0))]
-    for lo in range(0, len(q.ts), _FILL_ROWS):
-        rows = slice(lo, lo + _FILL_ROWS)
-        venue, bid, ask = q.venue[rows], q.bid[rows], q.ask[rows]
+    for lo in range(0, len(order), _FILL_ROWS):
+        rows = order[lo : lo + _FILL_ROWS]
+        venue, bid, ask = quotes.venue[rows], quotes.bid[rows], quotes.ask[rows]
         pos = np.arange(len(venue))
         best_bid, best_ask = np.full(len(venue), -np.inf), np.full(len(venue), np.inf)
         for k, v in enumerate(venues):
@@ -366,7 +386,8 @@ def consolidate_nbbo(quotes: Quotes, report: QualityReport | None = None) -> Nbb
         report.n_unchanged_suppressed += int(len(uncrossed) - changed.sum())
         if len(uncrossed):
             last = (bb[-1], ba[-1])
-        parts.append((q.ts[rows][uncrossed[changed]], bb[changed], ba[changed]))
+        parts.append((quotes.ts[rows[uncrossed[changed]]], bb[changed], ba[changed]))
+    order = rows = None  # not held while the events are joined
     ts, bid, ask = map(np.concatenate, zip(*parts))
     report.n_emitted = len(ts)
     return Nbbo(ts, bid, ask, (bid + ask) / 2.0)
@@ -384,13 +405,20 @@ def build_mid_series(nbbo: Nbbo, tz: str = DEFAULT_TZ) -> MidSeries:
     return MidSeries(sessions, nbbo.mid)
 
 
-def _series(quotes: Quotes, tz: str, report: QualityReport) -> MidSeries:
-    """Filter, consolidate and cut `quotes`; dates with records but no
-    session are logged and listed in the report."""
-    eligible = filter_eligible(quotes, tz, report=report)
-    series = build_mid_series(consolidate_nbbo(eligible, report), tz)
-    kept_days = [s.date for s in series.sessions]
-    for day in np.setdiff1d(_calendar(quotes.ts, tz)[0], kept_days).tolist():
+def _eligible(quotes: Quotes, tz: str, report: QualityReport, record_days: set[int]) -> Updates:
+    """The eligible updates of one file's `quotes`; the dates of all its
+    records are added to `record_days`."""
+    record_days.update(np.unique(_calendar(quotes.ts, tz)[0]).tolist())
+    return filter_eligible(quotes, tz, report=report)
+
+
+def _series(
+    parts: list[Updates], record_days: set[int], tz: str, report: QualityReport
+) -> MidSeries:
+    """Merge and cut the files' eligible updates, emptying `parts`; dates
+    with records but no session are logged and listed in the report."""
+    series = build_mid_series(consolidate_nbbo(_join(parts, NO_UPDATES), report), tz)
+    for day in sorted(record_days.difference(s.date for s in series.sessions)):
         date = EPOCH + datetime.timedelta(days=day)
         report.empty_session_dates.append(date.isoformat())
         logger.warning("no eligible events for %s; session omitted", date)
@@ -403,17 +431,19 @@ def ingest_files(
     strict: bool = True,
     priority: tuple[str, ...] = DEFAULT_VENUES,
 ) -> tuple[MidSeries, QualityReport]:
-    """Full ingest: parse each venue file, filter, consolidate, build series.
+    """Full ingest: parse and filter each venue file, consolidate, build series.
 
     Files are read in key order, so a venue split across files keeps its
-    records' order where their timestamps tie.
+    records' order where their timestamps tie. Each file's records are
+    filtered as soon as it is read, so only eligible quotes are held.
     """
-    report = QualityReport()
-    quotes = Quotes.concat([
-        read_quote_csv(path, strict=strict, venues=priority, report=report)
+    report, record_days = QualityReport(), set()
+    parts = [
+        _eligible(read_quote_csv(path, strict=strict, venues=priority, report=report),
+                  tz, report, record_days)
         for _, path in sorted(venue_files.items())
-    ])
-    return _series(quotes, tz, report), report
+    ]
+    return _series(parts, record_days, tz, report), report
 
 
 def ingest_consolidated(
@@ -423,7 +453,7 @@ def ingest_consolidated(
     priority: tuple[str, ...] = DEFAULT_VENUES,
 ) -> tuple[MidSeries, QualityReport]:
     """Ingest a pre-consolidated feed: same schema, degenerate merge."""
-    report = QualityReport()
+    report, record_days = QualityReport(), set()
     quotes = read_quote_csv(path, strict=strict, venues=priority, report=report)
     # One logical stream: enforce global time order.
     late = quotes.ts < np.maximum.accumulate(quotes.ts)
@@ -435,4 +465,6 @@ def ingest_consolidated(
         quotes = quotes.take(~late)
     # Each record is the whole book, so all of them form one venue.
     quotes = quotes._replace(venue=np.zeros_like(quotes.venue))
-    return _series(quotes, tz, report), report
+    parts = [_eligible(quotes, tz, report, record_days)]
+    del quotes  # the records are not held through the merge
+    return _series(parts, record_days, tz, report), report

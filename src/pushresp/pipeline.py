@@ -335,7 +335,11 @@ def _ingest(opts: IngestOptions):
         return ingest_mod.ingest_consolidated(
             opts.consolidated, tz=opts.tz, strict=opts.strict
         )
-    files = {p.stem.upper(): p for p in sorted(Path(opts.venues_dir).glob("*.csv"))}
+    files: dict[str, Path] = {}
+    for p in sorted(Path(opts.venues_dir).glob("*.csv")):
+        if (other := files.setdefault(p.stem.upper(), p)) != p:
+            raise StageFailure("source", f"quote files {other.name} and {p.name} in "
+                                         f"{opts.venues_dir} differ only in case; rename one")
     if not files:
         raise StageFailure("source", f"no quote files in {opts.venues_dir}")
     return ingest_mod.ingest_files(files, tz=opts.tz, strict=opts.strict)

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import datetime
 import re
+import tracemalloc
 from unittest import mock
 from zoneinfo import ZoneInfo
 
@@ -580,6 +581,87 @@ class TestOracle:
             theirs(p)
         assert (got.value.line_no, got.value.field) == (want.value.line_no, want.value.field)
         assert got.value.line_no == (1 if bad == "header" else 6)
+
+
+class TestMergeOrder:
+    """Each file is filtered on its own and the merge sorts once; ties must
+    still apply in (timestamp, venue rank, file, record) order."""
+
+    @pytest.mark.parametrize("batch_chars, fill_rows", [(1, 1), (200, 7), (1 << 20, 1 << 16)])
+    def test_venue_split_across_two_files(self, tmp_path, batch_chars, fill_rows):
+        # NYSE's records sit in both files, tied at t0 and t0 + 2; file "a"
+        # comes first in key order, so its tied NYSE record applies first
+        t0 = ns_at(2019, 1, 2, 10, 0)
+        write_venue_file(tmp_path / "a.csv", [
+            (t0, "NYSE", 100.00, 100, 100.02, 100, "R"),
+            (t0 + 2, "NYSE", 100.02, 100, 100.05, 100, "R"),
+        ])
+        write_venue_file(tmp_path / "b.csv", [
+            (t0, "NASDAQ", 99.99, 100, 100.06, 100, "R"),
+            (t0, "NYSE", 100.01, 100, 100.05, 100, "R"),
+            (t0 + 1, "NYSE", 100.00, 100, 100.02, 100, "R"),
+            (t0 + 2, "NYSE", 100.03, 100, 100.04, 100, "R"),
+        ])
+        venue_files = {"B": tmp_path / "b.csv", "A": tmp_path / "a.csv"}
+        with chunked(batch_chars, fill_rows):
+            got = ingest_files(venue_files)
+        assert_same_ingest(got, ingest_oracle.ingest_files(venue_files), tmp_path)
+        # a's then b's NYSE at t0 (b's NASDAQ leaves the book as it is), b's
+        # at t0 + 1, then a's and b's at t0 + 2
+        assert got[0].mids.tolist() == pytest.approx([100.01, 100.03, 100.01, 100.035, 100.035])
+
+    @pytest.mark.parametrize("batch_chars, fill_rows", [(1, 1), (200, 7), (1 << 20, 1 << 16)])
+    def test_multi_venue_file_out_of_time_order_across_venues(
+        self, tmp_path, batch_chars, fill_rows
+    ):
+        # each venue is in time order, but NASDAQ's whole day comes first
+        t0 = ns_at(2019, 1, 2, 10, 0)
+        rows = [(t0 + i, "NASDAQ", 100.00 + 0.01 * (i % 3), 100, 100.05, 100, "R")
+                for i in range(0, 6, 2)]
+        rows += [(t0 + i, "NYSE", 100.00, 100, 100.04 - 0.01 * (i % 2), 100, "R")
+                 for i in range(6)]
+        write_venue_file(tmp_path / "feed.csv", rows)
+        with chunked(batch_chars, fill_rows):
+            got = ingest_files({"X": tmp_path / "feed.csv"})
+        assert_same_ingest(got, ingest_oracle.ingest_files({"X": tmp_path / "feed.csv"}), tmp_path)
+        assert got[1].n_malformed_skipped == 0
+        # at each tie NYSE applies before NASDAQ, which it outranks
+        assert got[0].mids.tolist() == pytest.approx(
+            [100.02, 100.015, 100.02, 100.03, 100.025, 100.03, 100.025, 100.02])
+
+
+def test_ingest_holds_each_quote_once(tmp_path):
+    """Traced peak of `ingest_files` per quote on a four-venue feed, with
+    parse batches and merge chunks made small so that what is held per
+    quote shows. Held per quote are the merge's four columns (26 B), its
+    sort order (8 B) until the events are joined, and the events emitted
+    (about a fifth of the quotes here, 24 B each, twice while they are
+    joined, and 8 B of mid): about 44 B. A sorted copy of the merge
+    columns would add 26 B, and keeping all records' six columns through
+    the merge 35 B."""
+    t0 = ns_at(2019, 1, 2, 9, 30)
+    rng = np.random.default_rng(5)
+    venue_files = {}
+    for venue in ("NYSE", "NASDAQ", "ARCA", "BZX"):
+        n = 20_000
+        ts = t0 + np.sort(rng.integers(0, 6 * 3600 * 10**9, n))
+        bid = 10_000 + rng.integers(0, 4, n)
+        ask = bid + rng.integers(1, 4, n)
+        venue_files[venue] = write_lines(tmp_path / f"{venue}.csv", [
+            f"{t},{venue},{b / 100:.2f},100,{a / 100:.2f},100,R"
+            for t, b, a in zip(ts.tolist(), bid.tolist(), ask.tolist())
+        ])
+    with chunked(1 << 12, 1 << 10):
+        ingest_files({"NYSE": venue_files["NYSE"]})  # loads what numpy and zoneinfo keep
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, report = ingest_files(venue_files)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert report.n_records == 80_000 and report.n_emitted > 0.1 * report.n_records
+    assert peak / report.n_records < 60
 
 
 def canonical_lines(n, t0=ns_at(2019, 1, 2, 10, 0)):

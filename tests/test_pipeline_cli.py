@@ -419,5 +419,21 @@ class TestCliSubcommands:
         manifest = read_manifest(out)
         assert manifest["quality"]["n_emitted"] > 0
 
+    def test_ingest_venue_files_differing_in_case_exit_2(self, tmp_path, capsys):
+        # both files would map to the key NYSE; neither may be dropped silently
+        from test_ingest import ns_at, write_venue_file
+
+        vdir = tmp_path / "venues"
+        vdir.mkdir()
+        t0 = ns_at(2019, 1, 2, 10, 0)
+        for name in ("NYSE.csv", "nyse.csv"):
+            write_venue_file(vdir / name, [(t0 + i, "NYSE", 100.0, 100, 100.02, 100, "R")
+                                           for i in range(5)])
+        out = tmp_path / "mids.prms"
+        assert main(["ingest", "--venues", str(vdir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "NYSE.csv" in err and "nyse.csv" in err and "differ only in case" in err
+        assert not out.exists()
+
     def test_ingest_requires_one_source(self, tmp_path):
         assert main(["ingest", "--out", str(tmp_path / "x.prms")]) == 1
