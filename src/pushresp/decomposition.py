@@ -176,10 +176,12 @@ def _lag_rng(seed: int, lag: int) -> np.random.Generator:
 
 
 # Bytes of one [replicates, n_bins / 2] float64 temporary per pass of
-# the block band. Small temporaries stay in reused heap memory; at 96 KiB
-# and above (glibc) they were mapped afresh and page-faulted on every
-# pass, which cost more than the arithmetic. The pass's two full-width
-# tables are allocated once per lag instead.
+# the block band, which sets how many replicates a pass holds. Small
+# temporaries stay in reused heap memory; at 96 KiB and above (glibc)
+# they were mapped afresh and page-faulted on every pass, which cost more
+# than the arithmetic. A pass draws its replicates' blocks and holds how
+# often each is drawn; its two full-width tables (drawn counts and sums)
+# and the mean table are allocated once per lag.
 _PASS_BYTES = 64 * 1024
 
 
@@ -195,29 +197,34 @@ def block_replicates(
     cells below `n_min_support` are invalid, mirror pairs need both cells
     valid, and weights follow the replicate's own support. A replicate
     without a supported pair counts as 0, as in `rho_lag`.
+
+    The replicates are drawn a pass at a time, in order, from the lag's
+    one stream: `Generator.integers` drawn in consecutive row chunks gives
+    the rows of one whole draw, so the pass size does not change a bit.
     """
     n_blocks, n_bins = blocks.counts.shape
     rng = _lag_rng(cfg.seed, blocks.lag)
-    draws = rng.integers(0, n_blocks, size=(cfg.n_replicates, n_blocks))
-    draws += np.arange(cfg.n_replicates)[:, None] * n_blocks
-    # how often each replicate draws each block
-    times_drawn = np.bincount(
-        draws.ravel(), minlength=cfg.n_replicates * n_blocks
-    ).reshape(cfg.n_replicates, n_blocks).astype(np.float64)
     # the replicate counts are exact: integer sums below 2**53
-    tables = np.concatenate([blocks.counts.astype(np.float64), blocks.sum_zr], axis=1)
+    block_counts = blocks.counts.astype(np.float64)
     stats = np.empty(cfg.n_replicates)
     per_pass = max(1, _PASS_BYTES // (8 * (n_bins // 2)))
-    drawn = np.empty((per_pass, 2 * n_bins))
+    offsets = np.arange(per_pass)[:, None] * n_blocks
+    counts = np.empty((per_pass, n_bins))
+    sums = np.empty((per_pass, n_bins))
     mean_zr = np.empty((per_pass, n_bins))
     for r0 in range(0, cfg.n_replicates, per_pass):
         n = min(per_pass, cfg.n_replicates - r0)
-        np.matmul(times_drawn[r0:r0 + n], tables, out=drawn[:n])
-        counts = drawn[:n, :n_bins]
+        draws = rng.integers(0, n_blocks, size=(n, n_blocks))
+        draws += offsets[:n]
+        # how often each replicate of the pass draws each block
+        times_drawn = np.bincount(draws.ravel(), minlength=n * n_blocks).reshape(n, n_blocks)
+        times_drawn = times_drawn.astype(np.float64)
+        np.matmul(times_drawn, block_counts, out=counts[:n])
+        np.matmul(times_drawn, blocks.sum_zr, out=sums[:n])
         # a cell with count 0 has sum 0, so dividing by max(n, 1) keeps it finite
-        np.maximum(counts, 1.0, out=mean_zr[:n])
-        np.divide(drawn[:n, n_bins:], mean_zr[:n], out=mean_zr[:n])
-        support, A, S = pair_terms(counts, mean_zr[:n], n_min_support)
+        np.maximum(counts[:n], 1.0, out=mean_zr[:n])
+        np.divide(sums[:n], mean_zr[:n], out=mean_zr[:n])
+        support, A, S = pair_terms(counts[:n], mean_zr[:n], n_min_support)
         stats[r0:r0 + n] = dominance_ratio(
             np.einsum("ij,ij->i", support, np.abs(A)),
             np.einsum("ij,ij->i", support, np.abs(S)),

@@ -6,18 +6,25 @@ with the bin layout of the surface views and the heatmap taken from the
 grid in the CSV's manifest, so the published tables fully determine the
 published pictures. All coordinates and colors are formatted with fixed
 precision, making the output byte-stable for identical inputs.
+
+Memory: a figure is written as it is drawn, each element to the output
+file as soon as it is made, and the file is opened only once the inputs
+are read. The two cell figures color and format their cells a batch of
+`_CELL_BATCH` at a time, so a render holds its CSV's columns and one
+batch of cells, never the whole document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
 from .decomposition import read_heatmap_csv, read_summary_csv
-from .errors import InvalidGrid, MissingArtifact
-from .series import read_manifest, write_text
+from .errors import ArtifactIOError, InvalidGrid, MissingArtifact
+from .series import read_manifest
 from . import surface as surface_mod
 
 WIDTH = 960
@@ -26,6 +33,8 @@ MARGIN_L = 70
 MARGIN_R = 30
 MARGIN_T = 40
 MARGIN_B = 50
+# Cells colored, formatted and written at a time by the cell figures.
+_CELL_BATCH = 1024
 
 FIGURE_KINDS = (
     "surface_top",
@@ -82,54 +91,67 @@ def _lag_color(i: int, n: int) -> str:
 
 
 class _Svg:
-    def __init__(self, title: str):
-        self.parts = [
+    """An SVG document written to the text stream `out` as it is drawn,
+    one line per element; leaving the `with` block ends the document."""
+
+    def __init__(self, out: TextIO, title: str):
+        self.out = out
+        out.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
             f'<text x="{WIDTH / 2:.0f}" y="24" font-family="monospace" '
-            f'font-size="16" text-anchor="middle">{title}</text>',
-        ]
+            f'font-size="16" text-anchor="middle">{title}</text>\n'
+        )
+
+    def __enter__(self) -> _Svg:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if exc[0] is None:
+            self.out.write("</svg>\n")
 
     def rect(self, x, y, w, h, color):
-        self.parts.append(
+        self.out.write(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-            f'height="{_fmt(h)}" fill="{color}"/>'
+            f'height="{_fmt(h)}" fill="{color}"/>\n'
         )
 
-    def cells(self, xs, ys, cols, rows, colors, w, h):
+    def cells(self, xs, ys, cols, rows, values, vmax, w, h):
         """One rect per cell k, at x `xs[cols[k]]` and y `ys[rows[k]]`, all
-        of width `w` and height `h`; coordinates are formatted once each."""
+        of width `w` and height `h`, in the diverging color of `values[k]`
+        over [-vmax, vmax]. Coordinates are formatted once each; the cells
+        are colored and written `_CELL_BATCH` at a time."""
         xs, ys = list(map(_fmt, xs)), list(map(_fmt, ys))
         size = f'width="{_fmt(w)}" height="{_fmt(h)}"'
-        self.parts.extend(
-            f'<rect x="{xs[c]}" y="{ys[r]}" {size} fill="{color}"/>'
-            for c, r, color in zip(cols.tolist(), rows.tolist(), colors)
-        )
+        for lo in range(0, len(cols), _CELL_BATCH):
+            batch = slice(lo, lo + _CELL_BATCH)
+            colors = _diverging_colors(values[batch], vmax)
+            self.out.write("".join(
+                f'<rect x="{xs[c]}" y="{ys[r]}" {size} fill="{color}"/>\n'
+                for c, r, color in zip(cols[batch].tolist(), rows[batch].tolist(), colors)
+            ))
 
     def line(self, x1, y1, x2, y2, color="#888888", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
-        self.parts.append(
+        self.out.write(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{width}"{d}/>'
+            f'stroke="{color}" stroke-width="{width}"{d}/>\n'
         )
 
     def polyline(self, points, color, width=1.5, dash=None):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
         d = f' stroke-dasharray="{dash}"' if dash else ""
-        self.parts.append(
+        self.out.write(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{d}/>'
+            f'stroke-width="{width}"{d}/>\n'
         )
 
     def text(self, x, y, s, anchor="middle", size=11):
-        self.parts.append(
+        self.out.write(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
-            f'font-size="{size}" text-anchor="{anchor}">{s}</text>'
+            f'font-size="{size}" text-anchor="{anchor}">{s}</text>\n'
         )
-
-    def to_string(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
 @dataclass
@@ -177,102 +199,96 @@ def _read_surface(path) -> tuple[surface_mod.Surface, np.ndarray]:
     return surf, np.flatnonzero(surf.counts.any(axis=1))
 
 
-def render_surface_top(spec: FigureSpec) -> str:
+def render_surface_top(spec: FigureSpec, out: TextIO) -> None:
     surf, rows = _read_surface(spec.surface)
-    svg = _Svg("conditional response surface (top view)")
-    if rows.size:
-        grid = surf.grid
-        cw = (WIDTH - MARGIN_L - MARGIN_R) / grid.n_bins
-        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(rows)
-        row, col = np.nonzero(surf.valid[rows])  # row by row, bins in order
-        svg.cells([MARGIN_L + k * cw for k in range(grid.n_bins)],
-                  [MARGIN_T + k * ch for k in range(len(rows))], col, row,
-                  _diverging_colors(surf.mean_zr[rows[row], col], spec.vmax),
-                  cw + 0.1, ch + 0.1)
-        frame = _Frame(grid.z_min, grid.z_max, 0, len(rows))
-        _axes(svg, frame, "standardized push", "lag rank (top to bottom)")
-    return svg.to_string()
+    with _Svg(out, "conditional response surface (top view)") as svg:
+        if rows.size:
+            grid = surf.grid
+            cw = (WIDTH - MARGIN_L - MARGIN_R) / grid.n_bins
+            ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(rows)
+            row, col = np.nonzero(surf.valid[rows])  # row by row, bins in order
+            svg.cells([MARGIN_L + k * cw for k in range(grid.n_bins)],
+                      [MARGIN_T + k * ch for k in range(len(rows))], col, row,
+                      surf.mean_zr[rows[row], col], spec.vmax, cw + 0.1, ch + 0.1)
+            frame = _Frame(grid.z_min, grid.z_max, 0, len(rows))
+            _axes(svg, frame, "standardized push", "lag rank (top to bottom)")
 
 
-def render_surface_side(spec: FigureSpec) -> str:
+def render_surface_side(spec: FigureSpec, out: TextIO) -> None:
     surf, rows = _read_surface(spec.surface)
-    svg = _Svg("conditional response surface (side view)")
     vals = surf.mean_zr[surf.valid]
-    if vals.size:
-        grid = surf.grid
-        lo, hi = vals.min().item(), vals.max().item()
-        pad = 0.05 * (hi - lo) if hi > lo else 0.1
-        frame = _Frame(grid.z_min, grid.z_max, lo - pad, hi + pad)
-        _axes(svg, frame, "standardized push", "mean standardized response")
-        if frame.y_min < 0 < frame.y_max:
-            svg.line(frame.x(frame.x_min), frame.y(0), frame.x(frame.x_max),
-                     frame.y(0), "#bbbbbb", dash="4,3")
-        centers = grid.centers()
-        for row, i in enumerate(rows):
-            cols = np.flatnonzero(surf.valid[i])
-            if len(cols) >= 2:
-                points = zip(frame.x(centers[cols]).tolist(),
-                             frame.y(surf.mean_zr[i, cols]).tolist())
-                svg.polyline(points, _lag_color(row, len(rows)), width=1.0)
-    return svg.to_string()
+    with _Svg(out, "conditional response surface (side view)") as svg:
+        if vals.size:
+            grid = surf.grid
+            lo, hi = vals.min().item(), vals.max().item()
+            pad = 0.05 * (hi - lo) if hi > lo else 0.1
+            frame = _Frame(grid.z_min, grid.z_max, lo - pad, hi + pad)
+            _axes(svg, frame, "standardized push", "mean standardized response")
+            if frame.y_min < 0 < frame.y_max:
+                svg.line(frame.x(frame.x_min), frame.y(0), frame.x(frame.x_max),
+                         frame.y(0), "#bbbbbb", dash="4,3")
+            centers = grid.centers()
+            for row, i in enumerate(rows):
+                cols = np.flatnonzero(surf.valid[i])
+                if len(cols) >= 2:
+                    points = zip(frame.x(centers[cols]).tolist(),
+                                 frame.y(surf.mean_zr[i, cols]).tolist())
+                    svg.polyline(points, _lag_color(row, len(rows)), width=1.0)
 
 
-def render_dominance_heatmap(spec: FigureSpec) -> str:
+def render_dominance_heatmap(spec: FigureSpec, out: TextIO) -> None:
     pairs = read_heatmap_csv(spec.heatmap)
-    svg = _Svg("local dominance heatmap")
-    if len(pairs):
-        lags, rank = np.unique(pairs.lag, return_inverse=True)
-        grid = read_manifest(spec.heatmap)["grid"]
-        n_half = grid["n_bins"] // 2
-        cw = (WIDTH - MARGIN_L - MARGIN_R) / n_half
-        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
-        # a cell per supported pair, in the file's (lag, abs_index) order;
-        # unsupported pairs stay blank
-        on = (1 <= pairs.abs_index) & (pairs.abs_index <= n_half)
-        svg.cells([MARGIN_L + k * cw for k in range(n_half)],
-                  [MARGIN_T + k * ch for k in range(len(lags))],
-                  pairs.abs_index[on] - 1, rank[on],
-                  _diverging_colors(pairs.rho_local[on], 1.0), cw + 0.1, ch + 0.1)
-        frame = _Frame(0.0, grid["z_max"], 0, len(lags))
-        _axes(svg, frame, "absolute standardized push", "lag rank (top to bottom)")
-    return svg.to_string()
+    grid = read_manifest(spec.heatmap)["grid"] if len(pairs) else None
+    with _Svg(out, "local dominance heatmap") as svg:
+        if len(pairs):
+            lags, rank = np.unique(pairs.lag, return_inverse=True)
+            n_half = grid["n_bins"] // 2
+            cw = (WIDTH - MARGIN_L - MARGIN_R) / n_half
+            ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
+            # a cell per supported pair, in the file's (lag, abs_index) order;
+            # unsupported pairs stay blank
+            on = (1 <= pairs.abs_index) & (pairs.abs_index <= n_half)
+            svg.cells([MARGIN_L + k * cw for k in range(n_half)],
+                      [MARGIN_T + k * ch for k in range(len(lags))],
+                      pairs.abs_index[on] - 1, rank[on], pairs.rho_local[on], 1.0,
+                      cw + 0.1, ch + 0.1)
+            frame = _Frame(0.0, grid["z_max"], 0, len(lags))
+            _axes(svg, frame, "absolute standardized push", "lag rank (top to bottom)")
 
 
-def render_magnitude_curve(spec: FigureSpec) -> str:
+def render_magnitude_curve(spec: FigureSpec, out: TextIO) -> None:
     rows = read_summary_csv(spec.summary)
-    svg = _Svg("response magnitude by lag")
-    if rows:
-        xs = [r.lag for r in rows]
-        ys = [r.M for r in rows]
-        frame = _Frame(min(xs), max(xs), 0.0, max(ys) * 1.05 if max(ys) > 0 else 1.0)
-        _axes(svg, frame, "lag (events)", "weighted mean |response|")
-        svg.polyline(
-            [(frame.x(x), frame.y(y)) for x, y in zip(xs, ys)], "#b02428", width=2.0
-        )
-    return svg.to_string()
+    with _Svg(out, "response magnitude by lag") as svg:
+        if rows:
+            xs = [r.lag for r in rows]
+            ys = [r.M for r in rows]
+            frame = _Frame(min(xs), max(xs), 0.0, max(ys) * 1.05 if max(ys) > 0 else 1.0)
+            _axes(svg, frame, "lag (events)", "weighted mean |response|")
+            svg.polyline(
+                [(frame.x(x), frame.y(y)) for x, y in zip(xs, ys)], "#b02428", width=2.0
+            )
 
 
-def render_rho_curve(spec: FigureSpec) -> str:
+def render_rho_curve(spec: FigureSpec, out: TextIO) -> None:
     rows = read_summary_csv(spec.summary)
-    svg = _Svg("lag dominance with bootstrap band")
-    if rows:
-        xs = [r.lag for r in rows]
-        frame = _Frame(min(xs), max(xs), -1.0, 1.0)
-        _axes(svg, frame, "lag (events)", "dominance")
-        svg.line(frame.x(xs[0]), frame.y(0), frame.x(xs[-1]), frame.y(0),
-                 "#bbbbbb", dash="4,3")
-        for col, key, width, dash in (
-            ("#8899dd", "ci_low", 1.0, "2,2"),
-            ("#8899dd", "ci_high", 1.0, "2,2"),
-            ("#202090", "rho", 2.0, None),
-        ):
-            pts = [(frame.x(x), frame.y(getattr(r, key))) for x, r in zip(xs, rows)]
-            if len(pts) >= 2:
-                svg.polyline(pts, col, width=width, dash=dash)
-            elif pts:
-                x, y = pts[0]
-                svg.rect(x - 2, y - 2, 4, 4, col)
-    return svg.to_string()
+    with _Svg(out, "lag dominance with bootstrap band") as svg:
+        if rows:
+            xs = [r.lag for r in rows]
+            frame = _Frame(min(xs), max(xs), -1.0, 1.0)
+            _axes(svg, frame, "lag (events)", "dominance")
+            svg.line(frame.x(xs[0]), frame.y(0), frame.x(xs[-1]), frame.y(0),
+                     "#bbbbbb", dash="4,3")
+            for col, key, width, dash in (
+                ("#8899dd", "ci_low", 1.0, "2,2"),
+                ("#8899dd", "ci_high", 1.0, "2,2"),
+                ("#202090", "rho", 2.0, None),
+            ):
+                pts = [(frame.x(x), frame.y(getattr(r, key))) for x, r in zip(xs, rows)]
+                if len(pts) >= 2:
+                    svg.polyline(pts, col, width=width, dash=dash)
+                elif pts:
+                    x, y = pts[0]
+                    svg.rect(x - 2, y - 2, 4, 4, col)
 
 
 _RENDERERS = {
@@ -284,11 +300,50 @@ _RENDERERS = {
 }
 
 
+class _FigureFile:
+    """A figure's output file as a text stream, opened at its first write,
+    so a render whose inputs cannot be read creates no file. `discard`
+    removes what a failed render wrote."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._f = None
+
+    def write(self, text: str) -> None:
+        try:
+            if self._f is None:
+                self._f = open(self.path, "w", encoding="utf-8")
+            self._f.write(text)
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot write {self.path}: {exc}") from exc
+
+    def close(self) -> None:
+        try:
+            if self._f is not None:
+                self._f.close()
+        except OSError as exc:
+            raise ArtifactIOError(f"cannot write {self.path}: {exc}") from exc
+
+    def discard(self) -> None:
+        if self._f is not None:
+            try:
+                self._f.close()
+            except OSError:
+                pass
+            self.path.unlink(missing_ok=True)
+
+
 def render_figure(spec: FigureSpec) -> Path:
-    """Render one figure to its output path; returns the path."""
+    """Render one figure to its output path; returns the path. A render
+    that fails leaves no output file behind it."""
     renderer, needed = _RENDERERS[spec.kind]
     if getattr(spec, needed) is None:
         raise MissingArtifact(f"figure '{spec.kind}' needs a --{needed} input")
-    out = Path(spec.out)
-    write_text(out, renderer(spec))
-    return out
+    out = _FigureFile(Path(spec.out))
+    try:
+        renderer(spec, out)
+        out.close()
+    except BaseException:
+        out.discard()
+        raise
+    return out.path

@@ -31,7 +31,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .errors import ArtifactIOError, MalformedRecord
-from .series import MidSeries, Session, c_columns
+from .series import MidSeries, Session, c_columns, plainly_spelt
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +44,7 @@ RTH_CLOSE = datetime.time(16, 0)
 NS = 1_000_000_000
 DAY_NS = 86_400 * NS
 EPOCH = datetime.date(1970, 1, 1)
+_INT64_MAX = np.iinfo(np.int64).max
 
 # Lines parsed per batch (in characters): bounds the str objects alive at once.
 _BATCH_CHARS = 1 << 18
@@ -170,7 +171,7 @@ class _Fields(NamedTuple):
 # Bytes the C reader may see besides the letters of the listed venues: a
 # batch holding any other byte, such as `+`, `_`, a space, `\r` or `#`, is one
 # whose spellings numpy's parsers and the `int`/`float` builtins might read
-# differently (see `series.c_columns`).
+# differently (see `series.plainly_spelt`).
 _C_BYTES = "0123456789.-,\n" + string.ascii_uppercase
 # Text an undecodable byte was read as (errors="surrogateescape").
 _ESCAPED = re.compile("[\udc80-\udcff]")
@@ -184,7 +185,8 @@ def _c_fields(lines: list[str], rank: dict[str, int]) -> _Fields | None:
     dtype = [("ts", "i8"), ("venue", f"S{width}"), ("bid", "f8"), ("bid_size", "i8"),
              ("ask", "f8"), ("ask_size", "i8"), ("condition", "S2")]
     # an undecodable byte goes back to itself, outside `allowed`
-    table = c_columns("".join(lines).encode(errors="surrogateescape"), dtype, allowed, lines=lines)
+    plain = plainly_spelt("".join(lines).encode(errors="surrogateescape"), allowed)
+    table = c_columns(lines, dtype) if plain else None
     if table is None:
         return None
     n = len(table)
@@ -312,34 +314,57 @@ def read_quote_csv(
     return _join(parts, NO_QUOTES)
 
 
-def _calendar(ts: np.ndarray, tz: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each timestamp's local date in days since the epoch, and whether it
-    falls in that date's regular trading hours [open, close).
+def _local_bounds(day: int, zone: ZoneInfo) -> tuple[int, int, int]:
+    """The local midnight, open and close of `day` (days since the epoch)
+    in the zone, in ns since the epoch, from the zone database."""
+    date = EPOCH + datetime.timedelta(days=day)
+    return tuple(int(datetime.datetime.combine(date, t, tzinfo=zone).timestamp()) * NS
+                 for t in (datetime.time(0), RTH_OPEN, RTH_CLOSE))
+
+
+def _calendar(ts: np.ndarray, tz: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The local dates around the timestamps, in days since the epoch,
+    ascending, with their regular trading hours [open, close) in ns, and
+    the row of each timestamp's date: the last date whose local midnight
+    is at or before it.
 
     A date's midnight, open and close come from the zone database, so DST
-    is handled; a timestamp belongs to the last date whose local midnight
-    is at or before it.
+    is handled. A local date lies within a day of the UTC date, so only the
+    UTC days present and their neighbours are looked up. A date whose
+    midnight is past the int64 range holds no timestamp; one whose close
+    is past it has no regular hours.
     """
-    if not len(ts):
-        return np.empty(0, np.int64), np.empty(0, bool)
     zone = ZoneInfo(tz)
-    days = np.arange(int(ts.min()) // DAY_NS - 1, int(ts.max()) // DAY_NS + 2)
-    dates = [EPOCH + datetime.timedelta(days=d) for d in days.tolist()]
-    bounds = np.array([
-        [int(datetime.datetime.combine(date, t, tzinfo=zone).timestamp()) * NS
-         for t in (datetime.time(0), RTH_OPEN, RTH_CLOSE)]
-        for date in dates
-    ], dtype=np.int64)
-    day = np.searchsorted(bounds[:, 0], ts, side="right") - 1
-    return days[day], (bounds[day, 1] <= ts) & (ts < bounds[day, 2])
+    utc = ts // DAY_NS
+    first = int(utc.min()) if len(ts) else 0
+    utc -= first
+    present = np.flatnonzero(np.bincount(utc)) + first
+    del utc  # not held beside the rows
+    table = []  # date, midnight, open, close
+    for day in np.unique(np.concatenate([present - 1, present, present + 1])).tolist():
+        midnight, open_, close = _local_bounds(day, zone)
+        if midnight > _INT64_MAX:
+            break
+        if close > _INT64_MAX:
+            open_ = close = _INT64_MAX
+        table.append((day, midnight, open_, close))
+    days, midnights, opens, closes = np.array(table, dtype=np.int64).reshape(-1, 4).T
+    return days, opens, closes, np.searchsorted(midnights, ts, side="right") - 1
 
 
 def filter_eligible(
-    quotes: Quotes, tz: str = DEFAULT_TZ, report: QualityReport | None = None
+    quotes: Quotes, tz: str = DEFAULT_TZ, report: QualityReport | None = None,
+    record_days: set[int] | None = None,
 ) -> Updates:
     """Keep regular-condition quotes inside regular trading hours, as the
-    columns the merge reads."""
-    _, in_rth = _calendar(quotes.ts, tz)
+    columns the merge reads; the local dates of all the quotes are added to
+    `record_days`."""
+    days, opens, closes, row = _calendar(quotes.ts, tz)
+    if record_days is not None:
+        record_days.update(days[np.bincount(row, minlength=len(days)) > 0].tolist())
+    in_rth = opens[row] <= quotes.ts
+    in_rth &= quotes.ts < closes[row]
+    del row  # not held beside the kept columns
     if report is not None:
         report.n_dropped_condition += int((~quotes.regular).sum())
         report.n_dropped_outside_rth += int((quotes.regular & ~in_rth).sum())
@@ -398,18 +423,12 @@ def build_mid_series(nbbo: Nbbo, tz: str = DEFAULT_TZ) -> MidSeries:
     if not len(nbbo.ts):
         logger.warning("build_mid_series: no events; empty series")
         return MidSeries([], np.empty(0))
-    days, _ = _calendar(nbbo.ts, tz)
+    dates, _, _, row = _calendar(nbbo.ts, tz)
+    days = dates[row]
     starts = np.flatnonzero(np.r_[True, days[1:] != days[:-1]])
     ends = np.r_[starts[1:], len(days)] - 1
     sessions = [Session(int(days[s]), int(s), int(e)) for s, e in zip(starts, ends)]
     return MidSeries(sessions, nbbo.mid)
-
-
-def _eligible(quotes: Quotes, tz: str, report: QualityReport, record_days: set[int]) -> Updates:
-    """The eligible updates of one file's `quotes`; the dates of all its
-    records are added to `record_days`."""
-    record_days.update(np.unique(_calendar(quotes.ts, tz)[0]).tolist())
-    return filter_eligible(quotes, tz, report=report)
 
 
 def _series(
@@ -439,8 +458,8 @@ def ingest_files(
     """
     report, record_days = QualityReport(), set()
     parts = [
-        _eligible(read_quote_csv(path, strict=strict, venues=priority, report=report),
-                  tz, report, record_days)
+        filter_eligible(read_quote_csv(path, strict=strict, venues=priority, report=report),
+                        tz, report, record_days)
         for _, path in sorted(venue_files.items())
     ]
     return _series(parts, record_days, tz, report), report
@@ -465,6 +484,6 @@ def ingest_consolidated(
         quotes = quotes.take(~late)
     # Each record is the whole book, so all of them form one venue.
     quotes = quotes._replace(venue=np.zeros_like(quotes.venue))
-    parts = [_eligible(quotes, tz, report, record_days)]
+    parts = [filter_eligible(quotes, tz, report, record_days)]
     del quotes  # the records are not held through the merge
     return _series(parts, record_days, tz, report), report

@@ -22,7 +22,7 @@ import json
 import logging
 import resource
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -386,14 +386,15 @@ def surface_stage(
         rows = lags_mod.compute_moments_table(series, lags)
         lags_mod.write_moments_csv(rows, moments_out)
         surf = surface_mod.accumulate_surface(series, rows, grid, threads=threads)
-        surface_mod.write_surface_csv(surf, out)
         meta = {"stage": "surface", "stage_key": key}
+        surface_mod.write_surface_blocks(surf.blocks, blocks_out)
+        write_manifest(blocks_out, {**surface_mod.blocks_manifest(surf.blocks), **meta})
+        surf = replace(surf, blocks=None)  # the block tables are not held beside the CSV's columns
+        surface_mod.write_surface_csv(surf, out)
         write_manifest(out, {
             **surface_mod.surface_manifest(surf), **meta,
             "config": stage_cfg, "inputs": inputs,
         })
-        surface_mod.write_surface_blocks(surf.blocks, blocks_out)
-        write_manifest(blocks_out, {**surface_mod.blocks_manifest(surf.blocks), **meta})
         write_manifest(moments_out, meta)
 
     return Stage("surface", [out, blocks_out, moments_out], key, produce)

@@ -19,11 +19,11 @@ Every table artifact (moments, surface, heatmap, summary) is a CSV
 written here by `write_csv` and read by `read_table` into typed numpy
 columns, and every artifact carries a JSON sidecar manifest
 (`write_manifest`/`read_manifest`). A table is read by numpy's C text
-reader (`c_columns`, which also parses ingest's quote batches) when its
-bytes are plainly spelt; any other file, and any the C reader rejects,
-goes to the str path (`read_csv` + `parse_column`), which reads every
-spelling the `csv` module and the `int`/`float` builtins accept and
-gives every error.
+reader when its bytes are plainly spelt (`plainly_spelt`, the gate that
+ingest's quote batches pass too), from the open file a gated chunk at a
+time; any other file, and any the C reader rejects, goes to the str path
+(`read_csv` + `parse_column`), which reads every spelling the `csv`
+module and the `int`/`float` builtins accept and gives every error.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import csv
 import datetime
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -268,7 +269,7 @@ def manifest_path(artifact: str | Path) -> Path:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write a text artifact (an SVG, a report, a manifest) as UTF-8."""
+    """Write a text artifact (a report, a manifest) as UTF-8."""
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -401,48 +402,66 @@ def flag(text: str) -> bool:
     return text == "true"
 
 
-def c_columns(
-    data: bytes, dtype, spelt: bytes, start: int = 0, lines=None,
-) -> np.ndarray | None:
-    """The comma-separated lines of `data[start:]` as a structured array of
-    `dtype`, parsed by numpy's C text reader; None where the str path must
-    read them instead: `data` holds a byte outside `spelt` after `start`, or
-    a blank line (which the C reader skips, so line numbers would shift), or
-    the C reader rejects a field or warns about one. A caller that holds the
-    same lines as a list of str passes them as `lines`: the C reader takes
-    short lines faster from str than from bytes.
+def plainly_spelt(data: bytes, spelt: bytes) -> bool:
+    """Whether numpy's C text reader may parse the lines `data` holds: they
+    hold no byte outside `spelt` and no blank line (which the C reader
+    skips, so line numbers would shift).
 
     `spelt` keeps away the spellings that the C reader and the `int`/`float`
     builtins might read differently: spaces, `_`, `\\r`, quotes, `#`, non-ASCII
     text. Within it both parse a float with the same correctly rounded
     routine and an int with the same digits, so what the C reader accepts
-    the builtins read to the same values."""
-    if (data.translate(None, spelt) != data[:start].translate(None, spelt)
-            or data.startswith(b"\n", start) or data.find(b"\n\n", start) >= 0):
-        return None
-    if start == len(data):
-        return np.empty(0, dtype)
-    if lines is None:
-        lines = io.BytesIO(data)
-        lines.seek(start)
+    the builtins read to the same values. Ingest's quote batches and the
+    table artifacts both pass this gate."""
+    return not (data.translate(None, spelt) or data.startswith(b"\n") or b"\n\n" in data)
+
+
+class _NotPlain(Exception):
+    """A chunk of a table failed `plainly_spelt`."""
+
+
+def c_columns(lines, dtype) -> np.ndarray | None:
+    """The comma-separated `lines` (an iterable of str or bytes lines) as a
+    structured array of `dtype`, parsed by numpy's C text reader; None where
+    it rejects a field or warns about one, or `lines` raises `_NotPlain`.
+    The caller has held the lines to `plainly_spelt`. The C reader takes
+    short lines faster from str than from bytes."""
     with warnings.catch_warnings():
         # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
         warnings.simplefilter("error")
         try:
             return np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
                               ndmin=1, dtype=dtype, encoding="ascii")
-        except (ValueError, Warning):
+        except (ValueError, Warning, _NotPlain):
             return None
 
 
 # Bytes a table artifact may hold for the C reader: digits, signs, the point,
 # exponents, and the letters of `nan`, `inf`, `true` and `false`.
 _TABLE_BYTES = b"0123456789+-.eE,\nnaiftrusl"
+# Bytes of a table read, gated and split into lines at a time.
+_TABLE_CHUNK = 1 << 16
 
 # The dtype the C reader fills for a column the str path converts by each
 # function; a `flag` field is read as text, whose first five bytes tell
 # `true` from any other text.
 _C_DTYPES = {int64: "<i8", float: "<f8", float_or_blank: "<f8", flag: "S5"}
+
+
+def _gated_chunks(f) -> Iterator[io.BytesIO]:
+    """The lines of the binary file `f` from where it stands, a chunk of
+    them at a time: each chunk, with the part of a line before it, must be
+    `plainly_spelt` in `_TABLE_BYTES` before it is given, or `_NotPlain`
+    is raised."""
+    part = b""
+    while chunk := f.read(_TABLE_CHUNK):
+        chunk = part + chunk
+        if not plainly_spelt(chunk, _TABLE_BYTES):
+            raise _NotPlain
+        cut = chunk.rfind(b"\n") + 1
+        part = chunk[cut:]
+        yield io.BytesIO(chunk[:cut])
+    yield io.BytesIO(part)
 
 
 def read_table(
@@ -453,23 +472,26 @@ def read_table(
     and `float_or_blank`, bool for `flag`. A column not in `kinds` is held
     to the field count but not read.
 
-    The C reader reads a plainly spelt file; any other file goes to the str
-    path, which reads it as `read_csv` + `parse_column` and raises their
-    errors (file, line, column and text; exit 3)."""
+    The C reader reads a plainly spelt file from the open file, a gated
+    chunk at a time, so the file's bytes are never held whole; any other
+    file goes to the str path, which reads it as `read_csv` +
+    `parse_column` and raises their errors (file, line, column and text;
+    exit 3)."""
+    head = (",".join(header) + "\n").encode()
+    dtype = [(name, _C_DTYPES.get(kinds.get(name), "S1")) for name in header]
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            table = None
+            if f.read(len(head)) == head:
+                lines = itertools.chain.from_iterable(_gated_chunks(f))  # each chunk's lines in C
+                table = c_columns(lines, dtype) if f.peek(1) else np.empty(0, dtype)
     except FileNotFoundError as exc:
         raise MissingArtifact(f"{path} does not exist") from exc
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    head = (",".join(header) + "\n").encode()
-    if data.startswith(head):
-        dtype = [(name, _C_DTYPES.get(kinds.get(name), "S1")) for name in header]
-        table = c_columns(data, dtype, _TABLE_BYTES, len(head))
-        if table is not None:
-            return {name: table[name] == b"true" if kind is flag else table[name]
-                    for name, kind in kinds.items()}
-    del data
+    if table is not None:
+        return {name: table[name] == b"true" if kind is flag else table[name]
+                for name, kind in kinds.items()}
     columns = read_csv(path, header)
     return {name: np.array(parse_column(path, columns, name, kind),
                            dtype=bool if kind is flag else _C_DTYPES[kind])

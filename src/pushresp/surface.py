@@ -27,11 +27,13 @@ Memory: the surface is built in one read of the sessions, every lag's
 accumulator alive throughout, so it holds one session, one set of pass
 buffers per thread and every lag's tables, whose block rows are
 allocated whole before the read (their count follows from the session
-lengths alone).
+lengths alone), in one anonymous mapping that is returned to the system
+as soon as the tables are dropped.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -201,11 +203,35 @@ class _PassBuffers:
         self.slots = np.empty(width, dtype=np.int64)
 
 
-class _LagAccumulator:
-    """Per-lag bin tables: exact counts, compensated sums, and block tables,
-    the last allocated whole for the blocks that `sessions` will hold."""
+def _anchors(lag: int, session) -> int:
+    return max(0, len(session) - 2 * lag)
 
-    def __init__(self, grid: BinGrid, moments: LagMoments, sessions):
+
+def _n_blocks(moments: LagMoments, session) -> int:
+    a = _anchors(moments.lag, session)
+    return max(1, a // block_size(moments.lag, moments.n_pairs)) if a else 0
+
+
+def _block_tables(n_blocks: list[int], n_bins: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Zeroed [n, n_bins] count (int64) and sum (float64) tables for each n
+    in `n_blocks`, all in one anonymous mapping, whose pages go back to the
+    system as soon as the last table is dropped. Allocated one by one, the
+    tables could be left behind as free heap that the next stage did not
+    fit into, so that its first allocations raised the peak RSS."""
+    cells = sum(n_blocks) * n_bins
+    mem = mmap.mmap(-1, max(1, 16 * cells))  # zero-filled
+    counts = np.frombuffer(mem, np.int64, cells).reshape(-1, n_bins)
+    sums = np.frombuffer(mem, np.float64, cells, offset=8 * cells).reshape(-1, n_bins)
+    cuts = np.cumsum([0, *n_blocks]).tolist()
+    return [(counts[a:b], sums[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+class _LagAccumulator:
+    """Per-lag bin tables: exact counts, compensated sums, and the block
+    tables `counts` and `sum_zr`, one row per block the sessions will hold."""
+
+    def __init__(self, grid: BinGrid, moments: LagMoments, counts: np.ndarray,
+                 sum_zr: np.ndarray):
         self.grid = grid
         self.moments = moments
         n = grid.n_bins
@@ -215,26 +241,22 @@ class _LagAccumulator:
         self.sum_r = CompensatedSums((n,))
         self.out_of_grid = 0
         self.n_seen = 0
-        n_blocks = sum(self._n_blocks(s) for s in sessions)
         self.blocks = LagBlocks(
             lag=moments.lag,
-            starts=np.zeros(n_blocks, dtype=np.int64),
-            stops=np.zeros(n_blocks, dtype=np.int64),
-            counts=np.zeros((n_blocks, n), dtype=np.int64),
-            sum_zr=np.zeros((n_blocks, n)),
+            starts=np.zeros(len(counts), dtype=np.int64),
+            stops=np.zeros(len(counts), dtype=np.int64),
+            counts=counts,
+            sum_zr=sum_zr,
         )
         self._next_block = 0
 
     def anchors(self, session) -> int:
-        return max(0, len(session) - 2 * self.moments.lag)
-
-    def _n_blocks(self, session) -> int:
-        a = self.anchors(session)
-        return max(1, a // block_size(self.moments.lag, self.moments.n_pairs)) if a else 0
+        return _anchors(self.moments.lag, session)
 
     def add_session(self, session, mids: np.ndarray, buf: _PassBuffers) -> None:
         """Bin the anchors of one session, whose mids are `mids`."""
-        lag, a, n_blocks = self.moments.lag, self.anchors(session), self._n_blocks(session)
+        lag, a = self.moments.lag, self.anchors(session)
+        n_blocks = _n_blocks(self.moments, session)
         edges = [lag + i * a // n_blocks for i in range(n_blocks + 1)] if a else []
         t = self.blocks
         for lo, hi in zip(edges[:-1], edges[1:]):  # within the session
@@ -301,7 +323,9 @@ def accumulate_surface(
         for row in moment_rows
         if row.moments is None
     ]
-    accs = [_LagAccumulator(grid, m, source.sessions) for m in usable]
+    n_blocks = [sum(_n_blocks(m, s) for s in source.sessions) for m in usable]
+    accs = [_LagAccumulator(grid, m, *tables)
+            for m, tables in zip(usable, _block_tables(n_blocks, grid.n_bins))]
     threads = max(1, min(threads, len(accs)))
     widest = max((acc.anchors(s) for acc in accs for s in source.sessions), default=0)
     max_lag = max((m.lag for m in usable), default=0)

@@ -1,13 +1,16 @@
 """Per-cell drawing of the two cell figures, the oracle for `figures`.
 
 `figures.render_surface_top` and `render_dominance_heatmap` format each
-bin's x and each row's y once and color all cells in one vectorized pass.
+bin's x and each row's y once and color their cells in vectorized
+batches, writing each batch to the file as it is drawn.
 This module draws the same figures one cell at a time: one scalar
-`diverging_color` (Python floats, `round`) and one `_Svg.rect` per cell.
-The tests hold the figures to it byte for byte.
+`diverging_color` (Python floats, `round`) and one `_Svg.rect` per cell,
+into an `io.StringIO`. The tests hold the figures to it byte for byte.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -42,34 +45,37 @@ def diverging_color(v: float, vmax: float) -> str:
 
 def render_surface_top(spec: FigureSpec) -> str:
     surf, rows = _read_surface(spec.surface)
-    svg = _Svg("conditional response surface (top view)")
-    if rows.size:
-        grid = surf.grid
-        cw = (WIDTH - MARGIN_L - MARGIN_R) / grid.n_bins
-        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(rows)
-        for row, i in enumerate(rows):
-            cols = np.flatnonzero(surf.valid[i])
-            for col, v in zip(cols.tolist(), surf.mean_zr[i, cols].tolist()):
-                svg.rect(MARGIN_L + col * cw, MARGIN_T + row * ch, cw + 0.1, ch + 0.1,
-                         diverging_color(v, spec.vmax))
-        frame = _Frame(grid.z_min, grid.z_max, 0, len(rows))
-        _axes(svg, frame, "standardized push", "lag rank (top to bottom)")
-    return svg.to_string()
+    out = io.StringIO()
+    with _Svg(out, "conditional response surface (top view)") as svg:
+        if rows.size:
+            grid = surf.grid
+            cw = (WIDTH - MARGIN_L - MARGIN_R) / grid.n_bins
+            ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(rows)
+            for row, i in enumerate(rows):
+                cols = np.flatnonzero(surf.valid[i])
+                for col, v in zip(cols.tolist(), surf.mean_zr[i, cols].tolist()):
+                    svg.rect(MARGIN_L + col * cw, MARGIN_T + row * ch, cw + 0.1, ch + 0.1,
+                             diverging_color(v, spec.vmax))
+            frame = _Frame(grid.z_min, grid.z_max, 0, len(rows))
+            _axes(svg, frame, "standardized push", "lag rank (top to bottom)")
+    return out.getvalue()
 
 
 def render_dominance_heatmap(spec: FigureSpec) -> str:
     pairs = read_heatmap_csv(spec.heatmap)
-    svg = _Svg("local dominance heatmap")
-    if len(pairs):
-        lags, rank = np.unique(pairs.lag, return_inverse=True)
-        grid = read_manifest(spec.heatmap)["grid"]
-        n_half = grid["n_bins"] // 2
-        cw = (WIDTH - MARGIN_L - MARGIN_R) / n_half
-        ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
-        for row, k, v in zip(rank.tolist(), pairs.abs_index.tolist(), pairs.rho_local.tolist()):
-            if 1 <= k <= n_half:
-                svg.rect(MARGIN_L + (k - 1) * cw, MARGIN_T + row * ch,
-                         cw + 0.1, ch + 0.1, diverging_color(v, 1.0))
-        frame = _Frame(0.0, grid["z_max"], 0, len(lags))
-        _axes(svg, frame, "absolute standardized push", "lag rank (top to bottom)")
-    return svg.to_string()
+    out = io.StringIO()
+    with _Svg(out, "local dominance heatmap") as svg:
+        if len(pairs):
+            lags, rank = np.unique(pairs.lag, return_inverse=True)
+            grid = read_manifest(spec.heatmap)["grid"]
+            n_half = grid["n_bins"] // 2
+            cw = (WIDTH - MARGIN_L - MARGIN_R) / n_half
+            ch = (HEIGHT - MARGIN_T - MARGIN_B) / len(lags)
+            for row, k, v in zip(rank.tolist(), pairs.abs_index.tolist(),
+                                 pairs.rho_local.tolist()):
+                if 1 <= k <= n_half:
+                    svg.rect(MARGIN_L + (k - 1) * cw, MARGIN_T + row * ch,
+                             cw + 0.1, ch + 0.1, diverging_color(v, 1.0))
+            frame = _Frame(0.0, grid["z_max"], 0, len(lags))
+            _axes(svg, frame, "absolute standardized push", "lag rank (top to bottom)")
+    return out.getvalue()

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pushresp import ingest
+from pushresp.cli import main
 from pushresp.errors import ArtifactIOError, MalformedRecord
 from pushresp.ingest import (
+    DAY_NS,
     DEFAULT_VENUES,
     QUOTE_HEADER,
     Nbbo,
@@ -27,7 +29,7 @@ from pushresp.ingest import (
     ingest_files,
     read_quote_csv,
 )
-from pushresp.series import write_prms
+from pushresp.series import read_manifest, write_prms
 
 ET = ZoneInfo("America/New_York")
 UTC = datetime.timezone.utc
@@ -145,6 +147,43 @@ class TestFilter:
         ]
         kept = filter_eligible(quotes(*map(quote, edges))).ts.tolist()
         assert kept == [edges[1], edges[3]]
+
+
+class TestCalendar:
+    def test_record_at_the_int64_limit_is_outside_rth(self, tmp_path):
+        # 2262-04-11 19:47 local; the next local midnight is past int64
+        p = write_lines(tmp_path / "nbbo.csv", [
+            f"{ns_at(2024, 1, 3, 10, 0)},ARCA,100.00,100,100.02,100,R",
+            f"{np.iinfo(np.int64).max},ARCA,100.00,100,100.02,100,R",
+        ])
+        out = tmp_path / "mids.prms"
+        assert main(["ingest", "--consolidated", str(p), "--out", str(out)]) == 0
+        quality = read_manifest(out)["quality"]
+        assert (quality["n_records"], quality["n_dropped_outside_rth"]) == (2, 1)
+        assert quality["empty_session_dates"] == ["2262-04-11"]
+
+    def test_a_stray_record_looks_up_only_its_own_days(self, tmp_path, monkeypatch):
+        # one record at 1 ns before 1,000 over three 2024 sessions: the 54
+        # years between are not looked up
+        calls = []
+        lookup = ingest._local_bounds
+        monkeypatch.setattr(ingest, "_local_bounds",
+                            lambda day, zone: calls.append(day) or lookup(day, zone))
+        t0 = ns_at(2024, 1, 3, 10, 0)
+        times = [t0 + i * (DAY_NS // 500) for i in range(1000)]
+        p = write_lines(tmp_path / "nbbo.csv", [
+            f"{t},ARCA,{100 + i % 2},100,102,100,R" for i, t in enumerate([1, *times])])
+        series, report = ingest_consolidated(p)
+        in_rth = [ns_at(2024, 1, d, 9, 30) <= t < ns_at(2024, 1, d, 16, 0)
+                  for t in times for d in (3, 4, 5)]
+        assert report.n_dropped_outside_rth == 1 + len(times) - sum(in_rth)
+        assert report.empty_session_dates == ["1969-12-31"]
+        assert [s.calendar_date for s in series.sessions] == [
+            datetime.date(2024, 1, d) for d in (3, 4, 5)]
+        # one lookup of the records and one of the events, whose UTC days
+        # are among the records': at most 3 dates per UTC day each
+        utc_days = {t // DAY_NS for t in [1, *times]}
+        assert len(calls) <= 2 * 3 * len(utc_days)
 
 
 class TestConsolidate:

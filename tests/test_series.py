@@ -296,6 +296,32 @@ def test_read_table_reads_a_plain_table_without_the_str_path(tmp_path, monkeypat
         "n": (np.int64, (0,)), "x": (np.float64, (0,)), "ok": (bool, (0,))}
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13, 1 << 16])
+def test_read_table_gates_each_chunk(tmp_path, monkeypatch, chunk):
+    # small chunks put line ends, a blank line and an odd byte on chunk edges
+    monkeypatch.setattr(series, "_TABLE_CHUNK", chunk)
+    str_reads = []
+    monkeypatch.setattr(series, "read_csv", lambda *a: str_reads.append(a) or read_csv(*a))
+    rows = ["-9223372036854775808,-0.0,true,false", "9223372036854775807,1e-05,false,true",
+            "3,nan,true,", "4,5e-324,tru,na"]
+    path = tmp_path / "t.csv"
+
+    def read(lines):
+        path.write_text("\n".join(["n,x,ok,note", *lines]) + "\n")
+        return read_table(path, TABLE_HEADER, TABLE_KINDS)
+
+    got = read(rows)
+    assert not str_reads
+    want = str_path_columns(path)
+    assert {name: (col.dtype, col.tobytes()) for name, col in got.items()} == {
+        name: (col.dtype, col.tobytes()) for name, col in want.items()}
+    for k in range(len(rows) + 1):  # a blank line on line k + 2
+        with pytest.raises(ArtifactIOError, match=f"line {k + 2} has 0 fields"):
+            read(rows[:k] + [""] + rows[k:])
+    assert read(rows[:-1] + [rows[-1] + " "])["n"].tolist() == [INT64.min, INT64.max, 3, 4]
+    assert len(str_reads) == len(rows) + 2
+
+
 def test_read_table_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"n,x,ok,note\n1,0.5\xff,true,\n")
