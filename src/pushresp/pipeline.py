@@ -2,14 +2,22 @@
 
 Each stage is one function here that takes explicit input paths, output
 paths and its section of the config, and returns a `Stage`: its name,
-outputs, key and producer. `run_pipeline` and the CLI subcommands run
-the same stage functions through `run_stage`, so a standalone artifact
-carries the same manifest as the pipeline's. Every stage writes its
-artifact plus a sidecar manifest carrying the exact stage
-configuration, the hashes of its inputs' manifests, and a stage key
-derived from both. A pipeline rerun skips a stage when its outputs and
-manifests already exist with a matching stage key, so the pipeline is
-resumable and artifacts form a verifiable provenance chain.
+the artifacts it reads, the artifacts it writes, the config that is
+hashed, and a producer. `run_pipeline` and the CLI subcommands run the
+same stage functions through `run_stage`, so a standalone artifact
+carries the same manifest as the pipeline's.
+
+`run_stage` alone keys, verifies and writes manifests. Every artifact
+has a sidecar `<artifact>.manifest.json` holding `stage`, `stage_key`,
+`config`, `inputs` (the SHA-256 of each input's manifest), `data_sha256`
+(of the artifact's bytes) and the fields its producer returns. The stage
+key hashes the stage, its config and its inputs. A stage is skipped only
+when every output's manifest carries its key and every output still
+hashes to its `data_sha256`, so an edited or cut artifact reruns its
+stage. Old manifests go before a stage produces and new ones are
+written last, so an interrupted stage leaves no manifest and reruns.
+Keys hash whole manifests: a workdir whose manifests were written by a
+version with other manifest fields reruns once.
 
 Throughput knobs (thread count) are excluded from stage keys because
 they never change results.
@@ -47,6 +55,7 @@ from .series import (
     manifest_path,
     read_manifest,
     series_summary,
+    sha256_file,
     write_manifest,
     write_prms,
     write_text,
@@ -228,13 +237,17 @@ class StageStatus:
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage over fixed paths: `produce` writes `outputs` and their
-    manifests, each carrying `key`."""
+    """One stage over fixed paths. `inputs` names the artifacts whose
+    manifests feed the key, `config` is the hashed configuration, and
+    `produce` writes `outputs` and returns each output's own manifest
+    fields, in the order of `outputs`. A render's `name` adds its figure
+    kind to the stage its manifests name."""
 
     name: str
+    inputs: dict[str, Path]
     outputs: list[Path]
-    key: str
-    produce: Callable[[], None]
+    config: dict
+    produce: Callable[[], list[dict]]
 
 
 def _key_of(stage: str, cfg: dict, inputs: dict[str, str]) -> str:
@@ -255,15 +268,16 @@ def _input_hashes(stage: str, paths: dict[str, Path]) -> dict[str, str]:
 
 
 def _stage_fresh(outputs: list[Path], key: str) -> bool:
-    for out in outputs:
-        if not out.exists() or not manifest_path(out).exists():
+    """Every output's manifest carries `key` and the output still hashes to
+    its `data_sha256`. Keys are checked first, so a re-keyed stage hashes
+    no data."""
+    try:
+        manifests = [read_manifest(out) for out in outputs]
+        if any(m.get("stage_key") != key for m in manifests):
             return False
-        try:
-            if read_manifest(out).get("stage_key") != key:
-                return False
-        except ArtifactIOError:
-            return False
-    return True
+        return all(sha256_file(out) == m.get("data_sha256") for out, m in zip(outputs, manifests))
+    except (ArtifactIOError, OSError):
+        return False
 
 
 def _remove_partial(outputs: list[Path]) -> None:
@@ -275,6 +289,8 @@ def _remove_partial(outputs: list[Path]) -> None:
 def run_stage(stage: Stage, force: bool = False) -> StageStatus:
     """Run a stage unless `force` is off and its outputs are fresh.
 
+    The old manifests go before `produce` runs and the new ones are
+    written last, so an interrupted stage leaves no manifest and reruns.
     A failed run removes the stage's outputs. Errors of this package keep
     their own exit codes; any other exception becomes a StageFailure.
     Each stage that ran or was skipped logs one INFO line: its wall and
@@ -282,10 +298,17 @@ def run_stage(stage: Stage, force: bool = False) -> StageStatus:
     raised it, so one run's log shows which stage sets the peak.
     """
     wall, cpu, peak = time.perf_counter(), time.process_time(), _peak_rss_mib()
-    ran = force or not _stage_fresh(stage.outputs, stage.key)
+    kind = stage.name.split(":")[0]
+    inputs = _input_hashes(kind, stage.inputs)
+    key = _key_of(kind, stage.config, inputs)
+    ran = force or not _stage_fresh(stage.outputs, key)
     if ran:
+        for out in stage.outputs:
+            manifest_path(out).unlink(missing_ok=True)
+        meta = {"stage": kind, "stage_key": key, "config": stage.config, "inputs": inputs}
         try:
-            stage.produce()
+            for out, own in zip(stage.outputs, stage.produce(), strict=True):
+                write_manifest(out, {**own, **meta})
         except PushRespError:
             _remove_partial(stage.outputs)
             raise
@@ -313,19 +336,15 @@ def source_stage(
 ) -> Stage:
     """The mid series at `out`, generated from `synth` or ingested per `ingest`."""
     stage_cfg = {"synth": asdict(synth)} if synth is not None else {"ingest": asdict(ingest)}
-    key = _key_of("source", stage_cfg, {})
 
     def produce():
-        payload = {"stage": "source", "stage_key": key, "config": stage_cfg}
         if synth is not None:
-            written = synth_mod.write_series(synth, out)  # one session at a time
-        else:
-            written, report = _ingest(ingest)
-            payload["quality"] = asdict(report)
-            write_prms(written, out)
-        write_manifest(out, {**series_summary(written), **payload})
+            return [series_summary(synth_mod.write_series(synth, out))]  # one session at a time
+        written, report = _ingest(ingest)
+        write_prms(written, out)
+        return [{**series_summary(written), "quality": asdict(report)}]
 
-    return Stage("source", [out], key, produce)
+    return Stage("source", {}, [out], stage_cfg, produce)
 
 
 def _ingest(opts: IngestOptions):
@@ -349,20 +368,13 @@ def clean_stage(
     src: Path, out: Path, report_out: Path, cfg: cleaning_mod.CleaningConfig
 ) -> Stage:
     """The cleaned series at `out` and its cleaning report at `report_out`."""
-    stage_cfg = asdict(cfg)
-    inputs = _input_hashes("clean", {"mids": src})
-    key = _key_of("clean", stage_cfg, inputs)
 
     def produce():
         cleaned, report = cleaning_mod.clean_prms(src, out, cfg)
         write_text(report_out, canonical_json(report.to_dict()) + "\n")
-        write_manifest(out, {
-            **series_summary(cleaned), "stage": "clean", "stage_key": key,
-            "config": stage_cfg, "inputs": inputs, "report": report.to_dict(),
-        })
-        write_manifest(report_out, {"stage": "clean", "stage_key": key})
+        return [{**series_summary(cleaned), "report": report.to_dict()}, {}]
 
-    return Stage("clean", [out, report_out], key, produce)
+    return Stage("clean", {"mids": src}, [out, report_out], asdict(cfg), produce)
 
 
 def surface_stage(
@@ -378,26 +390,19 @@ def surface_stage(
         raise ValidationFailed(problems)
     blocks_out = surface_mod.blocks_path(out)
     stage_cfg = {"lags": list(lags), "grid": grid.to_dict()}
-    inputs = _input_hashes("surface", {"clean": src})
-    key = _key_of("surface", stage_cfg, inputs)
 
     def produce():
         series = PrmsReader(src)  # read twice, one session at a time
         rows = lags_mod.compute_moments_table(series, lags)
         lags_mod.write_moments_csv(rows, moments_out)
         surf = surface_mod.accumulate_surface(series, rows, grid, threads=threads)
-        meta = {"stage": "surface", "stage_key": key}
         surface_mod.write_surface_blocks(surf.blocks, blocks_out)
-        write_manifest(blocks_out, {**surface_mod.blocks_manifest(surf.blocks), **meta})
+        blocks_fields = surface_mod.blocks_manifest(surf.blocks)
         surf = replace(surf, blocks=None)  # the block tables are not held beside the CSV's columns
         surface_mod.write_surface_csv(surf, out)
-        write_manifest(out, {
-            **surface_mod.surface_manifest(surf), **meta,
-            "config": stage_cfg, "inputs": inputs,
-        })
-        write_manifest(moments_out, meta)
+        return [surface_mod.surface_manifest(surf), blocks_fields, {}]
 
-    return Stage("surface", [out, blocks_out, moments_out], key, produce)
+    return Stage("surface", {"clean": src}, [out, blocks_out, moments_out], stage_cfg, produce)
 
 
 def decompose_stage(
@@ -411,8 +416,6 @@ def decompose_stage(
     bands from the block tables beside it."""
     blocks_src = surface_mod.blocks_path(src)
     stage_cfg = {"local_index": local_index, "bootstrap": asdict(boot)}
-    inputs = _input_hashes("decompose", {"surface": src, "blocks": blocks_src})
-    key = _key_of("decompose", stage_cfg, inputs)
 
     def produce():
         surf = surface_mod.read_surface_csv(src, read_manifest(src))
@@ -421,12 +424,11 @@ def decompose_stage(
         summaries = decomp_mod.summarize(pairs, boot, blocks)
         decomp_mod.write_heatmap_csv(pairs, heat_out)
         decomp_mod.write_summary_csv(summaries, summary_out)
-        meta = {"stage": "decompose", "stage_key": key, "config": stage_cfg, "inputs": inputs}
         # the figures lay the heatmap out on the surface's grid
-        write_manifest(heat_out, {**meta, "grid": surf.grid.to_dict()})
-        write_manifest(summary_out, meta)
+        return [{"grid": surf.grid.to_dict()}, {}]
 
-    return Stage("decompose", [heat_out, summary_out], key, produce)
+    inputs = {"surface": src, "blocks": blocks_src}
+    return Stage("decompose", inputs, [heat_out, summary_out], stage_cfg, produce)
 
 
 def render_stage(spec: figures_mod.FigureSpec) -> Stage:
@@ -435,20 +437,16 @@ def render_stage(spec: figures_mod.FigureSpec) -> Stage:
     The pipeline names all three CSVs, so every figure reruns whenever
     any of them changes.
     """
-    inputs = _input_hashes("render", {
+    inputs = {
         name: Path(getattr(spec, name))
         for name in ("surface", "heatmap", "summary") if getattr(spec, name) is not None
-    })
-    stage_cfg = asdict(spec)
-    key = _key_of("render", stage_cfg, inputs)
-    out = Path(spec.out)
+    }
 
     def produce():
         figures_mod.render_figure(spec)
-        write_manifest(out, {"stage": "render", "stage_key": key,
-                             "config": stage_cfg, "inputs": inputs})
+        return [{}]
 
-    return Stage(f"render:{spec.kind}", [out], key, produce)
+    return Stage(f"render:{spec.kind}", inputs, [Path(spec.out)], asdict(spec), produce)
 
 
 def run_pipeline(config: PipelineConfig, force: bool = False) -> list[StageStatus]:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from pushresp import pipeline
+from pushresp import surface as surface_mod
 from pushresp.cli import main
 from pushresp.decomposition import write_summary_csv
 from pushresp.errors import StageFailure, ValidationFailed
@@ -144,12 +146,106 @@ class TestPipeline:
         assert blocks_m["stage_key"] == surface_m["stage_key"]
         want = hashlib.sha256(canonical_json(blocks_m).encode()).hexdigest()
         assert heat_m["inputs"]["blocks"] == want
+        # every artifact has a manifest, and every manifest one shape
+        manifests = sorted(tmp_path.glob("*.manifest.json"))
+        assert len(manifests) == 9 and len(list(tmp_path.iterdir())) == 18
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            for name in ("stage", "stage_key", "config", "inputs", "data_sha256"):
+                assert name in manifest, (path.name, name)
 
     def test_rerun_skips_everything(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
         run_pipeline(cfg)
         statuses = run_pipeline(cfg)
         assert {s.status for s in statuses} == {"skipped"}
+
+    def test_only_fresh_keys_hash_data(self, tmp_path, monkeypatch):
+        # a forced or re-keyed stage hashes no data before it runs
+        raw = base_config(tmp_path)
+        run_pipeline(config_from_dict(raw))
+        hashed = []
+        real = pipeline.sha256_file
+        monkeypatch.setattr(pipeline, "sha256_file", lambda p: hashed.append(p.name) or real(p))
+        run_pipeline(config_from_dict(raw), force=True)
+        assert hashed == []
+        raw["bootstrap"]["seed"] = 43
+        run_pipeline(config_from_dict(raw))
+        assert hashed == ["mids.prms", "clean.prms", "clean.json",
+                          "surface.csv", "surface.blocks", "moments.csv"]
+
+    @pytest.fixture(scope="class")
+    def lags_at_seed_43(self, tmp_path_factory):
+        raw = base_config(tmp_path_factory.mktemp("fresh"))
+        raw["bootstrap"]["seed"] = 43
+        run_pipeline(config_from_dict(raw))
+        return (Path(raw["workdir"]) / "lags.csv").read_bytes()
+
+    @staticmethod
+    def _edit_mean_zr(data: bytes) -> bytes:
+        # one digit of the mean_zr of the fullest cell
+        lines = data.decode().splitlines(keepends=True)
+        row = max(range(1, len(lines)), key=lambda i: int(lines[i].split(",")[3]))
+        fields = lines[row].split(",")
+        dot = fields[5].index(".")
+        fields[5] = fields[5][:dot + 1] + str((int(fields[5][dot + 1]) + 5) % 10) + fields[5][dot + 2:]
+        lines[row] = ",".join(fields)
+        return "".join(lines).encode()
+
+    @staticmethod
+    def _cut_lines(data: bytes) -> bytes:
+        lines = data.splitlines(keepends=True)
+        return b"".join(lines[: len(lines) // 2])
+
+    @pytest.mark.parametrize("name, stage, damage", [
+        ("surface.csv", "surface", "edit"),
+        ("surface.csv", "surface", "cut"),
+        ("clean.prms", "clean", "edit"),
+        ("clean.prms", "clean", "cut"),
+    ])
+    def test_damaged_artifact_reruns_its_stage(self, tmp_path, lags_at_seed_43, name, stage, damage):
+        raw = base_config(tmp_path)
+        run_pipeline(config_from_dict(raw))
+        path = tmp_path / name
+        intact = path.read_bytes()
+        if name == "clean.prms":
+            # a mid's first byte, or a cut at a mid's boundary
+            at = len(intact) - 8 * 1000
+            damaged = (intact[:at] + bytes([intact[at] ^ 1]) + intact[at + 1:]
+                       if damage == "edit" else intact[:at])
+        else:
+            damaged = self._edit_mean_zr(intact) if damage == "edit" else self._cut_lines(intact)
+        assert damaged != intact
+        path.write_bytes(damaged)
+        raw["bootstrap"]["seed"] = 43
+        statuses = {s.stage: s.status for s in run_pipeline(config_from_dict(raw))}
+        assert statuses[stage] == "ran"
+        assert path.read_bytes() == intact
+        assert (tmp_path / "lags.csv").read_bytes() == lags_at_seed_43
+
+    def test_interrupted_forced_rerun_reruns_the_stage(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(base_config(tmp_path))
+        run_pipeline(cfg)
+        first = (tmp_path / "surface.csv").read_bytes()
+        real = surface_mod.write_surface_csv
+
+        def interrupted(surf, path):
+            real(surf, path)
+            data = Path(path).read_bytes()
+            Path(path).write_bytes(data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(surface_mod, "write_surface_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(cfg, force=True)
+        # no manifest vouches for the surface stage's outputs, so no reader takes the cut file
+        assert not [p for p in tmp_path.glob("*.manifest.json")
+                    if p.name.startswith(("surface.", "moments."))]
+        monkeypatch.undo()
+        statuses = {s.stage: s.status for s in run_pipeline(cfg)}
+        assert statuses == {"source": "skipped", "clean": "skipped", "surface": "ran",
+                            "decompose": "skipped", "render:rho_curve": "skipped"}
+        assert (tmp_path / "surface.csv").read_bytes() == first
 
     def test_one_log_line_per_stage(self, tmp_path, caplog):
         cfg = config_from_dict(base_config(tmp_path))
