@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -76,18 +76,7 @@ class CleaningReport:
         return self.n_output / self.n_input
 
     def to_dict(self) -> dict:
-        return {
-            "n_input": self.n_input,
-            "n_output": self.n_output,
-            "n_winsorized_low": self.n_winsorized_low,
-            "n_winsorized_high": self.n_winsorized_high,
-            "n_jump_events_removed": self.n_jump_events_removed,
-            "n_sessions_dropped": self.n_sessions_dropped,
-            "degenerate": self.degenerate,
-            "q_low": self.q_low,
-            "q_high": self.q_high,
-            "retention_ratio": self.retention_ratio,
-        }
+        return {**asdict(self), "retention_ratio": self.retention_ratio}
 
 
 def _nearest_rank(p: float, n: int) -> int:

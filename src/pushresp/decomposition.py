@@ -30,7 +30,7 @@ import numpy as np
 
 from .cleaning import empirical_quantile
 from .errors import InvalidGrid
-from .series import flag, int64, read_table, write_csv
+from .series import read_table, write_csv
 from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
 EPSILON = 1e-12
@@ -299,13 +299,13 @@ def summarize(
 
 HEATMAP_HEADER = [f.name for f in fields(MirrorPairs)]
 
-_HEATMAP_KINDS = {name: int64 if name in ("lag", "abs_index", "n_pos", "n_neg") else float
-                  for name in HEATMAP_HEADER}
+_HEATMAP_DTYPES = {name: np.int64 if name in ("lag", "abs_index", "n_pos", "n_neg")
+                   else np.float64 for name in HEATMAP_HEADER}
 
 SUMMARY_HEADER = [f.name for f in fields(LagSummary)]
 
-_SUMMARY_KINDS = {name: float for name in SUMMARY_HEADER} | {
-    "lag": int64, "n_supported_pairs": int64, "degenerate": flag}
+_SUMMARY_DTYPES = {name: np.float64 for name in SUMMARY_HEADER} | {
+    "lag": np.int64, "n_supported_pairs": np.int64, "degenerate": bool}
 
 
 def write_heatmap_csv(pairs: MirrorPairs, path: str | Path) -> None:
@@ -313,7 +313,7 @@ def write_heatmap_csv(pairs: MirrorPairs, path: str | Path) -> None:
 
 
 def read_heatmap_csv(path: str | Path) -> MirrorPairs:
-    return MirrorPairs(**read_table(path, HEATMAP_HEADER, _HEATMAP_KINDS))
+    return MirrorPairs(**read_table(path, HEATMAP_HEADER, _HEATMAP_DTYPES))
 
 
 def write_summary_csv(summaries: list[LagSummary], path: str | Path) -> None:
@@ -322,5 +322,5 @@ def write_summary_csv(summaries: list[LagSummary], path: str | Path) -> None:
 
 
 def read_summary_csv(path: str | Path) -> list[LagSummary]:
-    cols = read_table(path, SUMMARY_HEADER, _SUMMARY_KINDS)
+    cols = read_table(path, SUMMARY_HEADER, _SUMMARY_DTYPES)
     return [LagSummary(*row) for row in zip(*(cols[name].tolist() for name in SUMMARY_HEADER))]

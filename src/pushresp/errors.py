@@ -66,10 +66,6 @@ class InvalidGrid(ValidationFailed):
     """A lag family or bin grid violates its invariants."""
 
 
-class IndexOutOfRange(PushRespError, IndexError):
-    """A bin or mirror index fell outside 1..n_bins."""
-
-
 class InsufficientSupport(PushRespError):
     """Fewer than two admissible anchors at a lag."""
 

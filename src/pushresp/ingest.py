@@ -22,6 +22,7 @@ import datetime
 import logging
 import re
 import string
+import warnings
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from pathlib import Path
@@ -31,7 +32,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .errors import ArtifactIOError, MalformedRecord
-from .series import MidSeries, Session, c_columns, plainly_spelt
+from .series import MidSeries, Session
 
 logger = logging.getLogger(__name__)
 
@@ -171,10 +172,40 @@ class _Fields(NamedTuple):
 # Bytes the C reader may see besides the letters of the listed venues: a
 # batch holding any other byte, such as `+`, `_`, a space, `\r` or `#`, is one
 # whose spellings numpy's parsers and the `int`/`float` builtins might read
-# differently (see `series.plainly_spelt`).
+# differently (see `plainly_spelt`).
 _C_BYTES = "0123456789.-,\n" + string.ascii_uppercase
 # Text an undecodable byte was read as (errors="surrogateescape").
 _ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+def plainly_spelt(data: bytes, spelt: bytes) -> bool:
+    """Whether numpy's C text reader may parse the lines `data` holds: they
+    hold no byte outside `spelt` and no blank line (which the C reader
+    skips, so line numbers would shift).
+
+    `spelt` keeps away the spellings that the C reader and the `int`/`float`
+    builtins might read differently: spaces, `_`, `\\r`, quotes, `#`, non-ASCII
+    text. Within it both parse a float with the same correctly rounded
+    routine and an int with the same digits, so what the C reader accepts
+    the builtins read to the same values, and a quote batch reads alike on
+    `_c_fields` and `_str_fields`."""
+    return not (data.translate(None, spelt) or data.startswith(b"\n") or b"\n\n" in data)
+
+
+def c_columns(lines: list[str], dtype) -> np.ndarray | None:
+    """A quote batch's comma-separated `lines` as a structured array of
+    `dtype`, parsed by numpy's C text reader; None where it rejects a field
+    or warns about one, so the batch goes to `_str_fields`, which names the
+    field. The caller has held the lines to `plainly_spelt`. The C reader
+    takes short lines faster from str than from bytes."""
+    with warnings.catch_warnings():
+        # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                              ndmin=1, dtype=dtype, encoding="ascii")
+        except (ValueError, Warning):
+            return None
 
 
 def _c_fields(lines: list[str], rank: dict[str, int]) -> _Fields | None:

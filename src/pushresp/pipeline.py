@@ -164,8 +164,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         ],
         workdir=raw.get("workdir", "."),
         threads=raw.get("threads", 1),
-        paths=build("paths", lambda: _paths(raw.get("paths", {}))) or {},
     )
+    cfg.paths = build("paths", lambda: _paths(raw.get("paths", {}), cfg.figures)) or {}
 
     if not (isinstance(cfg.lags, str) and cfg.lags.startswith("file:")):
         build("lags", cfg.lag_list)  # a lag file is read when the surface stage runs
@@ -200,11 +200,12 @@ def _bootstrap(raw: dict) -> decomp_mod.BootstrapConfig:
     return decomp_mod.BootstrapConfig(**fields)
 
 
-def _paths(raw: dict) -> dict:
+def _paths(raw: dict, figures: list) -> dict:
     """The path overrides; two artifacts at one path, the derived block
-    artifact included, are rejected."""
+    artifact and each figure's `out` included, are rejected."""
     paths = {**PipelineConfig.DEFAULT_PATHS, **raw}
     paths["surface blocks"] = str(surface_mod.blocks_path(paths["surface"]))
+    paths |= {f"figures[{i}].out": f.out for i, f in enumerate(figures) if f is not None}
     seen: dict[str, str] = {}
     clashes = []
     for name, rel in sorted(paths.items()):
@@ -286,9 +287,23 @@ def _remove_partial(outputs: list[Path]) -> None:
         manifest_path(out).unlink(missing_ok=True)
 
 
+def _overwrites(stage: Stage) -> list[str]:
+    """Each output of `stage` at the path of one of its inputs or of an
+    earlier output, as a problem."""
+    taken = {path.resolve(): f"input '{name}'" for name, path in stage.inputs.items()}
+    problems = []
+    for out in stage.outputs:
+        if (where := out.resolve()) in taken:
+            problems.append(f"stage '{stage.name}' would write {out} over its {taken[where]}")
+        taken[where] = "own output"
+    return problems
+
+
 def run_stage(stage: Stage, force: bool = False) -> StageStatus:
     """Run a stage unless `force` is off and its outputs are fresh.
 
+    A stage whose outputs name one another or one of its inputs is refused
+    (ValidationFailed, exit 1) before any file is touched.
     The old manifests go before `produce` runs and the new ones are
     written last, so an interrupted stage leaves no manifest and reruns.
     A failed run removes the stage's outputs. Errors of this package keep
@@ -297,6 +312,8 @@ def run_stage(stage: Stage, force: bool = False) -> StageStatus:
     CPU seconds, the process's peak RSS so far and how much the stage
     raised it, so one run's log shows which stage sets the peak.
     """
+    if problems := _overwrites(stage):
+        raise ValidationFailed(problems)
     wall, cpu, peak = time.perf_counter(), time.process_time(), _peak_rss_mib()
     kind = stage.name.split(":")[0]
     inputs = _input_hashes(kind, stage.inputs)

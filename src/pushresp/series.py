@@ -18,29 +18,26 @@ kind of source: both have `sessions`, `len()` and `blocks()`.
 Every table artifact (moments, surface, heatmap, summary) is a CSV
 written here by `write_csv` and read by `read_table` into typed numpy
 columns, and every artifact carries a JSON sidecar manifest
-(`write_manifest`/`read_manifest`). A table is read by numpy's C text
-reader when its bytes are plainly spelt (`plainly_spelt`, the gate that
-ingest's quote batches pass too), from the open file a gated chunk at a
-time; any other file, and any the C reader rejects, goes to the str path
-(`read_csv` + `parse_column`), which reads every spelling the `csv`
-module and the `int`/`float` builtins accept and gives every error.
+(`write_manifest`/`read_manifest`) holding the SHA-256 of its bytes. A
+table has one reader: numpy's C text reader parses it from the open
+file a chunk at a time while the chunks are hashed, and a table that
+does not hash to its manifest's `data_sha256` is rejected (exit 3), so
+only the bytes `write_csv` wrote become numbers.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime
 import hashlib
 import io
 import itertools
 import json
-import math
 import os
 import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -339,125 +336,17 @@ def write_csv(path: str | Path, header: list[str], columns) -> None:
         raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
 
 
-def read_csv(path: str | Path, header: list[str]) -> dict[str, tuple[str, ...]]:
-    """The columns of a table artifact as text, keyed by `header`, which the
-    file's header row must equal; every row must hold one field per column.
-    `parse_column` converts a column."""
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
-    except FileNotFoundError as exc:
-        raise MissingArtifact(f"{path} does not exist") from exc
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ArtifactIOError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not rows or rows[0] != header:
-        raise ArtifactIOError(f"{path}: header is not {','.join(header)}")
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ArtifactIOError(f"{path}: line {line} has {len(row)} fields, not {len(header)}")
-    columns = list(zip(*rows[1:])) or [()] * len(header)
-    return dict(zip(header, columns))
-
-
-def parse_column(
-    path: str | Path, columns: dict[str, tuple[str, ...]], name: str,
-    convert: Callable[[str], object],
-) -> list:
-    """Column `name` of the table `read_csv` read from `path`, each field
-    converted by `convert`. A field it rejects is an ArtifactIOError naming
-    the file and line, so an edited cell exits 3 like any unreadable artifact.
-    A reader that fills arrays converts one column at a time, so no more than
-    one column of Python numbers is alive beside the text."""
-    column = columns[name]
-    try:
-        return list(map(convert, column))
-    except ValueError:
-        pass
-    for line, text in enumerate(column, start=2):  # find the field that failed
-        try:
-            convert(text)
-        except ValueError:
-            break
-    raise ArtifactIOError(f"{path}: line {line}: {name} {text!r} is not a number")
-
-
-def int64(text: str) -> int:
-    """`int` for a field of an int64 column: a value outside int64 is a
-    ValueError, so `parse_column` rejects it like any field that is not a number."""
-    value = int(text)
-    if not -(1 << 63) <= value < 1 << 63:
-        raise ValueError(f"{text!r} is outside int64")
-    return value
-
-
-def float_or_blank(text: str) -> float:
-    """`float` for a field that may be blank; a blank field is NaN."""
-    return float(text) if text else math.nan
-
-
-def flag(text: str) -> bool:
-    """A boolean field: `true` is True, any other text False."""
-    return text == "true"
-
-
-def plainly_spelt(data: bytes, spelt: bytes) -> bool:
-    """Whether numpy's C text reader may parse the lines `data` holds: they
-    hold no byte outside `spelt` and no blank line (which the C reader
-    skips, so line numbers would shift).
-
-    `spelt` keeps away the spellings that the C reader and the `int`/`float`
-    builtins might read differently: spaces, `_`, `\\r`, quotes, `#`, non-ASCII
-    text. Within it both parse a float with the same correctly rounded
-    routine and an int with the same digits, so what the C reader accepts
-    the builtins read to the same values. Ingest's quote batches and the
-    table artifacts both pass this gate."""
-    return not (data.translate(None, spelt) or data.startswith(b"\n") or b"\n\n" in data)
-
-
-class _NotPlain(Exception):
-    """A chunk of a table failed `plainly_spelt`."""
-
-
-def c_columns(lines, dtype) -> np.ndarray | None:
-    """The comma-separated `lines` (an iterable of str or bytes lines) as a
-    structured array of `dtype`, parsed by numpy's C text reader; None where
-    it rejects a field or warns about one, or `lines` raises `_NotPlain`.
-    The caller has held the lines to `plainly_spelt`. The C reader takes
-    short lines faster from str than from bytes."""
-    with warnings.catch_warnings():
-        # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                              ndmin=1, dtype=dtype, encoding="ascii")
-        except (ValueError, Warning, _NotPlain):
-            return None
-
-
-# Bytes a table artifact may hold for the C reader: digits, signs, the point,
-# exponents, and the letters of `nan`, `inf`, `true` and `false`.
-_TABLE_BYTES = b"0123456789+-.eE,\nnaiftrusl"
-# Bytes of a table read, gated and split into lines at a time.
+# Bytes of a table read, hashed and split into lines at a time.
 _TABLE_CHUNK = 1 << 16
 
-# The dtype the C reader fills for a column the str path converts by each
-# function; a `flag` field is read as text, whose first five bytes tell
-# `true` from any other text.
-_C_DTYPES = {int64: "<i8", float: "<f8", float_or_blank: "<f8", flag: "S5"}
 
-
-def _gated_chunks(f) -> Iterator[io.BytesIO]:
+def _hashed_chunks(f, digest) -> Iterator[io.BytesIO]:
     """The lines of the binary file `f` from where it stands, a chunk of
-    them at a time: each chunk, with the part of a line before it, must be
-    `plainly_spelt` in `_TABLE_BYTES` before it is given, or `_NotPlain`
-    is raised."""
+    them at a time; each byte is added to `digest` as it is read."""
     part = b""
     while chunk := f.read(_TABLE_CHUNK):
+        digest.update(chunk)
         chunk = part + chunk
-        if not plainly_spelt(chunk, _TABLE_BYTES):
-            raise _NotPlain
         cut = chunk.rfind(b"\n") + 1
         part = chunk[cut:]
         yield io.BytesIO(chunk[:cut])
@@ -465,37 +354,53 @@ def _gated_chunks(f) -> Iterator[io.BytesIO]:
 
 
 def read_table(
-    path: str | Path, header: list[str], kinds: dict[str, Callable[[str], object]],
+    path: str | Path, header: list[str], dtypes: dict[str, type],
 ) -> dict[str, np.ndarray]:
-    """The columns named in `kinds` of a table artifact whose header row is
-    `header`, each as a numpy array: int64 for `int64`, float64 for `float`
-    and `float_or_blank`, bool for `flag`. A column not in `kinds` is held
-    to the field count but not read.
+    """The columns named in `dtypes` of a table artifact whose header row is
+    `header`, each as a numpy array of its dtype (`np.int64`, `np.float64`
+    or `bool`). A column not in `dtypes` is held to the field count but not
+    read.
 
-    The C reader reads a plainly spelt file from the open file, a gated
-    chunk at a time, so the file's bytes are never held whole; any other
-    file goes to the str path, which reads it as `read_csv` +
-    `parse_column` and raises their errors (file, line, column and text;
-    exit 3)."""
+    numpy's C text reader parses the table from the open file a chunk at a
+    time, so its bytes are never held whole, and each chunk is hashed as it
+    is read. A table whose bytes do not hash to its manifest's
+    `data_sha256`, as after an edit or a cut, or one without a manifest, is
+    an ArtifactIOError (exit 3) and never becomes numbers; so is one whose
+    header row differs from `header` or whose field the C reader rejects."""
     head = (",".join(header) + "\n").encode()
-    dtype = [(name, _C_DTYPES.get(kinds.get(name), "S1")) for name in header]
+    # a bool field is read as text, whose first five bytes tell `true` from `false`
+    dtype = [(name, "S5" if dtypes.get(name) is bool else dtypes.get(name, "S1"))
+             for name in header]
+    digest, table, rejected = hashlib.sha256(), np.empty(0, dtype), None
     try:
         with open(path, "rb") as f:
-            table = None
-            if f.read(len(head)) == head:
-                lines = itertools.chain.from_iterable(_gated_chunks(f))  # each chunk's lines in C
-                table = c_columns(lines, dtype) if f.peek(1) else np.empty(0, dtype)
+            manifest = read_manifest(path)
+            first = f.read(len(head))
+            digest.update(first)
+            if first == head and f.peek(1):
+                lines = itertools.chain.from_iterable(_hashed_chunks(f, digest))
+                try:
+                    with warnings.catch_warnings():
+                        # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
+                        warnings.simplefilter("error")
+                        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                                           ndmin=1, dtype=dtype, encoding="ascii")
+                except (ValueError, Warning) as exc:
+                    rejected = exc
+            while chunk := f.read(_TABLE_CHUNK):  # what a wrong header or a rejection left
+                digest.update(chunk)
     except FileNotFoundError as exc:
         raise MissingArtifact(f"{path} does not exist") from exc
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    if table is not None:
-        return {name: table[name] == b"true" if kind is flag else table[name]
-                for name, kind in kinds.items()}
-    columns = read_csv(path, header)
-    return {name: np.array(parse_column(path, columns, name, kind),
-                           dtype=bool if kind is flag else _C_DTYPES[kind])
-            for name, kind in kinds.items()}
+    if digest.hexdigest() != manifest.get("data_sha256"):
+        raise ArtifactIOError(f"{path}: its bytes do not match the data_sha256 of its manifest")
+    if first != head:
+        raise ArtifactIOError(f"{path}: header is not {','.join(header)}")
+    if rejected is not None:
+        raise ArtifactIOError(f"{path}: not a table the C reader reads: {rejected}")
+    return {name: table[name] == b"true" if kind is bool else table[name]
+            for name, kind in dtypes.items()}
 
 
 def series_summary(series: MidSeries | PrmsReader | PrmsWriter) -> dict:

@@ -51,7 +51,7 @@ from .errors import (
     MissingMoments,
 )
 from .lags import LagMoments, MomentRow
-from .series import int64, read_table, write_csv
+from .series import read_table, write_csv
 
 BLOCK_TARGET = 50
 BLOCK_LAG_FACTOR = 10
@@ -379,8 +379,8 @@ SURFACE_HEADER = ["lag", "bin", "center", "count", "mean_zp", "mean_zr", "mean_r
 
 # the columns a surface is rebuilt from; `center` and `valid` follow from the
 # grid and the counts
-_SURFACE_KINDS = {"lag": int64, "bin": int64, "count": int64,
-                  "mean_zp": float, "mean_zr": float, "mean_r_raw": float}
+_SURFACE_DTYPES = {"lag": np.int64, "bin": np.int64, "count": np.int64,
+                   "mean_zp": np.float64, "mean_zr": np.float64, "mean_r_raw": np.float64}
 
 
 def write_surface_csv(surface: Surface, path: str | Path) -> None:
@@ -410,7 +410,8 @@ def surface_manifest(surface: Surface) -> dict:
 
 
 def read_surface_csv(path: str | Path, manifest: dict) -> Surface:
-    """Rebuild a Surface from its CSV plus sidecar manifest."""
+    """Rebuild a Surface from its CSV plus sidecar manifest. `read_table`
+    holds the CSV to the `data_sha256` of the manifest beside it."""
     g = manifest["grid"]
     grid = BinGrid(z_min=g["z_min"], z_max=g["z_max"], step=g["step"],
                    n_min_support=g["n_min_support"])
@@ -419,7 +420,7 @@ def read_surface_csv(path: str | Path, manifest: dict) -> Surface:
     n_lags, n_bins = len(moments), grid.n_bins
     counts = np.zeros((n_lags, n_bins), dtype=np.int64)
     mean_zp, mean_zr, mean_r = np.full((3, n_lags, n_bins), np.nan)
-    cols = read_table(path, SURFACE_HEADER, _SURFACE_KINDS)
+    cols = read_table(path, SURFACE_HEADER, _SURFACE_DTYPES)
     lags, where = np.unique(cols["lag"], return_inverse=True)
     i = np.array([row_of.get(lag, -1) for lag in lags.tolist()], dtype=np.int64)[where]
     if (i < 0).any():

@@ -1,4 +1,4 @@
-import math
+import csv
 import os
 import tracemalloc
 from pathlib import Path
@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import pushresp
-from pushresp.errors import IndexOutOfRange
 from pushresp.lags import MOMENTS_HEADER, LagMoments, MomentRow
-from pushresp.series import MidSeries, Session, float_or_blank, int64, read_table
+from pushresp.series import MidSeries, Session
 
 
 def from_session_arrays(dates: list[int], arrays: list[np.ndarray]) -> MidSeries:
@@ -49,6 +48,10 @@ def bin_index(grid, z_p: float):
     return j if 1 <= j <= grid.n_bins else None
 
 
+class IndexOutOfRange(IndexError):
+    """A bin index fell outside 1..n_bins."""
+
+
 def bin_center(grid, j: int) -> float:
     """Center of the 1-based bin j; IndexOutOfRange off the grid."""
     if not (1 <= j <= grid.n_bins):
@@ -57,18 +60,21 @@ def bin_center(grid, j: int) -> float:
 
 
 def read_moments_csv(path) -> list[MomentRow]:
-    """The rows of a moments CSV; a lag whose `mu_p` is blank (or NaN) is
-    excluded. Blank cells are spelt only by the str path, so a table with an
-    excluded lag is read there."""
-    kinds = {"lag": int64, "n_pairs": int64} | dict.fromkeys(MOMENTS_HEADER[2:], float_or_blank)
-    cols = read_table(path, MOMENTS_HEADER, kinds)
+    """The rows of a moments CSV; a lag whose moments are blank is excluded.
+    The pipeline never reads this table back, so it is parsed here with
+    the `csv` module."""
+    with open(path, newline="", encoding="utf-8") as f:
+        header, *lines = csv.reader(f)
+    assert header == MOMENTS_HEADER
     rows: list[MomentRow] = []
-    for lag, n_pairs, *values in zip(*(cols[name].tolist() for name in MOMENTS_HEADER)):
-        if math.isnan(values[0]):
+    for lag, n_pairs, *values in lines:
+        lag, n_pairs = int(lag), int(n_pairs)
+        if values[0] == "":
             reason = "insufficient_support" if n_pairs < 2 else "zero_variance"
             rows.append(MomentRow(lag, n_pairs, None, reason))
         else:
-            rows.append(MomentRow(lag, n_pairs, LagMoments(lag, n_pairs, *values), None))
+            rows.append(MomentRow(lag, n_pairs, LagMoments(lag, n_pairs, *map(float, values)),
+                                  None))
     return rows
 
 

@@ -590,6 +590,8 @@ class TestSummaries:
         sp = tmp_path / "lags.csv"
         write_heatmap_csv(pairs, hp)
         write_summary_csv(summaries, sp)
+        write_manifest(hp, {})
+        write_manifest(sp, {})
         assert_same_pairs(read_heatmap_csv(hp), pairs)
         assert read_summary_csv(sp) == summaries
         head = hp.read_text().splitlines()[0].split(",")
@@ -605,7 +607,8 @@ class TestSummaries:
         fields = row.split(",")
         fields[1] = "nope"  # rho
         sp.write_text(head + "\n" + ",".join(fields) + "\n")
-        with pytest.raises(ArtifactIOError, match="line 2: rho 'nope' is not a number"):
+        write_manifest(sp, {})  # so the C reader sees the edit
+        with pytest.raises(ArtifactIOError, match="lags.csv: not a table the C reader reads"):
             read_summary_csv(sp)
 
     @pytest.mark.parametrize("column,text", [("n_pos", "1.5"), ("S", "nope"),
@@ -618,7 +621,8 @@ class TestSummaries:
         fields = row.split(",")
         fields[HEATMAP_HEADER.index(column)] = text
         hp.write_text(head + "\n" + ",".join(fields) + "\n")
-        with pytest.raises(ArtifactIOError, match=f"line 2: {column} '{text}' is not a number"):
+        write_manifest(hp, {})  # so the C reader sees the edit
+        with pytest.raises(ArtifactIOError, match="heat.csv: not a table the C reader reads"):
             read_heatmap_csv(hp)
 
     def test_empty_tables_are_header_only(self, tmp_path):
@@ -627,6 +631,8 @@ class TestSummaries:
         # the negative side is below n_min: no pair is supported
         write_heatmap_csv(decompose(build_surface(mirror_cells(10, 300, 199, 0.2, 0.1))), hp)
         write_summary_csv([], sp)
+        write_manifest(hp, {})
+        write_manifest(sp, {})
         assert len(hp.read_text().splitlines()) == 1
         assert len(sp.read_text().splitlines()) == 1
         empty = read_heatmap_csv(hp)
@@ -647,6 +653,7 @@ class TestSummaries:
         pairs = decompose(surf)
         hp = tmp_path / "heat.csv"
         write_heatmap_csv(pairs, hp)
+        write_manifest(hp, {})
         n_rows = len(hp.read_text().splitlines()) - 1
         assert len(pairs) == n_rows
         assert (n_rows > 0) == (nmin == 50)
@@ -664,7 +671,7 @@ class TestSummaries:
     @pytest.mark.parametrize("table", ["surface", "heatmap"])
     def test_table_read_peak_allocation(self, tmp_path, table):
         # about 30k rows of 17-digit floats. The C reader reads the open
-        # file a gated chunk at a time into one structured array, whose
+        # file a hashed chunk at a time into one structured array, whose
         # columns are the result: traced peaks of 1.35x (surface) and 0.64x
         # (heatmap) the file's size, against 2.36x and 2.00x when the file's
         # bytes were held whole beside the array, and 8.29x and 5.73x when
@@ -691,6 +698,7 @@ class TestSummaries:
                 name: rng.integers(1, 10**5, n) if name in INT_COLUMNS else rng.standard_normal(n)
                 for name in HEATMAP_HEADER})
             write_heatmap_csv(pairs, path)
+            write_manifest(path, {})
             read = lambda: read_heatmap_csv(path)  # noqa: E731
         tracemalloc.start()
         try:

@@ -50,6 +50,7 @@ def artifact_dir(tmp_path_factory):
     write_manifest(d / "heat.csv", {"grid": surf.grid.to_dict()})
     write_summary_csv(summarize(pairs, BootstrapConfig(n_replicates=100, seed=1), surf.blocks),
                       d / "lags.csv")
+    write_manifest(d / "lags.csv", {})
     return d
 
 
@@ -170,6 +171,7 @@ def test_unknown_kind_rejected(tmp_path):
 def test_empty_csv_renders_blank_figure(tmp_path):
     src = tmp_path / "lags.csv"
     src.write_text("lag,rho,ci_low,ci_high,M,M_raw,n_supported_pairs,degenerate\n")
+    write_manifest(src, {})
     out = tmp_path / "empty.svg"
     render_figure(FigureSpec(kind="rho_curve", out=str(out), summary=str(src)))
     assert "<polyline" not in out.read_text()

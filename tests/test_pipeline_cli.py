@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,13 @@ from pushresp.pipeline import (
     run_pipeline,
     validate_config_dict,
 )
-from pushresp.series import canonical_json, read_manifest, write_manifest, write_prms
+from pushresp.series import (
+    canonical_json,
+    manifest_path,
+    read_manifest,
+    write_manifest,
+    write_prms,
+)
 
 from conftest import make_series
 
@@ -307,6 +314,61 @@ class TestOverrides:
             apply_override({}, "nonsense")
 
 
+@pytest.fixture(scope="module")
+def table_artifacts(tmp_path_factory):
+    """A directory of the three tables the figures read, each with its
+    manifest, written by the subcommands."""
+    d = tmp_path_factory.mktemp("tables")
+    assert main(["synth", "--kind", "null_walk", "--n", "20000", "--seed", "3",
+                 "--out", str(d / "mids.prms")]) == 0
+    assert main(["surface", "--in", str(d / "mids.prms"), "--lags", "1,5", "--nmin", "50",
+                 "--out", str(d / "surface.csv")]) == 0
+    assert main(["decompose", "--surface", str(d / "surface.csv"), "--bootstrap", "10",
+                 "--out-heatmap", str(d / "heat.csv"), "--out-summary", str(d / "lags.csv")]) == 0
+    return d
+
+
+def files(d: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+class TestOverwrites:
+    """A stage that would write over one of its own outputs or inputs is
+    refused before any file is touched."""
+
+    def test_surface_outputs_at_one_path_exit_1(self, tmp_path, table_artifacts, capsys):
+        wd = tmp_path / "wd"
+        shutil.copytree(table_artifacts, wd)
+        before = files(wd)
+        assert main(["surface", "--in", str(wd / "mids.prms"), "--lags", "1,5",
+                     "--out", str(wd / "surface.csv"),
+                     "--out-moments", str(wd / "surface.csv")]) == 1
+        assert "surface.csv over its own output" in capsys.readouterr().err
+        assert files(wd) == before
+
+    def test_render_over_its_input_exit_1(self, tmp_path, table_artifacts, capsys):
+        wd = tmp_path / "wd"
+        shutil.copytree(table_artifacts, wd)
+        before = files(wd)
+        assert main(["render", "--kind", "rho_curve", "--summary", str(wd / "lags.csv"),
+                     "--out", str(wd / "lags.csv")]) == 1
+        assert "over its input 'summary'" in capsys.readouterr().err
+        assert files(wd) == before
+
+    def test_figure_over_a_table_exit_1(self, tmp_path):
+        raw = base_config(tmp_path / "wd", figures=[])
+        run_pipeline(config_from_dict(raw))
+        before = files(tmp_path / "wd")
+        raw["figures"] = [{"kind": "rho_curve", "out": "lags.csv"}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert validate_config_dict(raw) == [
+            "paths: 'figures[0].out' and 'summary' both point to 'lags.csv'"]
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert files(tmp_path / "wd") == before
+
+
 class TestCliExitCodes:
     def test_validate_ok_and_fail(self, tmp_path):
         good = tmp_path / "good.json"
@@ -388,7 +450,49 @@ class TestCliExitCodes:
         lines[3] = ",".join(fields)
         surface.write_text("".join(lines))
         assert main(argv) == 3
-        assert f"{surface}: line 4: mean_zr 'abc' is not a number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{surface}: its bytes do not match the data_sha256 of its manifest" in err
+
+    @staticmethod
+    def _damage(path: Path, damage: str) -> None:
+        """Edit one digit of the last row so that it still parses, cut the
+        last row off at its line boundary, or delete the manifest."""
+        data = path.read_bytes()
+        if damage == "edit":
+            at = data.rindex(b".") + 1
+            digit = ord("0") + (data[at] - ord("0") + 5) % 10
+            path.write_bytes(data[:at] + bytes([digit]) + data[at + 1:])
+        elif damage == "cut":
+            path.write_bytes(data[: data.rindex(b"\n", 0, -1) + 1])
+        else:
+            manifest_path(path).unlink()
+
+    @pytest.mark.parametrize("damage", ["edit", "cut", "manifest"])
+    @pytest.mark.parametrize("command, table", [
+        (["decompose", "--bootstrap", "10", "--surface"], "surface.csv"),
+        (["render", "--kind", "surface_top", "--surface"], "surface.csv"),
+        (["render", "--kind", "dominance_heatmap", "--heatmap"], "heat.csv"),
+        (["render", "--kind", "rho_curve", "--summary"], "lags.csv"),
+    ], ids=["decompose", "surface_top", "dominance_heatmap", "rho_curve"])
+    def test_table_unlike_its_manifest_exit_3(self, tmp_path, table_artifacts, command, table,
+                                              damage, capsys):
+        wd = tmp_path / "wd"
+        shutil.copytree(table_artifacts, wd)
+        self._damage(wd / table, damage)
+        before = sorted(wd.iterdir())
+        outs = {"decompose": ["--out-heatmap", str(wd / "h.csv"),
+                              "--out-summary", str(wd / "l.csv")],
+                "render": ["--out", str(wd / "x.svg")]}[command[0]]
+        assert main([*command, str(wd / table), *outs]) == 3
+        assert f"{wd / table}" in capsys.readouterr().err
+        assert sorted(wd.iterdir()) == before  # no output file
+
+    def test_table_of_another_kind_exit_3(self, tmp_path, table_artifacts, capsys):
+        # the surface and summary tables both have eight columns
+        assert main(["render", "--kind", "rho_curve", "--summary",
+                     str(table_artifacts / "surface.csv"), "--out", str(tmp_path / "x.svg")]) == 3
+        assert "surface.csv: header is not lag,rho," in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_usage_error_exit_1(self):
         assert main(["clean"]) == 1

@@ -4,6 +4,7 @@ import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,6 @@ from pushresp.errors import ArtifactIOError, MissingArtifact
 from pushresp.series import (
     MidSeries,
     Session,
-    flag,
-    int64,
-    parse_column,
-    read_csv,
     read_manifest,
     read_prms,
     read_table,
@@ -176,163 +173,120 @@ def test_write_prms_copies_no_session(tmp_path):
     assert read_prms(tmp_path / "one.prms") == series
 
 
-def test_parse_column_converts_a_column(tmp_path):
-    path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b", "c"], [[1, 2], [0.5, -1.25], ["x", "y"]])
-    cols = read_csv(path, ["a", "b", "c"])
-    assert parse_column(path, cols, "a", int) == [1, 2]
-    assert parse_column(path, cols, "b", float) == [0.5, -1.25]
-    assert cols["c"] == ("x", "y")
-
-
-@pytest.mark.parametrize("body, where", [
-    ("1,2.5\n3,abc\n", "line 3: b 'abc'"),
-    ("1.5,2.5\n", "line 2: a '1.5'"),
-    ("1,\n", "line 2: b ''"),
-])
-def test_parse_column_names_the_field_that_does_not_convert(tmp_path, body, where):
-    path = tmp_path / "t.csv"
-    path.write_text("a,b\n" + body)
-    cols = read_csv(path, ["a", "b"])
-    with pytest.raises(ArtifactIOError, match=f"t.csv: {where} is not a number"):
-        parse_column(path, cols, "a", int)
-        parse_column(path, cols, "b", float)
-
-
-# A property test of `read_table`: on any table, its typed columns equal those
-# of the str path (`read_csv` + `parse_column`), or it raises the same error.
+# Tables of `TABLE_HEADER` as `write_csv` writes them: `read_table` reads
+# every column back bit for bit, at chunk sizes that put line ends and the
+# end of the header on chunk edges, and rejects any other bytes.
 TABLE_HEADER = ["n", "x", "ok", "note"]
-TABLE_KINDS = {"n": int64, "x": float, "ok": flag}
+TABLE_DTYPES = {"n": np.int64, "x": np.float64, "ok": bool}
 INT64 = np.iinfo(np.int64)
-
-plain_ints = st.integers(INT64.min, INT64.max).map(str)
-plain_floats = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
-    st.floats(min_value=-1e-300, max_value=1e-300).map(repr),  # subnormals
-    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0.0", "1e-05", "1E5", "+1", ".5", "5."]),
-)
-plain_flags = st.sampled_from(["true", "false", "", "tru", "truee"])
-plain_notes = st.sampled_from(["", "false", "true", "nan"])
-# any mix of the bytes the C reader may see
-gate_texts = st.text(alphabet="0123456789+-.eEnaiftrusl", max_size=6)
-odd_texts = st.sampled_from([str(INT64.min - 1), str(INT64.max + 1), " 1", "1 ", "1_0",
-                             "1.5", "Infinity", "abc", "a b", '"5"', '"q,r"', '"true"'])
-PLAIN = (plain_ints, plain_floats, plain_flags, plain_notes)
+EDGE_INTS = [INT64.min, INT64.max, -1, 0]
+# float("nan") has the bits numpy reads `nan` to; other NaN payloads do not round trip
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1.7976931348623157e308,
+               float("nan"), float("inf"), float("-inf")]
+CHUNKS = [1, 2, 3, 5, 8, 13, 1 << 16]
 
 
 @st.composite
-def tables(draw) -> bytes:
-    """A table: half of them with plainly spelt fields, the rest with odd
-    ones too; over either, one defect or none (a wrong field count, a blank
-    line, CRLF line ends, no line end after the last row)."""
-    plain = draw(st.booleans())
-    defect = draw(st.sampled_from([None, None, None, "count", "blank", "crlf", "open"]))
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        row = [draw(texts if plain or draw(st.integers(0, 2)) else st.one_of(gate_texts, odd_texts))
-               for texts in PLAIN]
-        rows.append(",".join(row))
-    if rows and defect == "count":  # a field too few or too many
-        k = draw(st.integers(0, len(rows) - 1))
-        rows[k] = rows[k].rpartition(",")[0] if draw(st.booleans()) else rows[k] + ",1"
-    if defect == "blank":
-        rows.insert(draw(st.integers(0, len(rows))), "")
-    end = "\r\n" if defect == "crlf" else "\n"
-    text = end.join([",".join(TABLE_HEADER), *rows])
-    return (text if defect == "open" else text + end).encode()
+def table_columns(draw) -> list:
+    """The columns of a table of `TABLE_HEADER`, with values at every edge;
+    `note` is not read."""
+    n = draw(st.integers(0, 30))
+
+    def column(values) -> list:
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    return [
+        np.array(column(st.sampled_from(EDGE_INTS) | st.integers(INT64.min, INT64.max)),
+                 dtype=np.int64),
+        np.array(column(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False)),
+                 dtype=np.float64),
+        np.array(column(st.booleans()), dtype=bool),
+        column(st.integers(0, 99)),
+    ]
 
 
-def str_path_columns(path):
-    """The columns as the str path reads them."""
-    columns = read_csv(path, TABLE_HEADER)
-    dtypes = {int64: np.int64, float: np.float64, flag: bool}
-    return {name: np.array(parse_column(path, columns, name, kind), dtype=dtypes[kind])
-            for name, kind in TABLE_KINDS.items()}
+def write_table(path, columns) -> None:
+    write_csv(path, TABLE_HEADER, columns)
+    write_manifest(path, {})
 
 
-def read_or_error(read, path):
-    try:
-        return read(path)
-    except ArtifactIOError as exc:
-        assert exc.exit_code == 3
-        return str(exc)
-
-
-@given(tables())
-@settings(max_examples=400, deadline=None)
-def test_read_table_matches_the_str_path(data):
-    with tempfile.TemporaryDirectory() as tmp:
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(columns=table_columns())
+@settings(max_examples=40, deadline=None)
+def test_read_table_round_trips_write_csv(chunk, columns):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(series, "_TABLE_CHUNK", chunk):
         path = Path(tmp) / "t.csv"
-        path.write_bytes(data)
-        got = read_or_error(lambda p: read_table(p, TABLE_HEADER, TABLE_KINDS), path)
-        want = read_or_error(str_path_columns, path)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert got.keys() == want.keys()
-    for name, col in want.items():
-        assert got[name].dtype == col.dtype, name
-        if col.dtype == np.float64:  # equal bits: NaNs and -0.0 included
-            assert got[name].view(np.int64).tolist() == col.view(np.int64).tolist(), name
-        else:
-            assert got[name].tolist() == col.tolist(), name
+        write_table(path, columns)
+        got = read_table(path, TABLE_HEADER, TABLE_DTYPES)
+    assert list(got) == list(TABLE_DTYPES)
+    for name, want in zip(TABLE_HEADER, columns):
+        if name in got:  # equal bits: NaN and -0.0 included
+            assert (got[name].dtype, got[name].tobytes()) == (want.dtype, want.tobytes()), name
 
 
-def test_read_table_reads_a_plain_table_without_the_str_path(tmp_path, monkeypatch):
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+@given(columns=table_columns(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_read_table_rejects_an_edited_or_cut_table(chunk, columns, data):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(series, "_TABLE_CHUNK", chunk):
+        path = Path(tmp) / "t.csv"
+        write_table(path, columns)
+        raw = path.read_bytes()
+        at = data.draw(st.integers(0, len(raw) - 1), label="edited byte")
+        edited = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+        lines = [0, *(i + 1 for i, b in enumerate(raw[:-1]) if b == ord("\n"))]
+        cut = raw[:data.draw(st.sampled_from(lines), label="cut")]
+        for bad in (edited, cut):
+            path.write_bytes(bad)
+            with pytest.raises(ArtifactIOError, match="t.csv: its bytes do not match") as err:
+                read_table(path, TABLE_HEADER, TABLE_DTYPES)
+            assert err.value.exit_code == 3
+
+
+def test_read_table_reads_edge_values(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("n,x,ok,note\n-9223372036854775808,-0.0,true,false\n"
-                    "9223372036854775807,1e-05,false,true\n3,nan,true,\n"
-                    "4,5e-324,tru,na\n")
-    monkeypatch.setattr(series, "read_csv", None)
-    cols = read_table(path, TABLE_HEADER, TABLE_KINDS)
-    assert cols["n"].tolist() == [INT64.min, INT64.max, 3, 4]
-    assert cols["x"].view(np.int64).tolist() == np.array(
-        [-0.0, 1e-05, float("nan"), 5e-324]).view(np.int64).tolist()
-    assert cols["ok"].tolist() == [True, False, True, False]
-    path.write_text("n,x,ok,note\n")
-    empty = read_table(path, TABLE_HEADER, TABLE_KINDS)
+    xs = [-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]
+    write_table(path, [np.array([INT64.min, INT64.max, 0, 3, 4]), np.array(xs),
+                       np.array([True, False, True, False, True]), ["a", "", "b", "", "c"]])
+    cols = read_table(path, TABLE_HEADER, TABLE_DTYPES)
+    assert cols["n"].tolist() == [INT64.min, INT64.max, 0, 3, 4]
+    assert cols["x"].view(np.int64).tolist() == np.array(xs).view(np.int64).tolist()
+    assert cols["ok"].tolist() == [True, False, True, False, True]
+    write_table(path, [[], [], [], []])
+    empty = read_table(path, TABLE_HEADER, TABLE_DTYPES)
     assert {name: (col.dtype, col.shape) for name, col in empty.items()} == {
         "n": (np.int64, (0,)), "x": (np.float64, (0,)), "ok": (bool, (0,))}
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13, 1 << 16])
-def test_read_table_gates_each_chunk(tmp_path, monkeypatch, chunk):
-    # small chunks put line ends, a blank line and an odd byte on chunk edges
-    monkeypatch.setattr(series, "_TABLE_CHUNK", chunk)
-    str_reads = []
-    monkeypatch.setattr(series, "read_csv", lambda *a: str_reads.append(a) or read_csv(*a))
-    rows = ["-9223372036854775808,-0.0,true,false", "9223372036854775807,1e-05,false,true",
-            "3,nan,true,", "4,5e-324,tru,na"]
+def test_read_table_needs_its_manifest(tmp_path):
     path = tmp_path / "t.csv"
+    write_csv(path, TABLE_HEADER, [[1], [0.5], [True], [0]])
+    with pytest.raises(ArtifactIOError, match="t.csv.manifest.json") as err:
+        read_table(path, TABLE_HEADER, TABLE_DTYPES)
+    assert err.value.exit_code == 3
 
-    def read(lines):
-        path.write_text("\n".join(["n,x,ok,note", *lines]) + "\n")
-        return read_table(path, TABLE_HEADER, TABLE_KINDS)
 
-    got = read(rows)
-    assert not str_reads
-    want = str_path_columns(path)
-    assert {name: (col.dtype, col.tobytes()) for name, col in got.items()} == {
-        name: (col.dtype, col.tobytes()) for name, col in want.items()}
-    for k in range(len(rows) + 1):  # a blank line on line k + 2
-        with pytest.raises(ArtifactIOError, match=f"line {k + 2} has 0 fields"):
-            read(rows[:k] + [""] + rows[k:])
-    assert read(rows[:-1] + [rows[-1] + " "])["n"].tolist() == [INT64.min, INT64.max, 3, 4]
-    assert len(str_reads) == len(rows) + 2
+def test_read_table_checks_the_header(tmp_path):
+    # a table that matches its own manifest can still be another kind of table
+    path = tmp_path / "t.csv"
+    write_csv(path, ["n", "x", "ok", "other"], [[1], [0.5], [True], [0]])
+    write_manifest(path, {})
+    with pytest.raises(ArtifactIOError, match="t.csv: header is not n,x,ok,note"):
+        read_table(path, TABLE_HEADER, TABLE_DTYPES)
 
 
 def test_read_table_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"n,x,ok,note\n1,0.5\xff,true,\n")
-    with pytest.raises(ArtifactIOError, match=r"t.csv: not UTF-8 text \(invalid") as err:
-        read_table(path, TABLE_HEADER, TABLE_KINDS)
+    write_manifest(path, {})  # the bytes match their manifest, so the C reader sees them
+    with pytest.raises(ArtifactIOError, match="t.csv: not a table the C reader reads") as err:
+        read_table(path, TABLE_HEADER, TABLE_DTYPES)
     assert err.value.exit_code == 3
 
 
 def test_read_table_missing_file_is_missing_artifact(tmp_path):
     with pytest.raises(MissingArtifact):
-        read_table(tmp_path / "absent.csv", TABLE_HEADER, TABLE_KINDS)
+        read_table(tmp_path / "absent.csv", TABLE_HEADER, TABLE_DTYPES)
 
 
 def csv_writer_bytes(header, columns) -> bytes:

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushresp.errors import (
-    ArtifactIOError,
-    IndexOutOfRange,
-    InvalidGrid,
-    MissingArtifact,
-)
+from pushresp.errors import ArtifactIOError, InvalidGrid, MissingArtifact
 from pushresp.lags import compute_moments_table
 from pushresp.series import read_manifest, write_manifest
 from pushresp.surface import (
@@ -26,7 +21,7 @@ from pushresp.surface import (
 )
 from pushresp.synthetic import SyntheticSpec, generate
 
-from conftest import bin_center, bin_indices, make_series, traced_peak
+from conftest import IndexOutOfRange, bin_center, bin_indices, make_series, traced_peak
 
 
 def verbatim_bin_index(z, z_min=-4.0, z_max=4.0, step=0.025, n=320):
@@ -251,11 +246,22 @@ class TestSurfaceCsv:
         surf = accumulate_surface(series, compute_moments_table(series, [1]), BinGrid())
         path = tmp_path / "surface.csv"
         write_surface_csv(surf, path)
-        write_manifest(path, surface_manifest(surf))
         header, first, *rest = path.read_text().splitlines()
         lag, _, *fields = first.split(",")
         path.write_text("\n".join([header, ",".join([lag, bin_text, *fields]), *rest]) + "\n")
+        write_manifest(path, surface_manifest(surf))  # so the bounds check sees the edit
         with pytest.raises(ArtifactIOError, match="outside 1..320"):
+            read_surface_csv(path, read_manifest(path))
+
+    def test_lag_not_in_its_manifest_rejected(self, tmp_path, rng):
+        series = make_series([100 + np.cumsum(rng.standard_normal(3000) * 0.01)])
+        surf = accumulate_surface(series, compute_moments_table(series, [1]), BinGrid())
+        path = tmp_path / "surface.csv"
+        write_surface_csv(surf, path)
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, "7" + first[first.index(","):], *rest]) + "\n")
+        write_manifest(path, surface_manifest(surf))  # so the lag check sees the edit
+        with pytest.raises(ArtifactIOError, match="surface.csv: lag 7 is not in its manifest"):
             read_surface_csv(path, read_manifest(path))
 
     def test_count_outside_int64_rejected(self, tmp_path, rng):
@@ -263,13 +269,13 @@ class TestSurfaceCsv:
         surf = accumulate_surface(series, compute_moments_table(series, [1]), BinGrid())
         path = tmp_path / "surface.csv"
         write_surface_csv(surf, path)
-        write_manifest(path, surface_manifest(surf))
         header, first, *rest = path.read_text().splitlines()
         lag, bin_text, center, _, *fields = first.split(",")
         big = str(1 << 63)
         path.write_text(
             "\n".join([header, ",".join([lag, bin_text, center, big, *fields]), *rest]) + "\n")
-        with pytest.raises(ArtifactIOError, match=f"line 2: count '{big}' is not a number"):
+        write_manifest(path, surface_manifest(surf))  # so the C reader sees the edit
+        with pytest.raises(ArtifactIOError, match="surface.csv: not a table the C reader reads"):
             read_surface_csv(path, read_manifest(path))
 
     def test_empty_surface_is_header_only(self, tmp_path):
