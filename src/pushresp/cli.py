@@ -134,19 +134,16 @@ def _parse_grid(grid: str, nmin: int) -> surface_mod.BinGrid:
 @click.option("--bootstrap", "n_replicates", show_default=True,
               default=decomp_mod.BootstrapConfig.n_replicates)
 @click.option("--seed", default=decomp_mod.BootstrapConfig.seed, show_default=True)
-@click.option("--local-index", default="eq319", show_default=True,
-              type=click.Choice(decomp_mod.LOCAL_INDEX_CHOICES))
 @click.option("--out-heatmap", required=True, type=click.Path())
 @click.option("--out-summary", required=True, type=click.Path())
-def decompose(surface_path, n_replicates, seed, local_index, out_heatmap, out_summary):
+def decompose(surface_path, n_replicates, seed, out_heatmap, out_summary):
     """Split the surface into even/odd parts and attach bootstrap bands.
 
     The bands resample anchor blocks from the block artifact that
     `pushresp surface` writes beside the surface CSV (`<stem>.blocks`).
     """
     boot = _checked(lambda: decomp_mod.BootstrapConfig(n_replicates=n_replicates, seed=seed))
-    _run(decompose_stage(Path(surface_path), Path(out_heatmap), Path(out_summary),
-                         local_index, boot))
+    _run(decompose_stage(Path(surface_path), Path(out_heatmap), Path(out_summary), boot))
 
 
 @cli.command()
@@ -195,15 +192,12 @@ def render(kind, surface_path, heatmap_path, summary_path, vmax, out):
 @click.option("--set", "overrides", multiple=True,
               help="Override a config entry, e.g. --set synth.seed=9 "
                    "(values parsed as JSON when possible).")
-@click.option("--threads", default=None, type=int)
 @click.option("--force", is_flag=True, help="Re-run every stage even if fresh.")
-def pipeline(config_path, overrides, threads, force):
+def pipeline(config_path, overrides, force):
     """Run source -> clean -> surface -> decompose -> render, resumably."""
     raw = _load_raw_config(config_path)
     for item in overrides:
         apply_override(raw, item)
-    if threads is not None:
-        raw["threads"] = threads
     cfg = config_from_dict(raw)
     statuses = run_pipeline(cfg, force=force)
     for s in statuses:

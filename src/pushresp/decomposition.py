@@ -3,11 +3,12 @@
 For every lag and absolute bin offset whose two mirror cells are both
 valid, the conditional response means split into an even part S (push
 magnitude only) and an odd part A (push sign). Local dominance is the
-signed share A / (|A| + |S| + eps); an alternative magnitude-share
-index (|A| - |S|) / (|A| + |S| + eps) is kept behind a flag because it
-maps symmetry dominance to -1. Per lag, pairs are weighted by combined
-support and aggregated into a dominance statistic, a magnitude curve
-(standardized and raw), and a bootstrap confidence band.
+signed share A / (|A| + |S| + eps). The magnitude share
+(|A| - |S|) / (|A| + |S| + eps) is written beside it as `rho_local_alt`;
+it is not the local index because it maps symmetry dominance to -1. Per
+lag, pairs are weighted by combined support and aggregated into a
+dominance statistic, a magnitude curve (standardized and raw), and a
+bootstrap confidence band.
 
 The band comes from the surface's anchor-block tables (see surface.py):
 a bootstrap over non-overlapping blocks of consecutive anchors
@@ -35,21 +36,18 @@ from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
 EPSILON = 1e-12
 
-LOCAL_INDEX_CHOICES = ("eq319", "absratio")
+# The replicate quantiles of the 95% band.
+BAND_QUANTILES = (0.025, 0.975)
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
     n_replicates: int = 1000
     seed: int = 42
-    quantiles: tuple[float, float] = (0.025, 0.975)
 
     def __post_init__(self):
         if self.n_replicates < 1:
             raise ValueError(f"need at least 1 replicate, got {self.n_replicates}")
-        lo, hi = self.quantiles
-        if not (0.0 < lo < hi < 1.0):
-            raise ValueError(f"bad quantile pair {self.quantiles}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +119,11 @@ def check_mirror_grid(grid: BinGrid) -> None:
         raise InvalidGrid(f"mirror decomposition needs an even bin count, got {grid.n_bins}")
 
 
-def decompose(surface: Surface, local_index: str = "eq319") -> MirrorPairs:
+def decompose(surface: Surface) -> MirrorPairs:
     """Mirror pairs with both cells valid, in (lag, abs_index) order.
 
     Weights are the supports normalized per lag over the supported pairs.
     """
-    if local_index not in LOCAL_INDEX_CHOICES:
-        raise InvalidGrid(f"unknown local index '{local_index}'")
     grid = surface.grid
     check_mirror_grid(grid)
     half = grid.n_bins // 2
@@ -138,8 +134,6 @@ def decompose(surface: Surface, local_index: str = "eq319") -> MirrorPairs:
         denom = np.abs(A) + np.abs(S) + EPSILON
         signed = A / denom
         share = (np.abs(A) - np.abs(S)) / denom
-    if local_index == "absratio":
-        signed, share = share, signed
     i, col = np.nonzero(support)
     pos, neg = half + col, half - 1 - col
     lags = np.array(surface.lags, dtype=np.int64)
@@ -257,8 +251,8 @@ def bootstrap_rho(
         return -1.0, 1.0
     stats = block_replicates(blocks, n_min_support, cfg)
     shift = rho - empirical_quantile(stats, 0.5)
-    lo = empirical_quantile(stats, cfg.quantiles[0]) + shift
-    hi = empirical_quantile(stats, cfg.quantiles[1]) + shift
+    lo = empirical_quantile(stats, BAND_QUANTILES[0]) + shift
+    hi = empirical_quantile(stats, BAND_QUANTILES[1]) + shift
     return max(-1.0, lo), min(1.0, hi)
 
 

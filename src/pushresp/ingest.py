@@ -37,6 +37,8 @@ from .series import MidSeries, Session
 logger = logging.getLogger(__name__)
 
 DEFAULT_VENUES = ("NYSE", "NASDAQ", "ARCA", "BZX", "BYX", "EDGX", "EDGA")
+# Each venue's rank in the priority order that breaks timestamp ties.
+_RANK = {v: i for i, v in enumerate(DEFAULT_VENUES)}
 DEFAULT_TZ = "America/New_York"
 QUOTE_HEADER = "timestamp_ns,venue,bid_price,bid_size,ask_price,ask_size,condition"
 
@@ -169,11 +171,15 @@ class _Fields(NamedTuple):
     regular: np.ndarray  # bool: the condition is "R"
 
 
-# Bytes the C reader may see besides the letters of the listed venues: a
+# Bytes the C reader may see (the listed venues are spelt in capitals): a
 # batch holding any other byte, such as `+`, `_`, a space, `\r` or `#`, is one
 # whose spellings numpy's parsers and the `int`/`float` builtins might read
 # differently (see `plainly_spelt`).
-_C_BYTES = "0123456789.-,\n" + string.ascii_uppercase
+_C_BYTES = ("0123456789.-,\n" + string.ascii_uppercase).encode()
+# A venue column one byte wider than the longest listed venue, so longer
+# names stay unlisted.
+_C_DTYPE = [("ts", "i8"), ("venue", f"S{max(map(len, DEFAULT_VENUES)) + 1}"), ("bid", "f8"),
+            ("bid_size", "i8"), ("ask", "f8"), ("ask_size", "i8"), ("condition", "S2")]
 # Text an undecodable byte was read as (errors="surrogateescape").
 _ESCAPED = re.compile("[\udc80-\udcff]")
 
@@ -208,21 +214,17 @@ def c_columns(lines: list[str], dtype) -> np.ndarray | None:
             return None
 
 
-def _c_fields(lines: list[str], rank: dict[str, int]) -> _Fields | None:
+def _c_fields(lines: list[str]) -> _Fields | None:
     """The batch parsed by numpy's C text reader, or None where the batch
     is not plainly spelt and must go to `_str_fields`."""
-    allowed = (_C_BYTES + "".join(c for c in "".join(rank) if c in string.ascii_letters)).encode()
-    width = max((len(v.encode()) for v in rank), default=0) + 1  # longer names stay unlisted
-    dtype = [("ts", "i8"), ("venue", f"S{width}"), ("bid", "f8"), ("bid_size", "i8"),
-             ("ask", "f8"), ("ask_size", "i8"), ("condition", "S2")]
-    # an undecodable byte goes back to itself, outside `allowed`
-    plain = plainly_spelt("".join(lines).encode(errors="surrogateescape"), allowed)
-    table = c_columns(lines, dtype) if plain else None
+    # an undecodable byte goes back to itself, outside `_C_BYTES`
+    plain = plainly_spelt("".join(lines).encode(errors="surrogateescape"), _C_BYTES)
+    table = c_columns(lines, _C_DTYPE) if plain else None
     if table is None:
         return None
     n = len(table)
     venue = np.full(n, -1, np.int16)
-    for name, k in rank.items():
+    for name, k in _RANK.items():
         venue[table["venue"] == name.encode()] = k
     condition = table["condition"]
     return _Fields(
@@ -232,7 +234,7 @@ def _c_fields(lines: list[str], rank: dict[str, int]) -> _Fields | None:
     )
 
 
-def _str_fields(lines: list[str], rank: dict[str, int]) -> _Fields:
+def _str_fields(lines: list[str]) -> _Fields:
     """The batch parsed by the `int`/`float` builtins: any spelling they
     accept is read. Blank lines are not records; misshapen ones get empty
     fields and fail the field-count check."""
@@ -250,7 +252,7 @@ def _str_fields(lines: list[str], rank: dict[str, int]) -> _Fields:
     return _Fields(
         row, escaped, shaped,
         _numbers(fields[0::7], int, np.int64, 0),
-        np.fromiter(map(rank.get, fields[1::7], repeat(-1)), np.int16, n),
+        np.fromiter(map(_RANK.get, fields[1::7], repeat(-1)), np.int16, n),
         _numbers(fields[2::7], float, np.float64, np.nan),
         _numbers(fields[4::7], float, np.float64, np.nan),
         _flags(fields[3::7], _bad_size) | _flags(fields[5::7], _bad_size),
@@ -305,11 +307,10 @@ def _check(
 def read_quote_csv(
     path: str | Path,
     strict: bool = True,
-    venues: tuple[str, ...] = DEFAULT_VENUES,
     report: QualityReport | None = None,
 ) -> Quotes:
     """Parse one quote file into columns, venues ranked by their place in
-    `venues`. In lenient mode malformed records are skipped and tallied;
+    `DEFAULT_VENUES`. In lenient mode malformed records are skipped and tallied;
     strict mode raises on the first problem. A skipped record does not
     advance its venue's clock.
 
@@ -317,8 +318,7 @@ def read_quote_csv(
     spelt and by the `int`/`float` builtins otherwise; both give the same
     columns, which go through the same checks."""
     report = report if report is not None else QualityReport()
-    rank = {v: i for i, v in enumerate(venues)}
-    clock = np.full(len(venues), np.iinfo(np.int64).min)
+    clock = np.full(len(DEFAULT_VENUES), np.iinfo(np.int64).min)
     parts = []
     n_batches = n_c = 0
     try:
@@ -331,10 +331,10 @@ def read_quote_csv(
                 raise MalformedRecord(1, "header", detail)
             line_no = 2
             while lines := f.readlines(_BATCH_CHARS):
-                fields = _c_fields(lines, rank)
+                fields = _c_fields(lines)
                 n_batches, n_c = n_batches + 1, n_c + (fields is not None)
                 if fields is None:
-                    fields = _str_fields(lines, rank)
+                    fields = _str_fields(lines)
                 parts.append(_check(fields, lines, line_no, clock, strict, report))
                 line_no += len(lines)
     except OSError as exc:
@@ -479,7 +479,6 @@ def ingest_files(
     venue_files: dict[str, Path],
     tz: str = DEFAULT_TZ,
     strict: bool = True,
-    priority: tuple[str, ...] = DEFAULT_VENUES,
 ) -> tuple[MidSeries, QualityReport]:
     """Full ingest: parse and filter each venue file, consolidate, build series.
 
@@ -489,7 +488,7 @@ def ingest_files(
     """
     report, record_days = QualityReport(), set()
     parts = [
-        filter_eligible(read_quote_csv(path, strict=strict, venues=priority, report=report),
+        filter_eligible(read_quote_csv(path, strict=strict, report=report),
                         tz, report, record_days)
         for _, path in sorted(venue_files.items())
     ]
@@ -500,11 +499,10 @@ def ingest_consolidated(
     path: str | Path,
     tz: str = DEFAULT_TZ,
     strict: bool = True,
-    priority: tuple[str, ...] = DEFAULT_VENUES,
 ) -> tuple[MidSeries, QualityReport]:
     """Ingest a pre-consolidated feed: same schema, degenerate merge."""
     report, record_days = QualityReport(), set()
-    quotes = read_quote_csv(path, strict=strict, venues=priority, report=report)
+    quotes = read_quote_csv(path, strict=strict, report=report)
     # One logical stream: enforce global time order.
     late = quotes.ts < np.maximum.accumulate(quotes.ts)
     if late.any():

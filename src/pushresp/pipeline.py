@@ -19,8 +19,11 @@ written last, so an interrupted stage leaves no manifest and reruns.
 Keys hash whole manifests: a workdir whose manifests were written by a
 version with other manifest fields reruns once.
 
-Throughput knobs (thread count) are excluded from stage keys because
-they never change results.
+No key holds a path: artifacts have fixed names in the workdir, inputs
+are keyed by their manifests, and a render hashes only its figure's kind
+and scale, so a workdir that is moved or copied resumes where it was.
+The thread count is excluded from stage keys because it never changes
+results.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import json
 import logging
 import resource
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -93,12 +96,11 @@ class PipelineConfig:
     lags: str | list = "short"
     grid: surface_mod.BinGrid = field(default_factory=surface_mod.BinGrid)
     bootstrap: decomp_mod.BootstrapConfig = field(default_factory=decomp_mod.BootstrapConfig)
-    local_index: str = "eq319"
     figures: list[figures_mod.FigureSpec] = field(default_factory=list)
     workdir: str = "."
     threads: int = 1
-    paths: dict = field(default_factory=dict)
 
+    # The artifacts' names in the workdir (the block tables sit beside the surface).
     DEFAULT_PATHS = {
         "mids": "mids.prms",
         "clean": "clean.prms",
@@ -110,8 +112,7 @@ class PipelineConfig:
     }
 
     def path(self, name: str) -> Path:
-        rel = self.paths.get(name, self.DEFAULT_PATHS[name])
-        return Path(self.workdir) / rel
+        return Path(self.workdir) / self.DEFAULT_PATHS[name]
 
     def lag_list(self) -> tuple[int, ...]:
         if isinstance(self.lags, str):
@@ -119,16 +120,19 @@ class PipelineConfig:
         return lags_mod.validate_lags(self.lags)
 
 
+_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Build the pipeline config from its JSON form without touching data.
 
     Each section is built by its own constructor, which holds that
     section's checks; every error a constructor raises becomes one
-    problem. The checks that span sections follow, and one
-    ValidationFailed lists every problem found. Top-level keys the
-    config does not know are ignored.
+    problem. A top-level key the config does not know is a problem too.
+    The checks that span sections follow, and one ValidationFailed lists
+    every problem found.
     """
-    problems: list[str] = []
+    problems = [f"unknown config key '{key}'" for key in raw if key not in _CONFIG_KEYS]
 
     def build(section: str, make: Callable):
         try:
@@ -155,9 +159,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             "cleaning", lambda: cleaning_mod.CleaningConfig(**raw.get("cleaning", {}))
         ),
         lags=raw.get("lags", "short"),
-        grid=build("grid", lambda: _bin_grid(raw.get("grid", {}))),
-        bootstrap=build("bootstrap", lambda: _bootstrap(raw.get("bootstrap", {}))),
-        local_index=raw.get("local_index", "eq319"),
+        grid=build("grid", lambda: surface_mod.BinGrid(**raw.get("grid", {}))),
+        bootstrap=build(
+            "bootstrap", lambda: decomp_mod.BootstrapConfig(**raw.get("bootstrap", {}))
+        ),
         figures=[
             build(f"figures[{i}]", lambda f=f: figures_mod.FigureSpec(**f))
             for i, f in enumerate(figures)
@@ -165,15 +170,12 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         workdir=raw.get("workdir", "."),
         threads=raw.get("threads", 1),
     )
-    cfg.paths = build("paths", lambda: _paths(raw.get("paths", {}), cfg.figures)) or {}
 
     if not (isinstance(cfg.lags, str) and cfg.lags.startswith("file:")):
         build("lags", cfg.lag_list)  # a lag file is read when the surface stage runs
     if cfg.grid is not None:
         build("grid", lambda: decomp_mod.check_mirror_grid(cfg.grid))
-    if cfg.local_index not in decomp_mod.LOCAL_INDEX_CHOICES:
-        problems.append(f"unknown local_index '{cfg.local_index}'")
-    problems += _threads_problems(cfg.threads)
+    problems += _threads_problems(cfg.threads) + _figure_clashes(cfg.figures)
 
     if problems:
         raise ValidationFailed(problems)
@@ -182,28 +184,14 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 def _threads_problems(threads) -> list[str]:
     """The problem with a worker-thread count that is not an integer >= 1."""
-    if isinstance(threads, int) and threads >= 1:
+    if isinstance(threads, int) and not isinstance(threads, bool) and threads >= 1:
         return []
     return [f"threads must be an integer >= 1, got {threads!r}"]
 
 
-def _bin_grid(raw: dict) -> surface_mod.BinGrid:
-    fields = dict(raw)
-    fields.pop("n_bins", None)  # derived field, accepted on input for convenience
-    return surface_mod.BinGrid(**fields)
-
-
-def _bootstrap(raw: dict) -> decomp_mod.BootstrapConfig:
-    fields = dict(raw)
-    if "quantiles" in fields:
-        fields["quantiles"] = tuple(fields["quantiles"])
-    return decomp_mod.BootstrapConfig(**fields)
-
-
-def _paths(raw: dict, figures: list) -> dict:
-    """The path overrides; two artifacts at one path, the derived block
-    artifact and each figure's `out` included, are rejected."""
-    paths = {**PipelineConfig.DEFAULT_PATHS, **raw}
+def _figure_clashes(figures: list) -> list[str]:
+    """Each figure `out` at the path of an artifact or of another figure."""
+    paths = dict(PipelineConfig.DEFAULT_PATHS)
     paths["surface blocks"] = str(surface_mod.blocks_path(paths["surface"]))
     paths |= {f"figures[{i}].out": f.out for i, f in enumerate(figures) if f is not None}
     seen: dict[str, str] = {}
@@ -212,9 +200,7 @@ def _paths(raw: dict, figures: list) -> dict:
         if rel in seen:
             clashes.append(f"'{seen[rel]}' and '{name}' both point to '{rel}'")
         seen[rel] = name
-    if clashes:
-        raise ValidationFailed(clashes)
-    return dict(raw)
+    return clashes
 
 
 def validate_config_dict(raw: dict) -> list[str]:
@@ -426,17 +412,16 @@ def decompose_stage(
     src: Path,
     heat_out: Path,
     summary_out: Path,
-    local_index: str,
     boot: decomp_mod.BootstrapConfig,
 ) -> Stage:
     """Mirror pairs of the surface at `src` and per-lag summaries with block
     bands from the block tables beside it."""
     blocks_src = surface_mod.blocks_path(src)
-    stage_cfg = {"local_index": local_index, "bootstrap": asdict(boot)}
+    stage_cfg = {"bootstrap": asdict(boot)}
 
     def produce():
         surf = surface_mod.read_surface_csv(src, read_manifest(src))
-        pairs = decomp_mod.decompose(surf, local_index)
+        pairs = decomp_mod.decompose(surf)
         blocks = surface_mod.read_surface_blocks(blocks_src)
         summaries = decomp_mod.summarize(pairs, boot, blocks)
         decomp_mod.write_heatmap_csv(pairs, heat_out)
@@ -452,7 +437,8 @@ def render_stage(spec: figures_mod.FigureSpec) -> Stage:
     """The figure `spec` describes; its inputs are every CSV the spec names.
 
     The pipeline names all three CSVs, so every figure reruns whenever
-    any of them changes.
+    any of them changes. The inputs are keyed by their manifests, so the
+    hashed config is the figure's kind and scale, and no key holds a path.
     """
     inputs = {
         name: Path(getattr(spec, name))
@@ -463,7 +449,8 @@ def render_stage(spec: figures_mod.FigureSpec) -> Stage:
         figures_mod.render_figure(spec)
         return [{}]
 
-    return Stage(f"render:{spec.kind}", inputs, [Path(spec.out)], asdict(spec), produce)
+    stage_cfg = {"kind": spec.kind, "vmax": spec.vmax}
+    return Stage(f"render:{spec.kind}", inputs, [Path(spec.out)], stage_cfg, produce)
 
 
 def run_pipeline(config: PipelineConfig, force: bool = False) -> list[StageStatus]:
@@ -479,8 +466,7 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> list[StageStatu
         cfg.lag_list(), cfg.grid, cfg.threads,
     ), force))
     statuses.append(run_stage(decompose_stage(
-        cfg.path("surface"), cfg.path("heatmap"), cfg.path("summary"),
-        cfg.local_index, cfg.bootstrap,
+        cfg.path("surface"), cfg.path("heatmap"), cfg.path("summary"), cfg.bootstrap,
     ), force))
     for fig in cfg.figures:
         spec = figures_mod.FigureSpec(

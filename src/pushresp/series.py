@@ -282,13 +282,18 @@ def write_manifest(artifact: str | Path, payload: dict) -> dict:
 
 
 def read_manifest(artifact: str | Path) -> dict:
+    """The artifact's manifest; ArtifactIOError when it cannot be read or
+    is not a JSON object."""
     p = manifest_path(artifact)
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        manifest = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ArtifactIOError(f"cannot read {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ArtifactIOError(f"{p}: invalid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ArtifactIOError(f"{p}: not a JSON object")
+    return manifest
 
 
 # Characters that make `csv.writer` quote a cell.

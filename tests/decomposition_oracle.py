@@ -21,7 +21,7 @@ from conftest import bin_center
 INT_COLUMNS = ("lag", "abs_index", "n_pos", "n_neg")
 
 
-def oracle_decompose(surface: Surface, local_index: str = "eq319") -> MirrorPairs:
+def oracle_decompose(surface: Surface) -> MirrorPairs:
     grid = surface.grid
     half = grid.n_bins // 2
     rows: list[dict] = []
@@ -43,8 +43,8 @@ def oracle_decompose(surface: Surface, local_index: str = "eq319") -> MirrorPair
                 abs_center=bin_center(grid, half + k),
                 S=s,
                 A=a,
-                rho_local=signed if local_index == "eq319" else share,
-                rho_local_alt=share if local_index == "eq319" else signed,
+                rho_local=signed,
+                rho_local_alt=share,
                 weight=w,
                 n_pos=int(surface.counts[i, pos]),
                 n_neg=int(surface.counts[i, neg]),

@@ -442,7 +442,6 @@ def test_criterion_8_determinism_and_throughput(tmp_path):
                   "inject_lag": 50, "phi": 0.3, "seed": 808},
         "lags": "1,50,100,200,500",
         "bootstrap": {"n_replicates": 500, "seed": BOOT_SEED},
-        "deterministic": True,
         "threads": 1,
         "figures": [
             {"kind": "surface_top", "out": "surface_top.svg"},

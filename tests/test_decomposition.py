@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from pushresp.decomposition import (
     EPSILON,
+    BAND_QUANTILES,
     HEATMAP_HEADER,
-    LOCAL_INDEX_CHOICES,
     BootstrapConfig,
     MirrorPairs,
     _lag_rng,
@@ -273,12 +273,12 @@ class TestDecomposeOracle:
 
     # Without the shrink phase a failure is reported as drawn: shrinking
     # these surfaces cell by cell took minutes, finding one a few seconds.
-    @given(small_surfaces(), st.sampled_from(LOCAL_INDEX_CHOICES))
+    @given(small_surfaces())
     @settings(max_examples=150, deadline=None,
               phases=[p for p in Phase if p is not Phase.shrink])
-    def test_matches_per_pair_loop(self, surf, local_index):
-        pairs = decompose(surf, local_index)
-        assert_same_pairs(pairs, oracle_decompose(surf, local_index))
+    def test_matches_per_pair_loop(self, surf):
+        pairs = decompose(surf)
+        assert_same_pairs(pairs, oracle_decompose(surf))
         summaries = summarize(pairs, BootstrapConfig(n_replicates=1), split_blocks(surf, 2))
         want = oracle_magnitudes(pairs)
         assert [s.lag for s in summaries] == sorted(want)
@@ -292,18 +292,18 @@ class TestDecomposeOracle:
                                         inject_lag=10, phi=phi, seed=5))
         surf = accumulate_surface(series, compute_moments_table(series, [1, 10, 50, 400]),
                                   BinGrid(n_min_support=50))
-        for local_index in LOCAL_INDEX_CHOICES:
-            pairs = decompose(surf, local_index)
-            assert len(np.unique(pairs.lag)) == 4
-            assert_same_pairs(pairs, oracle_decompose(surf, local_index))
+        pairs = decompose(surf)
+        assert len(np.unique(pairs.lag)) == 4
+        assert_same_pairs(pairs, oracle_decompose(surf))
 
 
 class TestLocalDominance:
     @staticmethod
-    def _rho_local(zr_pos, zr_neg, local_index="eq319"):
-        pairs = decompose(build_surface(mirror_cells(30, 300, 300, zr_pos, zr_neg)),
-                          local_index)
-        return pairs.rho_local.item()
+    def _pair(zr_pos, zr_neg):
+        return decompose(build_surface(mirror_cells(30, 300, 300, zr_pos, zr_neg)))
+
+    def _rho_local(self, zr_pos, zr_neg):
+        return self._pair(zr_pos, zr_neg).rho_local.item()
 
     def test_pure_antisymmetry_near_one(self):
         assert self._rho_local(0.4, -0.4) == pytest.approx(1.0, abs=1e-11)
@@ -316,8 +316,8 @@ class TestLocalDominance:
         assert self._rho_local(0.0, 0.4) == pytest.approx(-0.5, rel=1e-11)
 
     def test_alt_index_maps_symmetry_to_minus_one(self):
-        assert self._rho_local(0.3, 0.3, "absratio") == pytest.approx(-1.0, abs=1e-11)
-        assert self._rho_local(0.4, -0.4, "absratio") == pytest.approx(1.0, abs=1e-11)
+        assert self._pair(0.3, 0.3).rho_local_alt.item() == pytest.approx(-1.0, abs=1e-11)
+        assert self._pair(0.4, -0.4).rho_local_alt.item() == pytest.approx(1.0, abs=1e-11)
 
     def test_epsilon_value(self):
         assert EPSILON == 1e-12
@@ -461,7 +461,7 @@ class TestBlockBootstrap:
         cfg = BootstrapConfig(n_replicates=1000, seed=2)
         (summary,) = summarize(decompose(surf), cfg, blocks)
         stats = block_replicates(blocks[20], 200, cfg)
-        q_lo, q_hi = (empirical_quantile(stats, q) for q in cfg.quantiles)
+        q_lo, q_hi = (empirical_quantile(stats, q) for q in BAND_QUANTILES)
         assert q_hi < summary.rho
         assert summary.ci_low <= summary.rho <= summary.ci_high
         assert summary.ci_high - summary.ci_low == pytest.approx(q_hi - q_lo, rel=1e-9)
@@ -658,15 +658,6 @@ class TestSummaries:
         assert len(pairs) == n_rows
         assert (n_rows > 0) == (nmin == 50)
         assert_same_pairs(read_heatmap_csv(hp), pairs)
-
-    def test_local_index_flag_swaps_columns(self):
-        surf = build_surface(mirror_cells(25, 300, 300, 0.3, 0.3))
-        default = decompose(surf, "eq319")
-        alt = decompose(surf, "absratio")
-        assert default.rho_local.item() == 0.0           # signed share of pure symmetry
-        assert alt.rho_local.item() == pytest.approx(-1.0, abs=1e-11)
-        assert default.rho_local_alt.item() == alt.rho_local.item()
-        assert alt.rho_local_alt.item() == default.rho_local.item()
 
     @pytest.mark.parametrize("table", ["surface", "heatmap"])
     def test_table_read_peak_allocation(self, tmp_path, table):

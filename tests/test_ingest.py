@@ -721,7 +721,7 @@ class TestConverters:
 
     @pytest.fixture
     def c_reader_only(self, monkeypatch):
-        def refuse(lines, rank):
+        def refuse(lines):
             raise AssertionError(f"batch at {lines[0]!r} left the C reader")
         monkeypatch.setattr(ingest, "_str_fields", refuse)
 

@@ -11,6 +11,7 @@ from pushresp import surface as surface_mod
 from pushresp.cli import main
 from pushresp.decomposition import write_summary_csv
 from pushresp.errors import StageFailure, ValidationFailed
+from pushresp.figures import FIGURE_KINDS
 from pushresp.pipeline import (
     apply_override,
     config_from_dict,
@@ -83,13 +84,10 @@ class TestValidate:
         cfg["bootstrap"]["recompute_weights"] = "selection"
         assert any("recompute_weights" in p for p in validate_config_dict(cfg))
 
-    def test_duplicate_paths_rejected(self, tmp_path):
-        cfg = base_config(tmp_path)
-        cfg["paths"] = {"surface": "same.csv", "heatmap": "same.csv"}
-        assert any("same.csv" in p for p in validate_config_dict(cfg))
-        # the block artifact sits beside the surface CSV under the same stem
-        cfg["paths"] = {"surface": "s.csv", "heatmap": "s.blocks"}
-        assert any("s.blocks" in p for p in validate_config_dict(cfg))
+    def test_readme_example_config_ok(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert validate_config_dict(json.loads(example)) == []
 
 
 class TestConfigFaults:
@@ -100,8 +98,16 @@ class TestConfigFaults:
         ("grid", {"step": "0.05"}, "'str'"),
         ("grid", {"z_min": -2.0, "z_max": 4.0, "step": 0.025}, "symmetric about 0"),
         ("ingest", {"venues_dir": "quotes", "tz": "Mars/Olympus"}, "tz: unknown time zone"),
+        ("threads", True, "threads must be an integer"),
+        # settings that no longer exist are refused, not ignored
+        ("paths", {"summary": "l.csv"}, "unknown config key 'paths'"),
+        ("local_index", "absratio", "unknown config key 'local_index'"),
+        ("bootstrap", {"quantiles": [0.05, 0.95]}, "'quantiles'"),
+        ("grid", {"n_bins": 320}, "'n_bins'"),
+        ("deterministic", True, "unknown config key 'deterministic'"),
     ], ids=["grid_key", "figure_out", "ingest_input", "grid_step_type", "grid_asymmetric",
-            "ingest_tz"])
+            "ingest_tz", "threads_bool", "paths", "local_index", "bootstrap_quantiles",
+            "grid_n_bins", "unknown_key"])
     def test_validate_and_pipeline_exit_1(self, tmp_path, capsys, section, value, word):
         workdir = tmp_path / "wd"
         raw = base_config(workdir)
@@ -254,6 +260,32 @@ class TestPipeline:
                             "decompose": "skipped", "render:rho_curve": "skipped"}
         assert (tmp_path / "surface.csv").read_bytes() == first
 
+    def test_manifest_not_an_object_reruns_its_stage(self, tmp_path):
+        cfg = config_from_dict(base_config(tmp_path))
+        run_pipeline(cfg)
+        manifest = manifest_path(tmp_path / "lags.csv")
+        intact = manifest.read_bytes()
+        manifest.write_text("[]")
+        statuses = {s.stage: s.status for s in run_pipeline(cfg)}
+        assert statuses == {"source": "skipped", "clean": "skipped", "surface": "skipped",
+                            "decompose": "ran", "render:rho_curve": "skipped"}
+        assert manifest.read_bytes() == intact
+
+    def test_moved_workdir_resumes(self, tmp_path):
+        # no stage key holds a path: one config in two places writes the same
+        # bytes, manifests included, and a moved workdir skips every stage
+        figures = [{"kind": k, "out": f"{k}.svg"} for k in FIGURE_KINDS]
+        trees = []
+        for base in ("a", "b"):
+            run_pipeline(config_from_dict(base_config(tmp_path / base / "wd", figures=figures)))
+            trees.append(files(tmp_path / base / "wd"))
+        assert len(trees[0]) == 26 and trees[0] == trees[1]
+        moved = tmp_path / "moved"
+        (tmp_path / "a" / "wd").rename(moved)
+        statuses = run_pipeline(config_from_dict(base_config(moved, figures=figures)))
+        assert [s.status for s in statuses] == ["skipped"] * 9
+        assert files(moved) == trees[0]
+
     def test_one_log_line_per_stage(self, tmp_path, caplog):
         cfg = config_from_dict(base_config(tmp_path))
         with caplog.at_level("INFO", logger="pushresp.pipeline"):
@@ -363,7 +395,7 @@ class TestOverwrites:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         assert validate_config_dict(raw) == [
-            "paths: 'figures[0].out' and 'summary' both point to 'lags.csv'"]
+            "'figures[0].out' and 'summary' both point to 'lags.csv'"]
         assert main(["validate", "--config", str(cfg)]) == 1
         assert main(["pipeline", "--config", str(cfg)]) == 1
         assert files(tmp_path / "wd") == before
@@ -456,7 +488,8 @@ class TestCliExitCodes:
     @staticmethod
     def _damage(path: Path, damage: str) -> None:
         """Edit one digit of the last row so that it still parses, cut the
-        last row off at its line boundary, or delete the manifest."""
+        last row off at its line boundary, delete the manifest, make it a
+        JSON list, or put a byte that is not UTF-8 before it."""
         data = path.read_bytes()
         if damage == "edit":
             at = data.rindex(b".") + 1
@@ -464,10 +497,15 @@ class TestCliExitCodes:
             path.write_bytes(data[:at] + bytes([digit]) + data[at + 1:])
         elif damage == "cut":
             path.write_bytes(data[: data.rindex(b"\n", 0, -1) + 1])
-        else:
+        elif damage == "manifest":
             manifest_path(path).unlink()
+        elif damage == "manifest_list":
+            manifest_path(path).write_text("[]")
+        else:
+            manifest_path(path).write_bytes(b"\xff" + manifest_path(path).read_bytes())
 
-    @pytest.mark.parametrize("damage", ["edit", "cut", "manifest"])
+    @pytest.mark.parametrize("damage", ["edit", "cut", "manifest", "manifest_list",
+                                        "manifest_not_utf8"])
     @pytest.mark.parametrize("command, table", [
         (["decompose", "--bootstrap", "10", "--surface"], "surface.csv"),
         (["render", "--kind", "surface_top", "--surface"], "surface.csv"),
@@ -479,13 +517,13 @@ class TestCliExitCodes:
         wd = tmp_path / "wd"
         shutil.copytree(table_artifacts, wd)
         self._damage(wd / table, damage)
-        before = sorted(wd.iterdir())
+        before = files(wd)
         outs = {"decompose": ["--out-heatmap", str(wd / "h.csv"),
                               "--out-summary", str(wd / "l.csv")],
                 "render": ["--out", str(wd / "x.svg")]}[command[0]]
         assert main([*command, str(wd / table), *outs]) == 3
         assert f"{wd / table}" in capsys.readouterr().err
-        assert sorted(wd.iterdir()) == before  # no output file
+        assert files(wd) == before  # no output file, no file changed
 
     def test_table_of_another_kind_exit_3(self, tmp_path, table_artifacts, capsys):
         # the surface and summary tables both have eight columns
@@ -524,7 +562,7 @@ class TestCliSubcommands:
         ]) == 0
         assert main([
             "decompose", "--surface", str(surf), "--bootstrap", "100",
-            "--seed", "42", "--local-index", "eq319",
+            "--seed", "42",
             "--out-heatmap", str(heat), "--out-summary", str(summ),
         ]) == 0
         assert main([
