@@ -301,9 +301,9 @@ def clean_prms(
     """`clean` from one PRMS file to another. The input is read twice, one
     session at a time: once for the quantiles, and once to clean each
     session and write it, so a session (and the tails of the quantile
-    pass) is all that is held. The output is opened only after the first
-    read has checked every mid (when some session has an increment to
-    read; else the second read checks them)."""
+    pass) is all that is held. The first read checks every mid before the
+    output is opened (when some session has an increment to read; else
+    the second read checks them), so a poisoned input costs no write."""
     source = PrmsReader(src)
     report = CleaningReport(n_input=len(source))
     bounds = _bounds(source, cfg, report)

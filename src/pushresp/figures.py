@@ -8,10 +8,9 @@ published pictures. All coordinates and colors are formatted with fixed
 precision, making the output byte-stable for identical inputs.
 
 Memory: a figure is written as it is drawn, each element to the output
-file as soon as it is made, and the file is opened only once the inputs
-are read. The two cell figures color and format their cells a batch of
-`_CELL_BATCH` at a time, so a render holds its CSV's columns and one
-batch of cells, never the whole document.
+file as soon as it is made. The two cell figures color and format their
+cells a batch of `_CELL_BATCH` at a time, so a render holds its CSV's
+columns and one batch of cells, never the whole document.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .decomposition import read_heatmap_csv, read_summary_csv
 from .errors import ArtifactIOError, InvalidGrid, MissingArtifact
-from .series import read_manifest
+from .series import manifest_fields, read_manifest
 from . import surface as surface_mod
 
 WIDTH = 960
@@ -238,9 +237,9 @@ def render_surface_side(spec: FigureSpec, out: TextIO) -> None:
 
 def render_dominance_heatmap(spec: FigureSpec, out: TextIO) -> None:
     pairs = read_heatmap_csv(spec.heatmap)
-    grid = read_manifest(spec.heatmap)["grid"] if len(pairs) else None
     with _Svg(out, "local dominance heatmap") as svg:
         if len(pairs):
+            (grid,) = manifest_fields(spec.heatmap, read_manifest(spec.heatmap), "grid")
             lags, rank = np.unique(pairs.lag, return_inverse=True)
             n_half = grid["n_bins"] // 2
             cw = (WIDTH - MARGIN_L - MARGIN_R) / n_half
@@ -300,50 +299,15 @@ _RENDERERS = {
 }
 
 
-class _FigureFile:
-    """A figure's output file as a text stream, opened at its first write,
-    so a render whose inputs cannot be read creates no file. `discard`
-    removes what a failed render wrote."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        self._f = None
-
-    def write(self, text: str) -> None:
-        try:
-            if self._f is None:
-                self._f = open(self.path, "w", encoding="utf-8")
-            self._f.write(text)
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot write {self.path}: {exc}") from exc
-
-    def close(self) -> None:
-        try:
-            if self._f is not None:
-                self._f.close()
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot write {self.path}: {exc}") from exc
-
-    def discard(self) -> None:
-        if self._f is not None:
-            try:
-                self._f.close()
-            except OSError:
-                pass
-            self.path.unlink(missing_ok=True)
-
-
 def render_figure(spec: FigureSpec) -> Path:
-    """Render one figure to its output path; returns the path. A render
-    that fails leaves no output file behind it."""
+    """Render one figure to its output path; returns the path. What a
+    failed render leaves there is removed by the stage that ran it."""
     renderer, needed = _RENDERERS[spec.kind]
     if getattr(spec, needed) is None:
         raise MissingArtifact(f"figure '{spec.kind}' needs a --{needed} input")
-    out = _FigureFile(Path(spec.out))
     try:
-        renderer(spec, out)
-        out.close()
-    except BaseException:
-        out.discard()
-        raise
-    return out.path
+        with open(spec.out, "w", encoding="utf-8") as out:
+            renderer(spec, out)
+    except OSError as exc:
+        raise ArtifactIOError(f"cannot write {spec.out}: {exc}") from exc
+    return Path(spec.out)

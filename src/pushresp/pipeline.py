@@ -3,21 +3,26 @@
 Each stage is one function here that takes explicit input paths, output
 paths and its section of the config, and returns a `Stage`: its name,
 the artifacts it reads, the artifacts it writes, the config that is
-hashed, and a producer. `run_pipeline` and the CLI subcommands run the
-same stage functions through `run_stage`, so a standalone artifact
-carries the same manifest as the pipeline's.
+hashed, and a producer that writes to the paths it is handed.
+`run_pipeline` and the CLI subcommands run the same stage functions
+through `run_stage`, so a standalone artifact carries the same manifest
+as the pipeline's.
 
-`run_stage` alone keys, verifies and writes manifests. Every artifact
-has a sidecar `<artifact>.manifest.json` holding `stage`, `stage_key`,
-`config`, `inputs` (the SHA-256 of each input's manifest), `data_sha256`
-(of the artifact's bytes) and the fields its producer returns. The stage
-key hashes the stage, its config and its inputs. A stage is skipped only
+`run_stage` alone decides when an artifact becomes visible, and alone
+keys, verifies and writes manifests. Every artifact has a sidecar
+`<artifact>.manifest.json` holding `stage`, `stage_key`, `config`,
+`inputs` (the SHA-256 of each input's manifest), `data_sha256` (of the
+artifact's bytes) and the fields its producer returns. The stage key
+hashes the stage, its config and its inputs. A stage is skipped only
 when every output's manifest carries its key and every output still
 hashes to its `data_sha256`, so an edited or cut artifact reruns its
-stage. Old manifests go before a stage produces and new ones are
-written last, so an interrupted stage leaves no manifest and reruns.
-Keys hash whole manifests: a workdir whose manifests were written by a
-version with other manifest fields reruns once.
+stage. Old manifests go before a stage produces; the producer writes
+each output to `<output>.partial` beside it, `run_stage` renames each
+one in with `os.replace`, and the new manifests are written last. So a
+kill leaves each output whole, old or new but never cut, and no
+manifest: the stage reruns. Keys hash whole manifests: a workdir whose
+manifests were written by a version with other manifest fields reruns
+once.
 
 No key holds a path: artifacts have fixed names in the workdir, inputs
 are keyed by their manifests, and a render hashes only its figure's kind
@@ -31,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import resource
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -164,7 +170,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             "bootstrap", lambda: decomp_mod.BootstrapConfig(**raw.get("bootstrap", {}))
         ),
         figures=[
-            build(f"figures[{i}]", lambda f=f: figures_mod.FigureSpec(**f))
+            build(f"figures[{i}]", lambda f=f: _pipeline_figure(f))
             for i, f in enumerate(figures)
         ],
         workdir=raw.get("workdir", "."),
@@ -180,6 +186,14 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if problems:
         raise ValidationFailed(problems)
     return cfg
+
+
+def _pipeline_figure(raw: dict) -> figures_mod.FigureSpec:
+    """A figure of the pipeline, which always reads the workdir's tables,
+    so an entry that names one is refused."""
+    if named := [name for name in ("surface", "heatmap", "summary") if name in raw]:
+        raise ValueError(f"a pipeline figure reads the workdir's tables; drop '{named[0]}'")
+    return figures_mod.FigureSpec(**raw)
 
 
 def _threads_problems(threads) -> list[str]:
@@ -226,15 +240,17 @@ class StageStatus:
 class Stage:
     """One stage over fixed paths. `inputs` names the artifacts whose
     manifests feed the key, `config` is the hashed configuration, and
-    `produce` writes `outputs` and returns each output's own manifest
-    fields, in the order of `outputs`. A render's `name` adds its figure
-    kind to the stage its manifests name."""
+    `produce` takes one path per output, in the order of `outputs`, writes
+    each output there and returns each output's own manifest fields, in the
+    same order. The paths it is handed are the outputs' `.partial`
+    siblings, which `run_stage` renames in. A render's `name` adds its
+    figure kind to the stage its manifests name."""
 
     name: str
     inputs: dict[str, Path]
     outputs: list[Path]
     config: dict
-    produce: Callable[[], list[dict]]
+    produce: Callable[..., list[dict]]
 
 
 def _key_of(stage: str, cfg: dict, inputs: dict[str, str]) -> str:
@@ -267,12 +283,6 @@ def _stage_fresh(outputs: list[Path], key: str) -> bool:
         return False
 
 
-def _remove_partial(outputs: list[Path]) -> None:
-    for out in outputs:
-        out.unlink(missing_ok=True)
-        manifest_path(out).unlink(missing_ok=True)
-
-
 def _overwrites(stage: Stage) -> list[str]:
     """Each output of `stage` at the path of one of its inputs or of an
     earlier output, as a problem."""
@@ -290,10 +300,13 @@ def run_stage(stage: Stage, force: bool = False) -> StageStatus:
 
     A stage whose outputs name one another or one of its inputs is refused
     (ValidationFailed, exit 1) before any file is touched.
-    The old manifests go before `produce` runs and the new ones are
-    written last, so an interrupted stage leaves no manifest and reruns.
-    A failed run removes the stage's outputs. Errors of this package keep
-    their own exit codes; any other exception becomes a StageFailure.
+    The old manifests go before `produce` runs. `produce` writes each
+    output to its `.partial` sibling; each is then renamed onto its output
+    and the new manifests are written last, so an interrupted stage leaves
+    no manifest and reruns. A failed run removes the stage's outputs, and
+    every exit, `KeyboardInterrupt` included, removes the `.partial`
+    files. Errors of this package keep their own exit codes; any other
+    exception becomes a StageFailure.
     Each stage that ran or was skipped logs one INFO line: its wall and
     CPU seconds, the process's peak RSS so far and how much the stage
     raised it, so one run's log shows which stage sets the peak.
@@ -309,15 +322,23 @@ def run_stage(stage: Stage, force: bool = False) -> StageStatus:
         for out in stage.outputs:
             manifest_path(out).unlink(missing_ok=True)
         meta = {"stage": kind, "stage_key": key, "config": stage.config, "inputs": inputs}
+        partials = [Path(f"{out}.partial") for out in stage.outputs]
         try:
-            for out, own in zip(stage.outputs, stage.produce(), strict=True):
+            owns = stage.produce(*partials)
+            for partial, out in zip(partials, stage.outputs):
+                os.replace(partial, out)
+            for out, own in zip(stage.outputs, owns, strict=True):
                 write_manifest(out, {**own, **meta})
-        except PushRespError:
-            _remove_partial(stage.outputs)
-            raise
-        except Exception as exc:  # noqa: BLE001 - boundary to exit-code contract
-            _remove_partial(stage.outputs)
-            raise StageFailure(stage.name, str(exc)) from exc
+        except Exception as exc:
+            for out in stage.outputs:
+                out.unlink(missing_ok=True)
+                manifest_path(out).unlink(missing_ok=True)
+            if isinstance(exc, PushRespError):
+                raise
+            raise StageFailure(stage.name, str(exc)) from exc  # boundary to exit-code contract
+        finally:
+            for partial in partials:
+                partial.unlink(missing_ok=True)
     status = StageStatus(stage.name, "ran" if ran else "skipped", [str(o) for o in stage.outputs])
     peak_after = _peak_rss_mib()
     logger.info(
@@ -340,11 +361,11 @@ def source_stage(
     """The mid series at `out`, generated from `synth` or ingested per `ingest`."""
     stage_cfg = {"synth": asdict(synth)} if synth is not None else {"ingest": asdict(ingest)}
 
-    def produce():
+    def produce(mids):
         if synth is not None:
-            return [series_summary(synth_mod.write_series(synth, out))]  # one session at a time
+            return [series_summary(synth_mod.write_series(synth, mids))]  # one session at a time
         written, report = _ingest(ingest)
-        write_prms(written, out)
+        write_prms(written, mids)
         return [{**series_summary(written), "quality": asdict(report)}]
 
     return Stage("source", {}, [out], stage_cfg, produce)
@@ -372,9 +393,9 @@ def clean_stage(
 ) -> Stage:
     """The cleaned series at `out` and its cleaning report at `report_out`."""
 
-    def produce():
-        cleaned, report = cleaning_mod.clean_prms(src, out, cfg)
-        write_text(report_out, canonical_json(report.to_dict()) + "\n")
+    def produce(prms, report_json):
+        cleaned, report = cleaning_mod.clean_prms(src, prms, cfg)
+        write_text(report_json, canonical_json(report.to_dict()) + "\n")
         return [{**series_summary(cleaned), "report": report.to_dict()}, {}]
 
     return Stage("clean", {"mids": src}, [out, report_out], asdict(cfg), produce)
@@ -394,15 +415,15 @@ def surface_stage(
     blocks_out = surface_mod.blocks_path(out)
     stage_cfg = {"lags": list(lags), "grid": grid.to_dict()}
 
-    def produce():
+    def produce(surface_csv, blocks, moments):
         series = PrmsReader(src)  # read twice, one session at a time
         rows = lags_mod.compute_moments_table(series, lags)
-        lags_mod.write_moments_csv(rows, moments_out)
+        lags_mod.write_moments_csv(rows, moments)
         surf = surface_mod.accumulate_surface(series, rows, grid, threads=threads)
-        surface_mod.write_surface_blocks(surf.blocks, blocks_out)
+        surface_mod.write_surface_blocks(surf.blocks, blocks)
         blocks_fields = surface_mod.blocks_manifest(surf.blocks)
         surf = replace(surf, blocks=None)  # the block tables are not held beside the CSV's columns
-        surface_mod.write_surface_csv(surf, out)
+        surface_mod.write_surface_csv(surf, surface_csv)
         return [surface_mod.surface_manifest(surf), blocks_fields, {}]
 
     return Stage("surface", {"clean": src}, [out, blocks_out, moments_out], stage_cfg, produce)
@@ -419,13 +440,13 @@ def decompose_stage(
     blocks_src = surface_mod.blocks_path(src)
     stage_cfg = {"bootstrap": asdict(boot)}
 
-    def produce():
+    def produce(heat, summary):
         surf = surface_mod.read_surface_csv(src, read_manifest(src))
         pairs = decomp_mod.decompose(surf)
         blocks = surface_mod.read_surface_blocks(blocks_src)
         summaries = decomp_mod.summarize(pairs, boot, blocks)
-        decomp_mod.write_heatmap_csv(pairs, heat_out)
-        decomp_mod.write_summary_csv(summaries, summary_out)
+        decomp_mod.write_heatmap_csv(pairs, heat)
+        decomp_mod.write_summary_csv(summaries, summary)
         # the figures lay the heatmap out on the surface's grid
         return [{"grid": surf.grid.to_dict()}, {}]
 
@@ -445,8 +466,8 @@ def render_stage(spec: figures_mod.FigureSpec) -> Stage:
         for name in ("surface", "heatmap", "summary") if getattr(spec, name) is not None
     }
 
-    def produce():
-        figures_mod.render_figure(spec)
+    def produce(svg):
+        figures_mod.render_figure(replace(spec, out=str(svg)))
         return [{}]
 
     stage_cfg = {"kind": spec.kind, "vmax": spec.vmax}
@@ -469,14 +490,8 @@ def run_pipeline(config: PipelineConfig, force: bool = False) -> list[StageStatu
         cfg.path("surface"), cfg.path("heatmap"), cfg.path("summary"), cfg.bootstrap,
     ), force))
     for fig in cfg.figures:
-        spec = figures_mod.FigureSpec(
-            kind=fig.kind,
-            out=str(Path(cfg.workdir) / fig.out),
-            surface=fig.surface or str(cfg.path("surface")),
-            heatmap=fig.heatmap or str(cfg.path("heatmap")),
-            summary=fig.summary or str(cfg.path("summary")),
-            vmax=fig.vmax,
-        )
+        spec = replace(fig, out=str(Path(cfg.workdir) / fig.out), surface=str(cfg.path("surface")),
+                       heatmap=str(cfg.path("heatmap")), summary=str(cfg.path("summary")))
         statuses.append(run_stage(render_stage(spec), force))
     return statuses
 

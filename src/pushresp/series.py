@@ -296,6 +296,14 @@ def read_manifest(artifact: str | Path) -> dict:
     return manifest
 
 
+def manifest_fields(artifact: str | Path, manifest: dict, *names: str) -> list:
+    """The named fields of the manifest of `artifact`; ArtifactIOError
+    naming the first one it lacks."""
+    if missing := [name for name in names if name not in manifest]:
+        raise ArtifactIOError(f"{artifact}: its manifest has no '{missing[0]}' field")
+    return [manifest[name] for name in names]
+
+
 # Characters that make `csv.writer` quote a cell.
 _NEEDS_QUOTES = frozenset(',"\r\n')
 # Rows whose text `write_csv` holds at once.

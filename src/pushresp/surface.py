@@ -51,7 +51,7 @@ from .errors import (
     MissingMoments,
 )
 from .lags import LagMoments, MomentRow
-from .series import read_table, write_csv
+from .series import manifest_fields, read_table, write_csv
 
 BLOCK_TARGET = 50
 BLOCK_LAG_FACTOR = 10
@@ -411,11 +411,13 @@ def surface_manifest(surface: Surface) -> dict:
 
 def read_surface_csv(path: str | Path, manifest: dict) -> Surface:
     """Rebuild a Surface from its CSV plus sidecar manifest. `read_table`
-    holds the CSV to the `data_sha256` of the manifest beside it."""
-    g = manifest["grid"]
+    holds the CSV to the `data_sha256` of the manifest beside it; a
+    manifest without the grid, moments or out-of-grid tallies is an
+    ArtifactIOError."""
+    g, moments, out_of_grid = manifest_fields(path, manifest, "grid", "moments", "out_of_grid")
     grid = BinGrid(z_min=g["z_min"], z_max=g["z_max"], step=g["step"],
                    n_min_support=g["n_min_support"])
-    moments = [LagMoments(**m) for m in manifest["moments"]]
+    moments = [LagMoments(**m) for m in moments]
     row_of = {m.lag: i for i, m in enumerate(moments)}
     n_lags, n_bins = len(moments), grid.n_bins
     counts = np.zeros((n_lags, n_bins), dtype=np.int64)
@@ -432,9 +434,7 @@ def read_surface_csv(path: str | Path, manifest: dict) -> Surface:
     counts[i, col] = cols["count"]
     for table, name in ((mean_zp, "mean_zp"), (mean_zr, "mean_zr"), (mean_r, "mean_r_raw")):
         table[i, col] = cols[name]
-    oog = np.array(
-        [int(manifest["out_of_grid"][str(m.lag)]) for m in moments], dtype=np.int64
-    )
+    oog = np.array([int(out_of_grid[str(m.lag)]) for m in moments], dtype=np.int64)
     return Surface(
         grid=grid,
         moments=moments,

@@ -16,9 +16,10 @@ from pushresp.decomposition import (
     write_heatmap_csv,
     write_summary_csv,
 )
-from pushresp.errors import InvalidGrid, MissingArtifact
+from pushresp.errors import InvalidGrid, MissingArtifact, StageFailure
 from pushresp.figures import FigureSpec, render_figure
 from pushresp.lags import LagMoments, compute_moments_table
+from pushresp.pipeline import render_stage, run_stage
 from pushresp.series import read_manifest, write_manifest
 from pushresp.surface import (
     BinGrid,
@@ -153,12 +154,19 @@ def test_rho_curve_has_three_polylines(artifact_dir, tmp_path):
 
 
 def test_missing_artifact(tmp_path):
+    # a render runs through its stage, which leaves neither the figure nor
+    # its .partial when the input is gone: before the figure is opened when
+    # the manifest is missing too, after it when only the table is
+    summary = tmp_path / "lags.csv"
+    spec = FigureSpec(kind="rho_curve", out=str(tmp_path / "x.svg"), summary=str(summary))
     with pytest.raises(MissingArtifact):
-        render_figure(
-            FigureSpec(kind="rho_curve", out=str(tmp_path / "x.svg"),
-                       summary=str(tmp_path / "absent.csv"))
-        )
-    assert not (tmp_path / "x.svg").exists()  # opened only once the inputs are read
+        run_stage(render_stage(spec))
+    write_summary_csv([], summary)
+    write_manifest(summary, {})
+    summary.unlink()
+    with pytest.raises(MissingArtifact):
+        run_stage(render_stage(spec))
+    assert [p.name for p in tmp_path.iterdir()] == ["lags.csv.manifest.json"]
     with pytest.raises(MissingArtifact):
         render_figure(FigureSpec(kind="surface_top", out=str(tmp_path / "y.svg")))
 
@@ -304,17 +312,18 @@ def test_cell_figure_draws_in_bounded_memory(tmp_path, kind):
 
 def test_render_failing_mid_draw_leaves_no_svg(tmp_path, monkeypatch):
     spec, _ = cell_inputs(tmp_path, "surface_top")
+    partial = Path(f"{spec.out}.partial")
     colors = figures._diverging_colors
     batches = []
 
     def fail_on_the_third_batch(values, vmax):
-        batches.append(Path(spec.out).stat().st_size)  # the file is being written
+        batches.append(partial.stat().st_size)  # the figure is streamed to its .partial
         if len(batches) == 3:
             raise RuntimeError("draw failed")
         return colors(values, vmax)
 
     monkeypatch.setattr(figures, "_diverging_colors", fail_on_the_third_batch)
-    with pytest.raises(RuntimeError, match="draw failed"):
-        render_figure(spec)
-    assert batches[-1] > 0
-    assert not Path(spec.out).exists()
+    with pytest.raises(StageFailure, match="draw failed"):
+        run_stage(render_stage(spec))
+    assert batches[0] < batches[1] < batches[2]  # a batch at a time, not the whole document
+    assert not Path(spec.out).exists() and not partial.exists()

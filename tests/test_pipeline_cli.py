@@ -2,6 +2,9 @@ import hashlib
 import json
 import re
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,25 @@ from pushresp.series import (
     write_prms,
 )
 
-from conftest import make_series
+from conftest import child_env, make_series
+
+
+# A CLI run whose surface CSV writer writes half of the CSV and then kills
+# its own process.
+KILLED_MID_WRITE = """
+import os, signal, sys
+from pathlib import Path
+from pushresp import cli, surface
+
+def killed(surf, path):
+    real(surf, path)
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[: len(data) // 2])
+    os.kill(os.getpid(), signal.SIGKILL)
+
+real, surface.write_surface_csv = surface.write_surface_csv, killed
+cli.main(sys.argv[1:])
+"""
 
 
 def base_config(workdir, n_events=40000, figures=None):
@@ -105,9 +126,12 @@ class TestConfigFaults:
         ("bootstrap", {"quantiles": [0.05, 0.95]}, "'quantiles'"),
         ("grid", {"n_bins": 320}, "'n_bins'"),
         ("deterministic", True, "unknown config key 'deterministic'"),
+        # a pipeline figure always reads the workdir's tables
+        ("figures", [{"kind": "rho_curve", "out": "rho.svg", "summary": "other.csv"}],
+         "figures[0]: a pipeline figure reads the workdir's tables; drop 'summary'"),
     ], ids=["grid_key", "figure_out", "ingest_input", "grid_step_type", "grid_asymmetric",
             "ingest_tz", "threads_bool", "paths", "local_index", "bootstrap_quantiles",
-            "grid_n_bins", "unknown_key"])
+            "grid_n_bins", "unknown_key", "figure_input"])
     def test_validate_and_pipeline_exit_1(self, tmp_path, capsys, section, value, word):
         workdir = tmp_path / "wd"
         raw = base_config(workdir)
@@ -260,6 +284,27 @@ class TestPipeline:
                             "decompose": "skipped", "render:rho_curve": "skipped"}
         assert (tmp_path / "surface.csv").read_bytes() == first
 
+    def test_killed_mid_write_keeps_the_old_artifact(self, tmp_path):
+        # a forced run whose process is killed while it writes the surface CSV
+        raw = base_config(tmp_path / "wd")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        run_pipeline(config_from_dict(raw))
+        wd = tmp_path / "wd"
+        first = files(wd)
+        child = subprocess.run([sys.executable, "-c", KILLED_MID_WRITE, "pipeline",
+                                "--config", str(cfg), "--force"],
+                               env=child_env(), capture_output=True, text=True)
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        assert (wd / "surface.csv").read_bytes() == first["surface.csv"]
+        assert (wd / "surface.csv.partial").stat().st_size < len(first["surface.csv"])
+        assert not [p for p in wd.glob("*.manifest.json")
+                    if p.name.startswith(("surface.", "moments."))]
+        statuses = {s.stage: s.status for s in run_pipeline(config_from_dict(raw))}
+        assert statuses == {"source": "skipped", "clean": "skipped", "surface": "ran",
+                            "decompose": "skipped", "render:rho_curve": "skipped"}
+        assert files(wd) == first  # no .partial left
+
     def test_manifest_not_an_object_reruns_its_stage(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
         run_pipeline(cfg)
@@ -401,6 +446,15 @@ class TestOverwrites:
         assert files(tmp_path / "wd") == before
 
 
+# Each subcommand that reads a table, with the option naming it and the table.
+TABLE_READERS = {
+    "decompose": (["decompose", "--bootstrap", "10", "--surface"], "surface.csv"),
+    "surface_top": (["render", "--kind", "surface_top", "--surface"], "surface.csv"),
+    "dominance_heatmap": (["render", "--kind", "dominance_heatmap", "--heatmap"], "heat.csv"),
+    "rho_curve": (["render", "--kind", "rho_curve", "--summary"], "lags.csv"),
+}
+
+
 class TestCliExitCodes:
     def test_validate_ok_and_fail(self, tmp_path):
         good = tmp_path / "good.json"
@@ -489,7 +543,8 @@ class TestCliExitCodes:
     def _damage(path: Path, damage: str) -> None:
         """Edit one digit of the last row so that it still parses, cut the
         last row off at its line boundary, delete the manifest, make it a
-        JSON list, or put a byte that is not UTF-8 before it."""
+        JSON list, put a byte that is not UTF-8 before it, or delete its
+        `grid` field."""
         data = path.read_bytes()
         if damage == "edit":
             at = data.rindex(b".") + 1
@@ -501,17 +556,22 @@ class TestCliExitCodes:
             manifest_path(path).unlink()
         elif damage == "manifest_list":
             manifest_path(path).write_text("[]")
+        elif damage == "manifest_no_grid":
+            manifest = read_manifest(path)
+            del manifest["grid"]
+            manifest_path(path).write_text(canonical_json(manifest) + "\n")
         else:
             manifest_path(path).write_bytes(b"\xff" + manifest_path(path).read_bytes())
 
-    @pytest.mark.parametrize("damage", ["edit", "cut", "manifest", "manifest_list",
-                                        "manifest_not_utf8"])
-    @pytest.mark.parametrize("command, table", [
-        (["decompose", "--bootstrap", "10", "--surface"], "surface.csv"),
-        (["render", "--kind", "surface_top", "--surface"], "surface.csv"),
-        (["render", "--kind", "dominance_heatmap", "--heatmap"], "heat.csv"),
-        (["render", "--kind", "rho_curve", "--summary"], "lags.csv"),
-    ], ids=["decompose", "surface_top", "dominance_heatmap", "rho_curve"])
+    @pytest.mark.parametrize("command, table, damage", [
+        pytest.param(*TABLE_READERS[reader], damage, id=f"{reader}-{damage}")
+        for damage in ["edit", "cut", "manifest", "manifest_list", "manifest_not_utf8"]
+        for reader in TABLE_READERS
+    ] + [
+        # the grid is in the manifests of the surface and the heatmap only
+        pytest.param(*TABLE_READERS[reader], "manifest_no_grid", id=f"{reader}-manifest_no_grid")
+        for reader in ["decompose", "surface_top", "dominance_heatmap"]
+    ])
     def test_table_unlike_its_manifest_exit_3(self, tmp_path, table_artifacts, command, table,
                                               damage, capsys):
         wd = tmp_path / "wd"
@@ -522,7 +582,9 @@ class TestCliExitCodes:
                               "--out-summary", str(wd / "l.csv")],
                 "render": ["--out", str(wd / "x.svg")]}[command[0]]
         assert main([*command, str(wd / table), *outs]) == 3
-        assert f"{wd / table}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{wd / table}" in err
+        assert damage != "manifest_no_grid" or "its manifest has no 'grid' field" in err
         assert files(wd) == before  # no output file, no file changed
 
     def test_table_of_another_kind_exit_3(self, tmp_path, table_artifacts, capsys):
