@@ -5,7 +5,8 @@ the source stage; clean, surface, decompose, render the rest), always
 rerunning, plus `pipeline` for the orchestrated run and `validate` for
 static config checks. A subcommand needs its input's manifest and
 writes the same manifests as the pipeline. Exit codes: 0 success,
-1 validation failure, 2 stage failure, 3 I/O failure.
+1 validation failure, 2 stage failure, 3 I/O failure or an artifact
+unlike its manifest.
 """
 
 from __future__ import annotations
@@ -220,8 +221,6 @@ def validate(config_path):
 def _load_raw_config(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationFailed([f"config {path} is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
@@ -242,6 +241,9 @@ def main(argv=None) -> int:
     except PushRespError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
+    except OSError as exc:  # the config, a lag file or the workdir, outside any stage
+        click.echo(f"error: {exc}", err=True)
+        return ArtifactIOError.exit_code
     return 0
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the pipeline.
 
 Exit-code contract for the CLI: 0 success, 1 validation failure,
-2 stage failure, 3 I/O failure.
+2 stage failure, 3 I/O failure or an artifact unlike its manifest.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ class StageFailure(PushRespError):
 
 
 class ArtifactIOError(PushRespError):
-    """Reading or writing an artifact failed (exit 3)."""
+    """An artifact is unlike its manifest or not of its format, or an
+    OSError ended a stage, which `pipeline.run_stage` turns into this
+    (exit 3)."""
 
     exit_code = 3
 

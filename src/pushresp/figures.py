@@ -22,7 +22,7 @@ from typing import TextIO
 import numpy as np
 
 from .decomposition import read_heatmap_csv, read_summary_csv
-from .errors import ArtifactIOError, InvalidGrid, MissingArtifact
+from .errors import InvalidGrid, MissingArtifact
 from .series import manifest_fields, read_manifest
 from . import surface as surface_mod
 
@@ -305,9 +305,6 @@ def render_figure(spec: FigureSpec) -> Path:
     renderer, needed = _RENDERERS[spec.kind]
     if getattr(spec, needed) is None:
         raise MissingArtifact(f"figure '{spec.kind}' needs a --{needed} input")
-    try:
-        with open(spec.out, "w", encoding="utf-8") as out:
-            renderer(spec, out)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {spec.out}: {exc}") from exc
+    with open(spec.out, "w", encoding="utf-8") as out:
+        renderer(spec, out)
     return Path(spec.out)

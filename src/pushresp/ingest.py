@@ -31,7 +31,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import ArtifactIOError, MalformedRecord
+from .errors import MalformedRecord
 from .series import MidSeries, Session
 
 logger = logging.getLogger(__name__)
@@ -337,8 +337,6 @@ def read_quote_csv(
                     fields = _str_fields(lines)
                 parts.append(_check(fields, lines, line_no, clock, strict, report))
                 line_no += len(lines)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
     except MalformedRecord as exc:
         raise MalformedRecord(exc.line_no, exc.field, exc.detail, Path(path).name) from None
     logger.info("%s: %d of %d batches by the C reader", Path(path).name, n_c, n_batches)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .accum import MomentAccumulator
-from .errors import ArtifactIOError, InsufficientSupport, InvalidGrid, ZeroVariance
+from .errors import InsufficientSupport, InvalidGrid, ZeroVariance
 from .series import MidSeries, Session, write_csv
 
 DEFAULT_SHORT_LAGS = (1,) + tuple(range(50, 5001, 50))
@@ -144,11 +144,7 @@ def parse_lag_selector(selector: str) -> tuple[int, ...]:
     if selector == "long":
         return DEFAULT_LONG_LAGS
     if selector.startswith("file:"):
-        path = Path(selector[5:])
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot read lag file {path}: {exc}") from exc
+        text = Path(selector[5:]).read_text(encoding="utf-8")
         values = [int(tok) for tok in text.split()]
         return validate_lags(values)
     try:

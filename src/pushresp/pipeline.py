@@ -9,7 +9,12 @@ through `run_stage`, so a standalone artifact carries the same manifest
 as the pipeline's.
 
 `run_stage` alone decides when an artifact becomes visible, and alone
-keys, verifies and writes manifests. Every artifact has a sidecar
+keys, verifies and writes manifests. It is also the stages' one gate:
+before a stage runs, each input must hash to its manifest's
+`data_sha256`, or the stage is refused (exit 3) with nothing written,
+so an edited or cut PRMS, block table or CSV never becomes numbers; and
+an OSError anywhere in a stage is exit 3. A skipped stage reads no
+input, so it hashes none. Every artifact has a sidecar
 `<artifact>.manifest.json` holding `stage`, `stage_key`, `config`,
 `inputs` (the SHA-256 of each input's manifest), `data_sha256` (of the
 artifact's bytes) and the fields its producer returns. The stage key
@@ -258,39 +263,58 @@ def _key_of(stage: str, cfg: dict, inputs: dict[str, str]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _intact(path: Path, manifest: dict) -> bool:
+    """The bytes at `path` hash to its manifest's `data_sha256`."""
+    return sha256_file(path) == manifest.get("data_sha256")
+
+
 def _input_hashes(stage: str, paths: dict[str, Path]) -> dict[str, str]:
     """SHA-256 of each input's manifest."""
     hashes = {}
     for name, path in paths.items():
         try:
             payload = canonical_json(read_manifest(path))
-        except ArtifactIOError as exc:
+        except (ArtifactIOError, OSError) as exc:
             raise MissingArtifact(f"stage '{stage}' needs input '{name}': {exc}") from exc
         hashes[name] = hashlib.sha256(payload.encode()).hexdigest()
     return hashes
 
 
+def _check_inputs(stage: str, paths: dict[str, Path]) -> None:
+    """Each input is intact: one that is gone is a MissingArtifact, and one
+    unlike its manifest, as after an edit or a cut, an ArtifactIOError.
+    Each manifest is read again rather than held while the stage runs."""
+    for name, path in paths.items():
+        try:
+            intact = _intact(path, read_manifest(path))
+        except (ArtifactIOError, OSError) as exc:
+            raise MissingArtifact(f"stage '{stage}' needs input '{name}': {exc}") from exc
+        if not intact:
+            raise ArtifactIOError(f"{path}: its bytes do not match the data_sha256 of its manifest")
+
+
 def _stage_fresh(outputs: list[Path], key: str) -> bool:
-    """Every output's manifest carries `key` and the output still hashes to
-    its `data_sha256`. Keys are checked first, so a re-keyed stage hashes
-    no data."""
+    """Every output's manifest carries `key` and the output is intact. Keys
+    are checked first, so a re-keyed stage hashes no output."""
     try:
         manifests = [read_manifest(out) for out in outputs]
         if any(m.get("stage_key") != key for m in manifests):
             return False
-        return all(sha256_file(out) == m.get("data_sha256") for out, m in zip(outputs, manifests))
+        return all(_intact(out, m) for out, m in zip(outputs, manifests))
     except (ArtifactIOError, OSError):
         return False
 
 
 def _overwrites(stage: Stage) -> list[str]:
-    """Each output of `stage` at the path of one of its inputs or of an
-    earlier output, as a problem."""
+    """Each output of `stage` at the path of one of its inputs, of an
+    earlier output or of a directory, as a problem."""
     taken = {path.resolve(): f"input '{name}'" for name, path in stage.inputs.items()}
     problems = []
     for out in stage.outputs:
         if (where := out.resolve()) in taken:
             problems.append(f"stage '{stage.name}' would write {out} over its {taken[where]}")
+        elif out.is_dir():
+            problems.append(f"stage '{stage.name}' would write {out} over a directory")
         taken[where] = "own output"
     return problems
 
@@ -298,15 +322,18 @@ def _overwrites(stage: Stage) -> list[str]:
 def run_stage(stage: Stage, force: bool = False) -> StageStatus:
     """Run a stage unless `force` is off and its outputs are fresh.
 
-    A stage whose outputs name one another or one of its inputs is refused
-    (ValidationFailed, exit 1) before any file is touched.
-    The old manifests go before `produce` runs. `produce` writes each
-    output to its `.partial` sibling; each is then renamed onto its output
-    and the new manifests are written last, so an interrupted stage leaves
-    no manifest and reruns. A failed run removes the stage's outputs, and
-    every exit, `KeyboardInterrupt` included, removes the `.partial`
-    files. Errors of this package keep their own exit codes; any other
-    exception becomes a StageFailure.
+    A stage whose outputs name one another, one of its inputs or a
+    directory is refused (ValidationFailed, exit 1) before any file is
+    touched, and a stage that is to run is refused (exit 3) when an input
+    is missing or unlike its manifest. The old manifests go before
+    `produce` runs. `produce` writes each output to its `.partial`
+    sibling; each is then renamed onto its output and the new manifests
+    are written last, so an interrupted stage leaves no manifest and
+    reruns. A failed run removes the stage's outputs, and every exit,
+    `KeyboardInterrupt` included, removes the `.partial` files. Errors of
+    this package keep their own exit codes, an OSError becomes an
+    ArtifactIOError (exit 3) naming the stage, and any other exception a
+    StageFailure.
     Each stage that ran or was skipped logs one INFO line: its wall and
     CPU seconds, the process's peak RSS so far and how much the stage
     raised it, so one run's log shows which stage sets the peak.
@@ -318,7 +345,8 @@ def run_stage(stage: Stage, force: bool = False) -> StageStatus:
     inputs = _input_hashes(kind, stage.inputs)
     key = _key_of(kind, stage.config, inputs)
     ran = force or not _stage_fresh(stage.outputs, key)
-    if ran:
+    if ran:  # a skipped stage reads no input
+        _check_inputs(kind, stage.inputs)
         for out in stage.outputs:
             manifest_path(out).unlink(missing_ok=True)
         meta = {"stage": kind, "stage_key": key, "config": stage.config, "inputs": inputs}
@@ -335,6 +363,8 @@ def run_stage(stage: Stage, force: bool = False) -> StageStatus:
                 manifest_path(out).unlink(missing_ok=True)
             if isinstance(exc, PushRespError):
                 raise
+            if isinstance(exc, OSError):
+                raise ArtifactIOError(f"stage '{stage.name}': {exc}") from exc
             raise StageFailure(stage.name, str(exc)) from exc  # boundary to exit-code contract
         finally:
             for partial in partials:
@@ -373,8 +403,6 @@ def source_stage(
 
 def _ingest(opts: IngestOptions):
     if opts.consolidated:
-        if not Path(opts.consolidated).exists():
-            raise StageFailure("source", f"input {opts.consolidated} does not exist")
         return ingest_mod.ingest_consolidated(
             opts.consolidated, tz=opts.tz, strict=opts.strict
         )

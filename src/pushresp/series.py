@@ -19,18 +19,20 @@ Every table artifact (moments, surface, heatmap, summary) is a CSV
 written here by `write_csv` and read by `read_table` into typed numpy
 columns, and every artifact carries a JSON sidecar manifest
 (`write_manifest`/`read_manifest`) holding the SHA-256 of its bytes. A
-table has one reader: numpy's C text reader parses it from the open
-file a chunk at a time while the chunks are hashed, and a table that
-does not hash to its manifest's `data_sha256` is rejected (exit 3), so
-only the bytes `write_csv` wrote become numbers.
+table has one reader: numpy's C text reader, which parses it from the
+open file.
+
+The readers here hash nothing and pass an OSError on as it is:
+`pipeline.run_stage` checks each input against its manifest's
+`data_sha256` before a stage reads it, and turns an OSError into exit 3.
+A reader rejects only what it detects itself, such as a truncated PRMS,
+a wrong header or a non-finite mid.
 """
 
 from __future__ import annotations
 
 import datetime
 import hashlib
-import io
-import itertools
 import json
 import os
 import struct
@@ -41,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ArtifactIOError, MissingArtifact
+from .errors import ArtifactIOError
 
 PRMS_MAGIC = b"PRMS"
 PRMS_VERSION = 1
@@ -130,20 +132,14 @@ class PrmsWriter:
         self.path = Path(path)
         self.sessions: list[Session] = []
         self._n = 0
-        try:
-            self._f = open(self.path, "wb")
-            self._f.write(_HEADER.pack(PRMS_MAGIC, PRMS_VERSION))
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+        self._f = open(self.path, "wb")
+        self._f.write(_HEADER.pack(PRMS_MAGIC, PRMS_VERSION))
 
     def write(self, date: int, mids: np.ndarray) -> None:
         if not len(mids):
             return
-        try:
-            self._f.write(_SESSION_HEADER.pack(date, len(mids)))
-            self._f.write(np.ascontiguousarray(mids, dtype="<f8").data)  # no copy
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot write {self.path}: {exc}") from exc
+        self._f.write(_SESSION_HEADER.pack(date, len(mids)))
+        self._f.write(np.ascontiguousarray(mids, dtype="<f8").data)  # no copy
         self.sessions.append(Session(date=date, start=self._n, end=self._n + len(mids) - 1))
         self._n += len(mids)
 
@@ -154,11 +150,7 @@ class PrmsWriter:
         return self
 
     def __exit__(self, *exc) -> None:
-        try:
-            self._f.close()
-        except OSError as err:
-            if exc[0] is None:
-                raise ArtifactIOError(f"cannot write {self.path}: {err}") from err
+        self._f.close()
 
 
 class PrmsReader:
@@ -175,33 +167,30 @@ class PrmsReader:
         self.path = path = Path(path)
         self.sessions: list[Session] = []
         self._offsets: list[int] = []  # where each session's mids start in the file
-        try:
-            with open(path, "rb") as f:
-                size = os.fstat(f.fileno()).st_size
-                head = f.read(_HEADER.size)
-                if len(head) < _HEADER.size:
-                    raise ArtifactIOError(f"{path}: truncated header")
-                magic, version = _HEADER.unpack(head)
-                if magic != PRMS_MAGIC:
-                    raise ArtifactIOError(f"{path}: bad magic {magic!r}")
-                if version != PRMS_VERSION:
-                    raise ArtifactIOError(f"{path}: unsupported version {version}")
-                pos, n = _HEADER.size, 0
-                while pos < size:
-                    rec = f.read(_SESSION_HEADER.size)
-                    if len(rec) < _SESSION_HEADER.size:
-                        raise ArtifactIOError(f"{path}: truncated session header at {pos}")
-                    date, count = _SESSION_HEADER.unpack(rec)
-                    pos += _SESSION_HEADER.size
-                    if pos + 8 * count > size:
-                        raise ArtifactIOError(f"{path}: truncated session block at {pos}")
-                    if count:  # an empty block is legal on disk and skipped
-                        self.sessions.append(Session(date=date, start=n, end=n + count - 1))
-                        self._offsets.append(pos)
-                        n += count
-                    pos = f.seek(pos + 8 * count)
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            head = f.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise ArtifactIOError(f"{path}: truncated header")
+            magic, version = _HEADER.unpack(head)
+            if magic != PRMS_MAGIC:
+                raise ArtifactIOError(f"{path}: bad magic {magic!r}")
+            if version != PRMS_VERSION:
+                raise ArtifactIOError(f"{path}: unsupported version {version}")
+            pos, n = _HEADER.size, 0
+            while pos < size:
+                rec = f.read(_SESSION_HEADER.size)
+                if len(rec) < _SESSION_HEADER.size:
+                    raise ArtifactIOError(f"{path}: truncated session header at {pos}")
+                date, count = _SESSION_HEADER.unpack(rec)
+                pos += _SESSION_HEADER.size
+                if pos + 8 * count > size:
+                    raise ArtifactIOError(f"{path}: truncated session block at {pos}")
+                if count:  # an empty block is legal on disk and skipped
+                    self.sessions.append(Session(date=date, start=n, end=n + count - 1))
+                    self._offsets.append(pos)
+                    n += count
+                pos = f.seek(pos + 8 * count)
 
     def __len__(self) -> int:
         return self.sessions[-1].end + 1 if self.sessions else 0
@@ -224,23 +213,17 @@ class PrmsReader:
         """Each session with its mids, read into one buffer the size of the
         longest session: a block is valid until the next one is read."""
         buf = np.empty(max((len(s) for s in self.sessions), default=0), dtype="<f8")
-        try:
-            with open(self.path, "rb") as f:
-                for i, s in enumerate(self.sessions):
-                    yield s, self._read(f, i, buf[: len(s)])
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot read {self.path}: {exc}") from exc
+        with open(self.path, "rb") as f:
+            for i, s in enumerate(self.sessions):
+                yield s, self._read(f, i, buf[: len(s)])
 
     def series(self) -> MidSeries:
         """The whole file, each session read straight into its place in one
         array of the total event count."""
         mids = np.empty(len(self), dtype="<f8")
-        try:
-            with open(self.path, "rb") as f:
-                for i, s in enumerate(self.sessions):
-                    self._read(f, i, mids[s.start : s.end + 1])
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot read {self.path}: {exc}") from exc
+        with open(self.path, "rb") as f:
+            for i, s in enumerate(self.sessions):
+                self._read(f, i, mids[s.start : s.end + 1])
         return MidSeries(sessions=list(self.sessions), mids=mids)
 
 
@@ -267,10 +250,7 @@ def manifest_path(artifact: str | Path) -> Path:
 
 def write_text(path: str | Path, text: str) -> None:
     """Write a text artifact (a report, a manifest) as UTF-8."""
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def write_manifest(artifact: str | Path, payload: dict) -> dict:
@@ -282,13 +262,10 @@ def write_manifest(artifact: str | Path, payload: dict) -> dict:
 
 
 def read_manifest(artifact: str | Path) -> dict:
-    """The artifact's manifest; ArtifactIOError when it cannot be read or
-    is not a JSON object."""
+    """The artifact's manifest; ArtifactIOError when it is not a JSON object."""
     p = manifest_path(artifact)
     try:
         manifest = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {p}: {exc}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ArtifactIOError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -339,31 +316,11 @@ def write_csv(path: str | Path, header: list[str], columns) -> None:
     n_rows = len(columns[0]) if columns else 0
     if any(len(c) != n_rows for c in columns):
         raise ValueError(f"columns of {sorted({len(c) for c in columns})} rows")
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            f.write(",".join(_texts(header)) + "\n")
-            for lo in range(0, n_rows, _CSV_ROWS):
-                texts = [_texts(c[lo : lo + _CSV_ROWS]) for c in columns]
-                f.write("\n".join(map(",".join, zip(*texts))) + "\n")
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
-
-
-# Bytes of a table read, hashed and split into lines at a time.
-_TABLE_CHUNK = 1 << 16
-
-
-def _hashed_chunks(f, digest) -> Iterator[io.BytesIO]:
-    """The lines of the binary file `f` from where it stands, a chunk of
-    them at a time; each byte is added to `digest` as it is read."""
-    part = b""
-    while chunk := f.read(_TABLE_CHUNK):
-        digest.update(chunk)
-        chunk = part + chunk
-        cut = chunk.rfind(b"\n") + 1
-        part = chunk[cut:]
-        yield io.BytesIO(chunk[:cut])
-    yield io.BytesIO(part)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(_texts(header)) + "\n")
+        for lo in range(0, n_rows, _CSV_ROWS):
+            texts = [_texts(c[lo : lo + _CSV_ROWS]) for c in columns]
+            f.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def read_table(
@@ -374,44 +331,28 @@ def read_table(
     or `bool`). A column not in `dtypes` is held to the field count but not
     read.
 
-    numpy's C text reader parses the table from the open file a chunk at a
-    time, so its bytes are never held whole, and each chunk is hashed as it
-    is read. A table whose bytes do not hash to its manifest's
-    `data_sha256`, as after an edit or a cut, or one without a manifest, is
-    an ArtifactIOError (exit 3) and never becomes numbers; so is one whose
-    header row differs from `header` or whose field the C reader rejects."""
+    numpy's C text reader parses the table from the open file, so its
+    bytes are never held whole. The stage that reads the table has already
+    checked it against its manifest's `data_sha256`; a table whose header
+    row differs from `header`, or whose field the C reader rejects, is an
+    ArtifactIOError (exit 3)."""
     head = (",".join(header) + "\n").encode()
     # a bool field is read as text, whose first five bytes tell `true` from `false`
     dtype = [(name, "S5" if dtypes.get(name) is bool else dtypes.get(name, "S1"))
              for name in header]
-    digest, table, rejected = hashlib.sha256(), np.empty(0, dtype), None
-    try:
-        with open(path, "rb") as f:
-            manifest = read_manifest(path)
-            first = f.read(len(head))
-            digest.update(first)
-            if first == head and f.peek(1):
-                lines = itertools.chain.from_iterable(_hashed_chunks(f, digest))
-                try:
-                    with warnings.catch_warnings():
-                        # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
-                        warnings.simplefilter("error")
-                        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                                           ndmin=1, dtype=dtype, encoding="ascii")
-                except (ValueError, Warning) as exc:
-                    rejected = exc
-            while chunk := f.read(_TABLE_CHUNK):  # what a wrong header or a rejection left
-                digest.update(chunk)
-    except FileNotFoundError as exc:
-        raise MissingArtifact(f"{path} does not exist") from exc
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
-    if digest.hexdigest() != manifest.get("data_sha256"):
-        raise ArtifactIOError(f"{path}: its bytes do not match the data_sha256 of its manifest")
-    if first != head:
-        raise ArtifactIOError(f"{path}: header is not {','.join(header)}")
-    if rejected is not None:
-        raise ArtifactIOError(f"{path}: not a table the C reader reads: {rejected}")
+    table = np.empty(0, dtype)
+    with open(path, "rb") as f:
+        if f.read(len(head)) != head:
+            raise ArtifactIOError(f"{path}: header is not {','.join(header)}")
+        if f.peek(1):
+            try:
+                with warnings.catch_warnings():
+                    # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(f, delimiter=",", comments=None, quotechar=None,
+                                       ndmin=1, dtype=dtype, encoding="ascii")
+            except (ValueError, Warning) as exc:
+                raise ArtifactIOError(f"{path}: not a table the C reader reads: {exc}") from None
     return {name: table[name] == b"true" if kind is bool else table[name]
             for name, kind in dtypes.items()}
 

@@ -410,10 +410,9 @@ def surface_manifest(surface: Surface) -> dict:
 
 
 def read_surface_csv(path: str | Path, manifest: dict) -> Surface:
-    """Rebuild a Surface from its CSV plus sidecar manifest. `read_table`
-    holds the CSV to the `data_sha256` of the manifest beside it; a
-    manifest without the grid, moments or out-of-grid tallies is an
-    ArtifactIOError."""
+    """Rebuild a Surface from its CSV plus sidecar manifest, which the
+    stage reading it has held the CSV to; a manifest without the grid,
+    moments or out-of-grid tallies is an ArtifactIOError."""
     g, moments, out_of_grid = manifest_fields(path, manifest, "grid", "moments", "out_of_grid")
     grid = BinGrid(z_min=g["z_min"], z_max=g["z_max"], step=g["step"],
                    n_min_support=g["n_min_support"])
@@ -467,59 +466,50 @@ def write_surface_blocks(blocks: BlockTables, path: str | Path) -> None:
     """Binary block artifact, little-endian: a header, then one record per lag
     of (lag u32, n_blocks u64), starts i64[n_blocks], stops i64[n_blocks],
     counts i64[n_blocks, n_bins] and sum_zr f64[n_blocks, n_bins]."""
-    try:
-        with open(path, "wb") as f:
-            f.write(_BLOCKS_HEADER.pack(
-                BLOCKS_MAGIC, BLOCKS_VERSION, blocks.n_bins,
-                blocks.n_min_support, len(blocks.lags),
-            ))
-            for lag in blocks.lags:
-                t = blocks[lag]
-                f.write(_LAG_HEADER.pack(lag, t.n_blocks))
-                for arr, dtype in ((t.starts, "<i8"), (t.stops, "<i8"),
-                                   (t.counts, "<i8"), (t.sum_zr, "<f8")):
-                    f.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot write {path}: {exc}") from exc
+    with open(path, "wb") as f:
+        f.write(_BLOCKS_HEADER.pack(
+            BLOCKS_MAGIC, BLOCKS_VERSION, blocks.n_bins,
+            blocks.n_min_support, len(blocks.lags),
+        ))
+        for lag in blocks.lags:
+            t = blocks[lag]
+            f.write(_LAG_HEADER.pack(lag, t.n_blocks))
+            for arr, dtype in ((t.starts, "<i8"), (t.stops, "<i8"),
+                               (t.counts, "<i8"), (t.sum_zr, "<f8")):
+                f.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
 def read_surface_blocks(path: str | Path) -> BlockTables:
     """Index a block artifact; each `tables[lag]` reads only that lag's record."""
     path = Path(path)
     offsets: dict[int, tuple[int, int]] = {}
-    try:
-        size = path.stat().st_size
-        with open(path, "rb") as f:
-            head = f.read(_BLOCKS_HEADER.size)
-            if len(head) < _BLOCKS_HEADER.size:
-                raise ArtifactIOError(f"{path}: truncated header")
-            magic, version, n_bins, n_min, n_lags = _BLOCKS_HEADER.unpack(head)
-            if magic != BLOCKS_MAGIC:
-                raise ArtifactIOError(f"{path}: bad magic {magic!r}")
-            if version != BLOCKS_VERSION:
-                raise ArtifactIOError(f"{path}: unsupported version {version}")
-            pos = _BLOCKS_HEADER.size
-            for _ in range(n_lags):
-                f.seek(pos)
-                rec = f.read(_LAG_HEADER.size)
-                if len(rec) < _LAG_HEADER.size:
-                    raise ArtifactIOError(f"{path}: truncated lag header at {pos}")
-                lag, n_blocks = _LAG_HEADER.unpack(rec)
-                offsets[lag] = (pos + _LAG_HEADER.size, n_blocks)
-                pos += _LAG_HEADER.size + _record_bytes(n_blocks, n_bins)
-    except OSError as exc:
-        raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+    size = path.stat().st_size
+    with open(path, "rb") as f:
+        head = f.read(_BLOCKS_HEADER.size)
+        if len(head) < _BLOCKS_HEADER.size:
+            raise ArtifactIOError(f"{path}: truncated header")
+        magic, version, n_bins, n_min, n_lags = _BLOCKS_HEADER.unpack(head)
+        if magic != BLOCKS_MAGIC:
+            raise ArtifactIOError(f"{path}: bad magic {magic!r}")
+        if version != BLOCKS_VERSION:
+            raise ArtifactIOError(f"{path}: unsupported version {version}")
+        pos = _BLOCKS_HEADER.size
+        for _ in range(n_lags):
+            f.seek(pos)
+            rec = f.read(_LAG_HEADER.size)
+            if len(rec) < _LAG_HEADER.size:
+                raise ArtifactIOError(f"{path}: truncated lag header at {pos}")
+            lag, n_blocks = _LAG_HEADER.unpack(rec)
+            offsets[lag] = (pos + _LAG_HEADER.size, n_blocks)
+            pos += _LAG_HEADER.size + _record_bytes(n_blocks, n_bins)
     if pos != size:
         raise ArtifactIOError(f"{path}: holds {size} bytes, its records {pos}")
 
     def load(lag: int) -> LagBlocks:
         offset, nb = offsets[lag]
-        try:
-            with open(path, "rb") as f:
-                f.seek(offset)
-                raw = f.read(_record_bytes(nb, n_bins))
-        except OSError as exc:
-            raise ArtifactIOError(f"cannot read {path}: {exc}") from exc
+        with open(path, "rb") as f:
+            f.seek(offset)
+            raw = f.read(_record_bytes(nb, n_bins))
         cells = nb * n_bins
         return LagBlocks(
             lag=lag,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pushresp import ingest
 from pushresp.cli import main
-from pushresp.errors import ArtifactIOError, MalformedRecord
+from pushresp.errors import MalformedRecord
 from pushresp.ingest import (
     DAY_NS,
     DEFAULT_VENUES,
@@ -342,7 +342,8 @@ class TestFiles:
         assert (report.n_records, report.n_malformed_skipped) == (5, 2)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ArtifactIOError):
+        # the stage that reads it turns the OSError into exit 3
+        with pytest.raises(FileNotFoundError):
             read_quote_csv(tmp_path / "absent.csv")
 
     def test_lenient_skips_and_counts(self, tmp_path):

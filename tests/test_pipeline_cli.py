@@ -22,6 +22,7 @@ from pushresp.pipeline import (
     validate_config_dict,
 )
 from pushresp.series import (
+    PrmsReader,
     canonical_json,
     manifest_path,
     read_manifest,
@@ -198,18 +199,24 @@ class TestPipeline:
         assert {s.status for s in statuses} == {"skipped"}
 
     def test_only_fresh_keys_hash_data(self, tmp_path, monkeypatch):
-        # a forced or re-keyed stage hashes no data before it runs
+        # a stage that runs hashes its inputs first, and a skipped one only
+        # its outputs; a forced or re-keyed stage hashes none of its outputs
         raw = base_config(tmp_path)
         run_pipeline(config_from_dict(raw))
         hashed = []
         real = pipeline.sha256_file
         monkeypatch.setattr(pipeline, "sha256_file", lambda p: hashed.append(p.name) or real(p))
         run_pipeline(config_from_dict(raw), force=True)
-        assert hashed == []
+        inputs = {"clean": ["mids.prms"], "surface": ["clean.prms"],
+                  "decompose": ["surface.csv", "surface.blocks"],
+                  "render": ["surface.csv", "heat.csv", "lags.csv"]}
+        assert hashed == [name for stage in inputs.values() for name in stage]
+        hashed.clear()
         raw["bootstrap"]["seed"] = 43
         run_pipeline(config_from_dict(raw))
         assert hashed == ["mids.prms", "clean.prms", "clean.json",
-                          "surface.csv", "surface.blocks", "moments.csv"]
+                          "surface.csv", "surface.blocks", "moments.csv",
+                          *inputs["decompose"], *inputs["render"]]
 
     @pytest.fixture(scope="class")
     def lags_at_seed_43(self, tmp_path_factory):
@@ -405,6 +412,18 @@ def table_artifacts(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def binary_artifacts(tmp_path_factory):
+    """A PRMS of three sessions, and the surface CSV and block tables over
+    it, each with its manifest, written by the subcommands."""
+    d = tmp_path_factory.mktemp("binary")
+    assert main(["synth", "--kind", "null_walk", "--n", "20000", "--sessions", "3",
+                 "--seed", "3", "--out", str(d / "mids.prms")]) == 0
+    assert main(["surface", "--in", str(d / "mids.prms"), "--lags", "1,5", "--nmin", "50",
+                 "--out", str(d / "surface.csv")]) == 0
+    return d
+
+
 def files(d: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 
@@ -445,6 +464,15 @@ class TestOverwrites:
         assert main(["pipeline", "--config", str(cfg)]) == 1
         assert files(tmp_path / "wd") == before
 
+    def test_output_over_a_directory_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "adir"
+        out.mkdir()
+        (out / "keep").write_text("kept")
+        assert main(["synth", "--kind", "null_walk", "--n", "2000", "--out", str(out)]) == 1
+        assert f"would write {out} over a directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == [out, out / "keep"]
+        assert (out / "keep").read_text() == "kept"
+
 
 # Each subcommand that reads a table, with the option naming it and the table.
 TABLE_READERS = {
@@ -479,6 +507,33 @@ class TestCliExitCodes:
             "clean", "--in", str(tmp_path / "absent.prms"),
             "--out", str(tmp_path / "out.prms"),
         ]) == 3
+
+    def test_workdir_that_cannot_be_made_exit_3(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config(tmp_path / "blocker" / "wd")))
+        assert main(["pipeline", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "blocker" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
+
+    def test_missing_lag_file_exit_3(self, tmp_path, capsys):
+        # read before the stage runs, so cli.main maps its OSError
+        mids = tmp_path / "mids.prms"
+        assert main(["synth", "--kind", "null_walk", "--n", "2000", "--out", str(mids)]) == 0
+        before = files(tmp_path)
+        assert main(["surface", "--in", str(mids), "--lags", f"file:{tmp_path / 'absent.txt'}",
+                     "--out", str(tmp_path / "s.csv")]) == 3
+        assert "absent.txt" in capsys.readouterr().err
+        assert files(tmp_path) == before
+
+    def test_missing_consolidated_file_exit_3(self, tmp_path, capsys):
+        # like any other missing input, not a stage failure
+        absent = tmp_path / "absent.csv"
+        assert main(["ingest", "--consolidated", str(absent),
+                     "--out", str(tmp_path / "mids.prms")]) == 3
+        assert str(absent) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_mid_exit_3(self, tmp_path):
         mids, out = tmp_path / "mids.prms", tmp_path / "s.csv"
@@ -585,6 +640,41 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"{wd / table}" in err
         assert damage != "manifest_no_grid" or "its manifest has no 'grid' field" in err
+        assert files(wd) == before  # no output file, no file changed
+
+    @staticmethod
+    def _damage_binary(path: Path, damage: str) -> None:
+        """Flip the low bit of the last float of a PRMS or block table, or cut
+        a PRMS before its last session; either leaves a well-formed file."""
+        data = path.read_bytes()
+        if damage == "cut":
+            sessions = PrmsReader(path).sessions
+            path.write_bytes(data[: 6 + sum(12 + 8 * len(s) for s in sessions[:-1])])
+        else:
+            path.write_bytes(data[:-8] + bytes([data[-8] ^ 1]) + data[-7:])
+
+    @pytest.mark.parametrize("command, damaged, damage", [
+        ("clean", "mids.prms", "bit"),
+        ("clean", "mids.prms", "cut"),
+        ("surface", "mids.prms", "bit"),
+        ("surface", "mids.prms", "cut"),
+        ("decompose", "surface.blocks", "bit"),
+    ])
+    def test_binary_input_unlike_its_manifest_exit_3(self, tmp_path, binary_artifacts, command,
+                                                     damaged, damage, capsys):
+        wd = tmp_path / "wd"
+        shutil.copytree(binary_artifacts, wd)
+        self._damage_binary(wd / damaged, damage)
+        before = files(wd)
+        argv = {"clean": ["--in", str(wd / "mids.prms"), "--out", str(wd / "c.prms")],
+                "surface": ["--in", str(wd / "mids.prms"), "--lags", "1,5",
+                            "--out", str(wd / "s.csv")],
+                "decompose": ["--surface", str(wd / "surface.csv"), "--bootstrap", "10",
+                              "--out-heatmap", str(wd / "h.csv"),
+                              "--out-summary", str(wd / "l.csv")]}[command]
+        assert main([command, *argv]) == 3
+        err = capsys.readouterr().err
+        assert f"{wd / damaged}: its bytes do not match the data_sha256 of its manifest" in err
         assert files(wd) == before  # no output file, no file changed
 
     def test_table_of_another_kind_exit_3(self, tmp_path, table_artifacts, capsys):

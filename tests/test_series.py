@@ -4,16 +4,15 @@ import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushresp import series
 from pushresp.accum import cumsum_in_place
 from pushresp.errors import ArtifactIOError, MissingArtifact
+from pushresp.pipeline import Stage, run_stage
 from pushresp.series import (
     MidSeries,
     Session,
@@ -183,7 +182,6 @@ EDGE_INTS = [INT64.min, INT64.max, -1, 0]
 # float("nan") has the bits numpy reads `nan` to; other NaN payloads do not round trip
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1.7976931348623157e308,
                float("nan"), float("inf"), float("-inf")]
-CHUNKS = [1, 2, 3, 5, 8, 13, 1 << 16]
 
 
 @st.composite
@@ -210,11 +208,10 @@ def write_table(path, columns) -> None:
     write_manifest(path, {})
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
 @given(columns=table_columns())
-@settings(max_examples=40, deadline=None)
-def test_read_table_round_trips_write_csv(chunk, columns):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(series, "_TABLE_CHUNK", chunk):
+@settings(max_examples=200, deadline=None)
+def test_read_table_round_trips_write_csv(columns):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         write_table(path, columns)
         got = read_table(path, TABLE_HEADER, TABLE_DTYPES)
@@ -224,14 +221,28 @@ def test_read_table_round_trips_write_csv(chunk, columns):
             assert (got[name].dtype, got[name].tobytes()) == (want.dtype, want.tobytes()), name
 
 
-@pytest.mark.parametrize("chunk", [3, 1 << 16])
+def count_rows_stage(table: Path, out: Path) -> Stage:
+    """A stage that reads `table` and writes its row count to `out`."""
+
+    def produce(partial):
+        partial.write_text(str(len(read_table(table, TABLE_HEADER, TABLE_DTYPES)["n"])))
+        return [{}]
+
+    return Stage("count", {"table": table}, [out], {}, produce)
+
+
 @given(columns=table_columns(), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_read_table_rejects_an_edited_or_cut_table(chunk, columns, data):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(series, "_TABLE_CHUNK", chunk):
-        path = Path(tmp) / "t.csv"
+@settings(max_examples=80, deadline=None)
+def test_stage_rejects_an_edited_or_cut_table(columns, data):
+    # the stage reads an intact table, and refuses an edited or cut one
+    # before it writes or reads anything
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "t.csv", Path(tmp) / "n.txt"
         write_table(path, columns)
-        raw = path.read_bytes()
+        run_stage(count_rows_stage(path, out))
+        assert out.read_text() == str(len(columns[0]))
+        before = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+        raw = before["t.csv"]
         at = data.draw(st.integers(0, len(raw) - 1), label="edited byte")
         edited = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
         lines = [0, *(i + 1 for i, b in enumerate(raw[:-1]) if b == ord("\n"))]
@@ -239,8 +250,9 @@ def test_read_table_rejects_an_edited_or_cut_table(chunk, columns, data):
         for bad in (edited, cut):
             path.write_bytes(bad)
             with pytest.raises(ArtifactIOError, match="t.csv: its bytes do not match") as err:
-                read_table(path, TABLE_HEADER, TABLE_DTYPES)
+                run_stage(count_rows_stage(path, out), force=True)
             assert err.value.exit_code == 3
+            assert {p.name: p.read_bytes() for p in Path(tmp).iterdir()} == {**before, "t.csv": bad}
 
 
 def test_read_table_reads_edge_values(tmp_path):
@@ -258,12 +270,13 @@ def test_read_table_reads_edge_values(tmp_path):
         "n": (np.int64, (0,)), "x": (np.float64, (0,)), "ok": (bool, (0,))}
 
 
-def test_read_table_needs_its_manifest(tmp_path):
+def test_stage_needs_its_input_manifest(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, TABLE_HEADER, [[1], [0.5], [True], [0]])
-    with pytest.raises(ArtifactIOError, match="t.csv.manifest.json") as err:
-        read_table(path, TABLE_HEADER, TABLE_DTYPES)
+    with pytest.raises(MissingArtifact, match="input 'table': .*t.csv.manifest.json") as err:
+        run_stage(count_rows_stage(path, tmp_path / "n.txt"))
     assert err.value.exit_code == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_read_table_checks_the_header(tmp_path):
@@ -282,11 +295,6 @@ def test_read_table_rejects_bytes_that_are_not_utf8(tmp_path):
     with pytest.raises(ArtifactIOError, match="t.csv: not a table the C reader reads") as err:
         read_table(path, TABLE_HEADER, TABLE_DTYPES)
     assert err.value.exit_code == 3
-
-
-def test_read_table_missing_file_is_missing_artifact(tmp_path):
-    with pytest.raises(MissingArtifact):
-        read_table(tmp_path / "absent.csv", TABLE_HEADER, TABLE_DTYPES)
 
 
 def csv_writer_bytes(header, columns) -> bytes:
