@@ -22,7 +22,6 @@ from . import __version__
 from . import cleaning as cleaning_mod
 from . import decomposition as decomp_mod
 from . import figures as figures_mod
-from . import ingest as ingest_mod
 from . import lags as lags_mod
 from . import surface as surface_mod
 from . import synthetic as synth_mod
@@ -70,7 +69,7 @@ def _checked(make):
               help="Directory of per-venue quote CSV files.")
 @click.option("--consolidated", type=click.Path(), default=None,
               help="Pre-consolidated quote CSV (skips the venue merge).")
-@click.option("--tz", default=ingest_mod.DEFAULT_TZ, show_default=True)
+@click.option("--tz", default=IngestOptions.tz, show_default=True)
 @click.option("--strict/--lenient", default=True,
               help="Fail on malformed records vs. skip and count them.")
 @click.option("--out", required=True, type=click.Path())

@@ -6,14 +6,32 @@ condition flag and fall inside regular trading hours, 09:30 inclusive
 to 16:00 exclusive Eastern, with DST handled by the zone database.
 
 Every step works on numpy columns (`Quotes`), not on one object per
-quote. Each file is filtered as soon as it is read, so only its eligible
-quotes are kept, and only the columns the merge reads (`Updates`).
-Eligible quotes are ordered by timestamp (ties broken by a fixed venue
-priority), each venue's standing bid and ask are forward-filled,
+quote. Eligible quotes are ordered by timestamp (ties broken by a fixed
+venue priority), each venue's standing bid and ask are forward-filled,
 and the best bid/ask is the row max/min over venues; an event is emitted
 only when it changes. Crossed books (bid > ask) are withheld from
 output; locked books (bid == ask) pass through; both are tallied in the
 quality report.
+
+The feed is ingested one local date at a time. Each file is read in
+batches of lines, and each batch is filtered as soon as it is parsed, so
+only its eligible quotes are kept, and only the columns the merge reads
+(`Updates`). A date is merged once every file has been read past its
+local end: a file holding one venue, or a consolidated one, as soon as
+it gives a later record; a file holding several venues once each venue
+seen in it has, or at its end, so it holds the drift between its
+venues. The date's updates are joined in file-key order, merged with
+each venue's standing quote and the last uncrossed book carried over
+from the dates before (`Book`), and written as the date's session. What
+is held is thus the largest date's quotes, not the feed's. A file that
+shows a venue first after a date it quotes on was written is read again
+whole, from the start.
+
+In strict mode the first problem met is raised: the files' headers and
+first batches are read in key order, then, date by date, each file in
+key order until it is read past the date's end. So with one malformed
+record the file, line and field are those a whole-file read names; with
+several, the one in the batch read first.
 """
 
 from __future__ import annotations
@@ -26,13 +44,13 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
 from .errors import MalformedRecord
-from .series import MidSeries, Session
+from .series import MidSeries, PrmsWriter, Session
 
 logger = logging.getLogger(__name__)
 
@@ -47,7 +65,7 @@ RTH_CLOSE = datetime.time(16, 0)
 NS = 1_000_000_000
 DAY_NS = 86_400 * NS
 EPOCH = datetime.date(1970, 1, 1)
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 # Lines parsed per batch (in characters): bounds the str objects alive at once.
 _BATCH_CHARS = 1 << 18
@@ -90,6 +108,9 @@ class Updates(NamedTuple):
     bid: np.ndarray  # float64
     ask: np.ndarray  # float64
 
+    def take(self, rows) -> Updates:
+        return Updates(*(col[rows] for col in self))
+
 
 NO_QUOTES = Quotes(*(np.empty(0, t) for t in (np.int64, np.int16, float, float, bool, np.int64)))
 NO_UPDATES = Updates(*NO_QUOTES[:4])
@@ -102,6 +123,17 @@ def _join(parts: list, empty: tuple):
     columns = list(zip(empty, *parts))
     parts.clear()
     return type(empty)(*(np.concatenate(columns.pop(0)) for _ in empty))
+
+
+@dataclass
+class Book:
+    """What the NBBO merge carries from one call to the next, as from one
+    chunk to the next: each venue's standing bid and ask, by venue rank,
+    and the last uncrossed book emitted."""
+
+    bid: np.ndarray = field(default_factory=lambda: np.full(len(DEFAULT_VENUES), -np.inf))
+    ask: np.ndarray = field(default_factory=lambda: np.full(len(DEFAULT_VENUES), np.inf))
+    last: tuple[float, float] = (np.nan, np.nan)
 
 
 class Nbbo(NamedTuple):
@@ -304,22 +336,12 @@ def _check(
     return quotes.take(~failed)
 
 
-def read_quote_csv(
-    path: str | Path,
-    strict: bool = True,
-    report: QualityReport | None = None,
-) -> Quotes:
-    """Parse one quote file into columns, venues ranked by their place in
-    `DEFAULT_VENUES`. In lenient mode malformed records are skipped and tallied;
-    strict mode raises on the first problem. A skipped record does not
-    advance its venue's clock.
-
-    Each batch of lines is parsed by numpy's C reader when it is plainly
-    spelt and by the `int`/`float` builtins otherwise; both give the same
-    columns, which go through the same checks."""
-    report = report if report is not None else QualityReport()
-    clock = np.full(len(DEFAULT_VENUES), np.iinfo(np.int64).min)
-    parts = []
+def _batches(path: str | Path, strict: bool, report: QualityReport,
+             clock: np.ndarray) -> Iterator[Quotes]:
+    """The well-formed records of a quote file, one batch of lines at a
+    time. `clock` holds each venue's latest timestamp and is advanced in
+    place, so the order check carries from batch to batch. The file is
+    opened when the first batch is asked for."""
     n_batches = n_c = 0
     try:
         with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
@@ -335,12 +357,31 @@ def read_quote_csv(
                 n_batches, n_c = n_batches + 1, n_c + (fields is not None)
                 if fields is None:
                     fields = _str_fields(lines)
-                parts.append(_check(fields, lines, line_no, clock, strict, report))
+                batch = [_check(fields, lines, line_no, clock, strict, report)]
                 line_no += len(lines)
+                lines = fields = None  # not held while the caller works
+                yield batch.pop()  # nor is the batch, once the caller has it
     except MalformedRecord as exc:
         raise MalformedRecord(exc.line_no, exc.field, exc.detail, Path(path).name) from None
     logger.info("%s: %d of %d batches by the C reader", Path(path).name, n_c, n_batches)
-    return _join(parts, NO_QUOTES)
+
+
+def read_quote_csv(
+    path: str | Path,
+    strict: bool = True,
+    report: QualityReport | None = None,
+) -> Quotes:
+    """Parse one quote file into columns, venues ranked by their place in
+    `DEFAULT_VENUES`. In lenient mode malformed records are skipped and tallied;
+    strict mode raises on the first problem. A skipped record does not
+    advance its venue's clock.
+
+    Each batch of lines is parsed by numpy's C reader when it is plainly
+    spelt and by the `int`/`float` builtins otherwise; both give the same
+    columns, which go through the same checks."""
+    report = report if report is not None else QualityReport()
+    clock = np.full(len(DEFAULT_VENUES), _INT64_MIN)
+    return _join(list(_batches(path, strict, report, clock)), NO_QUOTES)
 
 
 def _local_bounds(day: int, zone: ZoneInfo) -> tuple[int, int, int]:
@@ -351,11 +392,11 @@ def _local_bounds(day: int, zone: ZoneInfo) -> tuple[int, int, int]:
                  for t in (datetime.time(0), RTH_OPEN, RTH_CLOSE))
 
 
-def _calendar(ts: np.ndarray, tz: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _calendar(ts: np.ndarray, tz: str) -> tuple[np.ndarray, ...]:
     """The local dates around the timestamps, in days since the epoch,
-    ascending, with their regular trading hours [open, close) in ns, and
-    the row of each timestamp's date: the last date whose local midnight
-    is at or before it.
+    ascending, with their local midnights and regular trading hours
+    [open, close) in ns, and the row of each timestamp's date: the last
+    date whose local midnight is at or before it.
 
     A date's midnight, open and close come from the zone database, so DST
     is handled. A local date lies within a day of the UTC date, so only the
@@ -378,7 +419,20 @@ def _calendar(ts: np.ndarray, tz: str) -> tuple[np.ndarray, np.ndarray, np.ndarr
             open_ = close = _INT64_MAX
         table.append((day, midnight, open_, close))
     days, midnights, opens, closes = np.array(table, dtype=np.int64).reshape(-1, 4).T
-    return days, opens, closes, np.searchsorted(midnights, ts, side="right") - 1
+    return days, midnights, opens, closes, np.searchsorted(midnights, ts, side="right") - 1
+
+
+def _day_of(t: int, tz: str) -> tuple[int, int, int | None]:
+    """The local date of the timestamp `t`, as `_calendar` finds it, with
+    the local midnights that start and end that date; the end is None
+    when it is past the int64 range."""
+    days, midnights, _, _, row = _calendar(np.array([t], np.int64), tz)
+    row = int(row[0])
+    day, start = int(days[row]), int(midnights[row])
+    if row + 1 < len(days):
+        return day, start, int(midnights[row + 1])
+    end = _local_bounds(day + 1, ZoneInfo(tz))[0]  # a zone ahead of UTC
+    return day, start, end if end <= _INT64_MAX else None
 
 
 def filter_eligible(
@@ -388,7 +442,7 @@ def filter_eligible(
     """Keep regular-condition quotes inside regular trading hours, as the
     columns the merge reads; the local dates of all the quotes are added to
     `record_days`."""
-    days, opens, closes, row = _calendar(quotes.ts, tz)
+    days, _, opens, closes, row = _calendar(quotes.ts, tz)
     if record_days is not None:
         record_days.update(days[np.bincount(row, minlength=len(days)) > 0].tolist())
     in_rth = opens[row] <= quotes.ts
@@ -401,7 +455,9 @@ def filter_eligible(
     return Updates(quotes.ts[keep], quotes.venue[keep], quotes.bid[keep], quotes.ask[keep])
 
 
-def consolidate_nbbo(quotes: Updates, report: QualityReport | None = None) -> Nbbo:
+def consolidate_nbbo(
+    quotes: Updates, report: QualityReport | None = None, book: Book | None = None
+) -> Nbbo:
     """Merge the venues' quotes into the consolidated best bid/offer.
 
     Quotes apply in timestamp order, ties in venue-rank order and then in
@@ -410,40 +466,44 @@ def consolidate_nbbo(quotes: Updates, report: QualityReport | None = None) -> Nb
     emitted only when the pair differs from the last uncrossed one, and
     updates that leave the book crossed are withheld. Each chunk of rows is
     gathered through the sort order, so the quotes are not copied whole.
+    `book` starts the merge where an earlier call left it and is advanced
+    in place, so merging a feed in time-ordered pieces emits what merging
+    it whole does.
     """
     report = report if report is not None else QualityReport()
+    book = book if book is not None else Book()
     order = np.lexsort((quotes.venue, quotes.ts))  # stable: ties keep file and record order
-    venues = np.unique(quotes.venue)
-    bids = np.full(len(venues), -np.inf)  # each venue's standing quote
-    asks = np.full(len(venues), np.inf)
-    last = (np.nan, np.nan)  # the last uncrossed book
     parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0))]
     for lo in range(0, len(order), _FILL_ROWS):
         rows = order[lo : lo + _FILL_ROWS]
         venue, bid, ask = quotes.venue[rows], quotes.bid[rows], quotes.ask[rows]
         pos = np.arange(len(venue))
-        best_bid, best_ask = np.full(len(venue), -np.inf), np.full(len(venue), np.inf)
-        for k, v in enumerate(venues):
+        quoting = np.bincount(venue, minlength=len(book.bid)) > 0
+        # venues without a quote in the chunk add their standing quotes
+        best_bid = np.full(len(venue), book.bid[~quoting].max(initial=-np.inf))
+        best_ask = np.full(len(venue), book.ask[~quoting].min(initial=np.inf))
+        for v in np.flatnonzero(quoting).tolist():
             latest = np.maximum.accumulate(np.where(venue == v, pos, -1))
             quoted = latest >= 0
-            venue_bid = np.where(quoted, bid[latest], bids[k])
-            venue_ask = np.where(quoted, ask[latest], asks[k])
+            venue_bid = np.where(quoted, bid[latest], book.bid[v])
+            venue_ask = np.where(quoted, ask[latest], book.ask[v])
             np.maximum(best_bid, venue_bid, out=best_bid)
             np.minimum(best_ask, venue_ask, out=best_ask)
-            bids[k], asks[k] = venue_bid[-1], venue_ask[-1]
+            book.bid[v], book.ask[v] = venue_bid[-1], venue_ask[-1]
         crossed = best_bid > best_ask
         report.n_crossed_dropped += int(crossed.sum())
         report.n_locked_kept += int((best_bid == best_ask).sum())
         uncrossed = np.flatnonzero(~crossed)
         bb, ba = best_bid[uncrossed], best_ask[uncrossed]
+        last = book.last
         changed = (bb != np.r_[last[0], bb[:-1]]) | (ba != np.r_[last[1], ba[:-1]])
         report.n_unchanged_suppressed += int(len(uncrossed) - changed.sum())
         if len(uncrossed):
-            last = (bb[-1], ba[-1])
+            book.last = (bb[-1], ba[-1])
         parts.append((quotes.ts[rows[uncrossed[changed]]], bb[changed], ba[changed]))
     order = rows = None  # not held while the events are joined
     ts, bid, ask = map(np.concatenate, zip(*parts))
-    report.n_emitted = len(ts)
+    report.n_emitted += len(ts)
     return Nbbo(ts, bid, ask, (bid + ask) / 2.0)
 
 
@@ -452,7 +512,7 @@ def build_mid_series(nbbo: Nbbo, tz: str = DEFAULT_TZ) -> MidSeries:
     if not len(nbbo.ts):
         logger.warning("build_mid_series: no events; empty series")
         return MidSeries([], np.empty(0))
-    dates, _, _, row = _calendar(nbbo.ts, tz)
+    dates, *_, row = _calendar(nbbo.ts, tz)
     days = dates[row]
     starts = np.flatnonzero(np.r_[True, days[1:] != days[:-1]])
     ends = np.r_[starts[1:], len(days)] - 1
@@ -460,57 +520,185 @@ def build_mid_series(nbbo: Nbbo, tz: str = DEFAULT_TZ) -> MidSeries:
     return MidSeries(sessions, nbbo.mid)
 
 
-def _series(
-    parts: list[Updates], record_days: set[int], tz: str, report: QualityReport
-) -> MidSeries:
-    """Merge and cut the files' eligible updates, emptying `parts`; dates
-    with records but no session are logged and listed in the report."""
-    series = build_mid_series(consolidate_nbbo(_join(parts, NO_UPDATES), report), tz)
-    for day in sorted(record_days.difference(s.date for s in series.sessions)):
+class _Behind(Exception):
+    """A file gave an eligible quote of a day already merged."""
+
+    def __init__(self, feed: _Feed):
+        self.feed = feed
+
+
+class _Feed:
+    """One quote file read a batch at a time as eligible updates, each
+    held until the day it falls in is merged.
+
+    `horizon()` bounds the timestamps of the records still to be read:
+    no venue seen in the file goes back in time, so they are no earlier
+    than the least of its venues' clocks, or, in a consolidated file,
+    which holds one stream, than its latest record. A venue that first
+    appears in the file after a day it quotes in was merged cannot be
+    foreseen: the update that shows it raises `_Behind`. A file read
+    `whole` is read to its end before the first day is merged.
+    """
+
+    def __init__(self, path, tz: str, strict: bool, report: QualityReport,
+                 record_days: set[int], consolidated: bool, whole: bool):
+        self.path, self.tz, self.strict, self.report = Path(path), tz, strict, report
+        self.record_days, self.consolidated, self.whole = record_days, consolidated, whole
+        self.clock = np.full(len(DEFAULT_VENUES), _INT64_MIN)  # each venue's latest record
+        self.latest = _INT64_MIN  # the latest record of a consolidated file
+        self.batches = _batches(path, strict, report, self.clock)
+        self.held: list[Updates] = []
+        self.done = False  # read to its end
+        self.merged = _INT64_MIN  # the end of the last day merged
+
+    def horizon(self) -> int | None:
+        """No record still to be read is earlier than this; None once the
+        file is read, and the int64 minimum while nothing bounds it."""
+        if self.done:
+            return None
+        if self.consolidated:
+            return self.latest
+        seen = self.clock[self.clock > _INT64_MIN]
+        return _INT64_MIN if self.whole or not len(seen) else int(seen.min())
+
+    def first(self) -> int | None:
+        """The earliest timestamp the file may yet give the merge, read
+        far enough to bound it; None when it has nothing left."""
+        while (bound := self.horizon()) == _INT64_MIN:
+            self._read()
+        times = [int(part.ts.min()) for part in self.held]
+        return min(times + [bound] if bound is not None else times, default=None)
+
+    def read_past(self, end: int | None) -> None:
+        """Read until no record still to be read is earlier than `end`
+        (None: to the end of the file)."""
+        while (bound := self.horizon()) is not None and (end is None or bound < end):
+            self._read()
+
+    def take_before(self, end: int | None) -> list[Updates]:
+        """The held updates earlier than `end` (None: all of them), in
+        record order; the later ones stay held."""
+        early, late = [], []
+        for part in self.held:
+            before = part.ts < end if end is not None else np.ones(len(part.ts), bool)
+            if before.all():
+                early.append(part)
+            elif before.any():
+                early.append(part.take(before))
+                late.append(part.take(~before))
+            else:
+                late.append(part)
+        self.held, self.merged = late, end if end is not None else _INT64_MAX
+        return early
+
+    def _read(self) -> None:
+        quotes = next(self.batches, None)
+        if quotes is None:
+            self.done = True
+            return
+        if self.consolidated:
+            quotes = self._in_global_order(quotes)
+        updates = filter_eligible(quotes, self.tz, self.report, self.record_days)
+        del quotes  # not held beside the updates
+        if len(updates.ts):
+            if updates.ts.min() < self.merged:
+                raise _Behind(self)
+            self.held.append(updates)
+
+    def _in_global_order(self, quotes: Quotes) -> Quotes:
+        """A consolidated file's records are one stream: one earlier than
+        a record before it is out of order. All of them form one venue."""
+        if not len(quotes.ts):
+            return quotes
+        latest = np.maximum(np.maximum.accumulate(quotes.ts), self.latest)
+        self.latest = int(latest[-1])
+        late = quotes.ts < latest
+        if late.any():
+            if self.strict:
+                raise MalformedRecord(int(quotes.line[late.argmax()]), "timestamp_ns",
+                                      "out of order", self.path.name)
+            self.report.n_malformed_skipped += int(late.sum())
+            quotes = quotes.take(~late)
+        return quotes._replace(venue=np.zeros_like(quotes.venue))
+
+    def close(self) -> None:
+        self.batches.close()
+
+
+def _merge_days(feeds: list[_Feed], out: PrmsWriter, tz: str, report: QualityReport) -> None:
+    """Merge the feeds one local date at a time, earliest first, and write
+    each date's session. A date is merged once every file has been read
+    past its end; its updates are joined in file order. Reading on can
+    show a venue first at an earlier date, which is then merged first."""
+    def earliest() -> int | None:
+        return min((t for feed in feeds if (t := feed.first()) is not None), default=None)
+
+    book = Book()
+    while (t := earliest()) is not None:
+        day, start, end = _day_of(t, tz)
+        for feed in feeds:
+            feed.read_past(end)
+        if (t := earliest()) is not None and t < start:
+            continue
+        parts = [part for feed in feeds for part in feed.take_before(end)]
+        out.write(day, consolidate_nbbo(_join(parts, NO_UPDATES), report, book).mid)
+
+
+def _ingest(paths: list, out: str | Path, tz: str, strict: bool,
+            consolidated: bool) -> tuple[PrmsWriter, QualityReport]:
+    """Ingest the files into a PRMS file at `out`, a date at a time. A file
+    found behind a date already written is read again whole, from the
+    start of the ingest."""
+    whole = [False] * len(paths)
+    while True:
+        report, record_days = QualityReport(), set()
+        feeds = [_Feed(path, tz, strict, report, record_days, consolidated, w)
+                 for path, w in zip(paths, whole)]
+        try:
+            with PrmsWriter(out) as written:
+                _merge_days(feeds, written, tz, report)
+            break
+        except _Behind as behind:
+            logger.info("%s: a venue first seen past a date already merged; "
+                        "reading the file whole", behind.feed.path.name)
+            whole[feeds.index(behind.feed)] = True
+        finally:
+            for feed in feeds:
+                feed.close()
+    if not written.sessions:
+        logger.warning("no eligible events; empty series")
+    for day in sorted(record_days.difference(s.date for s in written.sessions)):
         date = EPOCH + datetime.timedelta(days=day)
         report.empty_session_dates.append(date.isoformat())
         logger.warning("no eligible events for %s; session omitted", date)
-    return series
+    return written, report
 
 
 def ingest_files(
     venue_files: dict[str, Path],
+    out: str | Path,
     tz: str = DEFAULT_TZ,
     strict: bool = True,
-) -> tuple[MidSeries, QualityReport]:
-    """Full ingest: parse and filter each venue file, consolidate, build series.
+) -> tuple[PrmsWriter, QualityReport]:
+    """Full ingest: parse and filter each venue file, consolidate, and write
+    the series to a PRMS file at `out`, one local date at a time. Returns
+    the closed writer, whose `sessions` list what was written, and the
+    quality report.
 
     Files are read in key order, so a venue split across files keeps its
-    records' order where their timestamps tie. Each file's records are
-    filtered as soon as it is read, so only eligible quotes are held.
+    records' order where their timestamps tie. Each batch is filtered as
+    soon as it is read, so only eligible quotes are held, and only until
+    their date is merged.
     """
-    report, record_days = QualityReport(), set()
-    parts = [
-        filter_eligible(read_quote_csv(path, strict=strict, report=report),
-                        tz, report, record_days)
-        for _, path in sorted(venue_files.items())
-    ]
-    return _series(parts, record_days, tz, report), report
+    return _ingest([path for _, path in sorted(venue_files.items())], out, tz, strict, False)
 
 
 def ingest_consolidated(
     path: str | Path,
+    out: str | Path,
     tz: str = DEFAULT_TZ,
     strict: bool = True,
-) -> tuple[MidSeries, QualityReport]:
-    """Ingest a pre-consolidated feed: same schema, degenerate merge."""
-    report, record_days = QualityReport(), set()
-    quotes = read_quote_csv(path, strict=strict, report=report)
-    # One logical stream: enforce global time order.
-    late = quotes.ts < np.maximum.accumulate(quotes.ts)
-    if late.any():
-        if strict:
-            raise MalformedRecord(int(quotes.line[late.argmax()]), "timestamp_ns",
-                                  "out of order", Path(path).name)
-        report.n_malformed_skipped += int(late.sum())
-        quotes = quotes.take(~late)
-    # Each record is the whole book, so all of them form one venue.
-    quotes = quotes._replace(venue=np.zeros_like(quotes.venue))
-    parts = [filter_eligible(quotes, tz, report, record_days)]
-    del quotes  # the records are not held through the merge
-    return _series(parts, record_days, tz, report), report
+) -> tuple[PrmsWriter, QualityReport]:
+    """Ingest a pre-consolidated feed, as `ingest_files` does one file: same
+    schema, degenerate merge, with the records held to one time order."""
+    return _ingest([path], out, tz, strict, True)

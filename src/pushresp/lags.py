@@ -144,11 +144,15 @@ def parse_lag_selector(selector: str) -> tuple[int, ...]:
     if selector == "long":
         return DEFAULT_LONG_LAGS
     if selector.startswith("file:"):
-        text = Path(selector[5:]).read_text(encoding="utf-8")
-        values = [int(tok) for tok in text.split()]
-        return validate_lags(values)
-    try:
-        values = [int(tok) for tok in selector.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InvalidGrid(f"cannot parse lag selector '{selector}'") from exc
+        tokens = Path(selector[5:]).read_text(encoding="utf-8").split()
+        where = f"lag file {selector[5:]}"
+    else:
+        tokens = [tok for tok in selector.split(",") if tok.strip()]
+        where = f"lag selector '{selector}'"
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise InvalidGrid(f"cannot parse {where}: {tok!r} is not an integer") from None
     return validate_lags(values)

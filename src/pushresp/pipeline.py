@@ -52,7 +52,6 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 from . import cleaning as cleaning_mod
 from . import decomposition as decomp_mod
 from . import figures as figures_mod
-from . import ingest as ingest_mod
 from . import lags as lags_mod
 from . import surface as surface_mod
 from . import synthetic as synth_mod
@@ -71,10 +70,10 @@ from .series import (
     series_summary,
     sha256_file,
     write_manifest,
-    write_prms,
     write_text,
 )
-from .series import read_prms  # noqa: F401  (perfbench/tracing.py wraps pipeline.read_prms)
+# perfbench/tracing.py wraps pipeline.read_prms and pipeline.write_prms
+from .series import read_prms, write_prms  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +81,7 @@ logger = logging.getLogger(__name__)
 class IngestOptions:
     venues_dir: str | None = None
     consolidated: str | None = None
-    tz: str = ingest_mod.DEFAULT_TZ
+    tz: str = "America/New_York"  # ingest.DEFAULT_TZ, which is imported only to ingest
     strict: bool = True
 
     def __post_init__(self):
@@ -394,17 +393,19 @@ def source_stage(
     def produce(mids):
         if synth is not None:
             return [series_summary(synth_mod.write_series(synth, mids))]  # one session at a time
-        written, report = _ingest(ingest)
-        write_prms(written, mids)
+        written, report = _ingest(ingest, mids)  # one date at a time
         return [{**series_summary(written), "quality": asdict(report)}]
 
     return Stage("source", {}, [out], stage_cfg, produce)
 
 
-def _ingest(opts: IngestOptions):
+def _ingest(opts: IngestOptions, out: Path):
+    # imported here, so a run that ingests nothing does not load the module
+    from . import ingest as ingest_mod
+
     if opts.consolidated:
         return ingest_mod.ingest_consolidated(
-            opts.consolidated, tz=opts.tz, strict=opts.strict
+            opts.consolidated, out, tz=opts.tz, strict=opts.strict
         )
     files: dict[str, Path] = {}
     for p in sorted(Path(opts.venues_dir).glob("*.csv")):
@@ -413,7 +414,7 @@ def _ingest(opts: IngestOptions):
                                          f"{opts.venues_dir} differ only in case; rename one")
     if not files:
         raise StageFailure("source", f"no quote files in {opts.venues_dir}")
-    return ingest_mod.ingest_files(files, tz=opts.tz, strict=opts.strict)
+    return ingest_mod.ingest_files(files, out, tz=opts.tz, strict=opts.strict)
 
 
 def clean_stage(

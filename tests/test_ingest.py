@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pushresp import ingest
 from pushresp.cli import main
 from pushresp.errors import MalformedRecord
+from pushresp.pipeline import IngestOptions
 from pushresp.ingest import (
     DAY_NS,
     DEFAULT_VENUES,
@@ -29,7 +30,7 @@ from pushresp.ingest import (
     ingest_files,
     read_quote_csv,
 )
-from pushresp.series import read_manifest, write_prms
+from pushresp.series import read_manifest, read_prms, write_prms
 
 ET = ZoneInfo("America/New_York")
 UTC = datetime.timezone.utc
@@ -74,6 +75,22 @@ def write_lines(path, lines, header=QUOTE_HEADER):
 
 def write_venue_file(path, rows):
     write_lines(path, [",".join(map(str, row)) for row in rows])
+
+
+def ingest_venues(venue_files, tmp_path, **kwargs):
+    """`ingest_files` into `tmp_path/got.prms`, and the series read back."""
+    written, report = ingest_files(venue_files, tmp_path / "got.prms", **kwargs)
+    series = read_prms(written.path)
+    assert series.sessions == written.sessions and report.n_emitted == len(series)
+    return series, report
+
+
+def ingest_nbbo(path, tmp_path, **kwargs):
+    """`ingest_consolidated` into `tmp_path/got.prms`, and the series read back."""
+    written, report = ingest_consolidated(path, tmp_path / "got.prms", **kwargs)
+    series = read_prms(written.path)
+    assert series.sessions == written.sessions and report.n_emitted == len(series)
+    return series, report
 
 
 class TestParse:
@@ -173,7 +190,7 @@ class TestCalendar:
         times = [t0 + i * (DAY_NS // 500) for i in range(1000)]
         p = write_lines(tmp_path / "nbbo.csv", [
             f"{t},ARCA,{100 + i % 2},100,102,100,R" for i, t in enumerate([1, *times])])
-        series, report = ingest_consolidated(p)
+        series, report = ingest_nbbo(p, tmp_path)
         in_rth = [ns_at(2024, 1, d, 9, 30) <= t < ns_at(2024, 1, d, 16, 0)
                   for t in times for d in (3, 4, 5)]
         assert report.n_dropped_outside_rth == 1 + len(times) - sum(in_rth)
@@ -381,8 +398,8 @@ class TestFiles:
             (t0 + 500, "NASDAQ", 100.01, 100, 100.02, 100, "R"),
             (t0 + 1500, "NASDAQ", 100.01, 100, 100.02, 100, "A"),
         ])
-        series, report = ingest_files(
-            {"NYSE": tmp_path / "nyse.csv", "NASDAQ": tmp_path / "nasdaq.csv"}
+        series, report = ingest_venues(
+            {"NYSE": tmp_path / "nyse.csv", "NASDAQ": tmp_path / "nasdaq.csv"}, tmp_path
         )
         assert len(series) == 2
         assert series.mids[-1] == 100.015
@@ -398,7 +415,7 @@ class TestFiles:
         ])
         write_lines(tmp_path / "arca.csv", [DOCUMENTED, DOCUMENTED.replace("249.90", "\udcff")])
         with pytest.raises(MalformedRecord) as err:
-            ingest_files({"ARCA": tmp_path / "arca.csv", "NYSE": tmp_path / "nyse.csv"})
+            ingest_venues({"ARCA": tmp_path / "arca.csv", "NYSE": tmp_path / "nyse.csv"}, tmp_path)
         assert (err.value.line_no, err.value.field) == (3, "record")
         assert str(err.value).startswith("arca.csv: line 3: bad field 'record' (not UTF-8 text: ")
 
@@ -413,9 +430,9 @@ class TestFiles:
         write_venue_file(tmp_path / "all.csv", rows)
         write_venue_file(tmp_path / "p1.csv", rows[:23])
         write_venue_file(tmp_path / "p2.csv", rows[23:])
-        whole, _ = ingest_files({"ARCA": tmp_path / "all.csv"})
-        split, _ = ingest_files(
-            {"ARCA-1": tmp_path / "p1.csv", "ARCA-2": tmp_path / "p2.csv"}
+        whole, _ = ingest_venues({"ARCA": tmp_path / "all.csv"}, tmp_path)
+        split, _ = ingest_venues(
+            {"ARCA-1": tmp_path / "p1.csv", "ARCA-2": tmp_path / "p2.csv"}, tmp_path
         )
         assert whole == split
 
@@ -426,7 +443,7 @@ class TestFiles:
             (ns_at(2019, 1, 3, 9, 0), "ARCA", 100.0, 100, 100.02, 100, "R"),
         ])
         with caplog.at_level("WARNING"):
-            series, report = ingest_files({"ARCA": tmp_path / "arca.csv"})
+            series, report = ingest_venues({"ARCA": tmp_path / "arca.csv"}, tmp_path)
         assert len(series.sessions) == 1
         assert report.empty_session_dates == ["2019-01-03"]
         assert any("2019-01-03" in r.message for r in caplog.records)
@@ -438,7 +455,7 @@ class TestFiles:
             for i in range(5)
         ]
         write_venue_file(tmp_path / "nbbo.csv", rows)
-        series, report = ingest_consolidated(tmp_path / "nbbo.csv")
+        series, report = ingest_nbbo(tmp_path / "nbbo.csv", tmp_path)
         assert len(series) == 5
         assert report.n_emitted == 5
 
@@ -453,9 +470,9 @@ class TestFiles:
             f"{t0},ARCA,100.00,100,100.02,100,R",
         ])
         with pytest.raises(MalformedRecord) as err:
-            ingest_consolidated(p)
+            ingest_nbbo(p, tmp_path)
         assert (err.value.line_no, err.value.field) == (6, "timestamp_ns")
-        _, report = ingest_consolidated(p, strict=False)
+        _, report = ingest_nbbo(p, tmp_path, strict=False)
         assert (report.n_records, report.n_malformed_skipped) == (3, 1)
 
 
@@ -564,10 +581,12 @@ def chunked(batch_chars, fill_rows):
 
 
 def assert_same_ingest(got, want, tmp_path):
+    """The series and report of `ingest_venues` or `ingest_nbbo` are the
+    oracle's, and the PRMS file the ingest wrote holds the oracle series'
+    bytes."""
     (series, report), (want_series, want_report) = got, want
     assert series == want_series
     assert dataclasses.asdict(report) == dataclasses.asdict(want_report)
-    write_prms(series, tmp_path / "got.prms")
     write_prms(want_series, tmp_path / "want.prms")
     assert (tmp_path / "got.prms").read_bytes() == (tmp_path / "want.prms").read_bytes()
 
@@ -590,12 +609,12 @@ class TestOracle:
         if consolidated:
             want = ingest_oracle.ingest_consolidated(files[0], strict=False)
             with chunked(batch_chars, fill_rows):
-                got = ingest_consolidated(files[0], strict=False)
+                got = ingest_nbbo(files[0], tmp_path, strict=False)
         else:
             venue_files = {"B": files[0], "A": files[1]}
             want = ingest_oracle.ingest_files(venue_files, strict=False)
             with chunked(batch_chars, fill_rows):
-                got = ingest_files(venue_files, strict=False)
+                got = ingest_venues(venue_files, tmp_path, strict=False)
         assert_same_ingest(got, want, tmp_path)
 
     @pytest.mark.parametrize("bad", [*MALFORMED, "header", "out of order"])
@@ -612,7 +631,8 @@ class TestOracle:
         lines.append(render(t0 + 9, "NYSE", 10000, 1, "R", "venue"))  # a later fault
         header = "ts,venue" if bad == "header" else QUOTE_HEADER
         p = write_lines(tmp_path / "feed.csv", lines, header=header)
-        ours = ingest_consolidated if consolidated else (lambda p: ingest_files({"X": p}))
+        ours = (lambda p: ingest_nbbo(p, tmp_path)) if consolidated else (
+            lambda p: ingest_venues({"X": p}, tmp_path))
         theirs = ingest_oracle.ingest_consolidated if consolidated else (
             lambda p: ingest_oracle.ingest_files({"X": p}))
         with pytest.raises(MalformedRecord) as got:
@@ -644,7 +664,7 @@ class TestMergeOrder:
         ])
         venue_files = {"B": tmp_path / "b.csv", "A": tmp_path / "a.csv"}
         with chunked(batch_chars, fill_rows):
-            got = ingest_files(venue_files)
+            got = ingest_venues(venue_files, tmp_path)
         assert_same_ingest(got, ingest_oracle.ingest_files(venue_files), tmp_path)
         # a's then b's NYSE at t0 (b's NASDAQ leaves the book as it is), b's
         # at t0 + 1, then a's and b's at t0 + 2
@@ -662,7 +682,7 @@ class TestMergeOrder:
                  for i in range(6)]
         write_venue_file(tmp_path / "feed.csv", rows)
         with chunked(batch_chars, fill_rows):
-            got = ingest_files({"X": tmp_path / "feed.csv"})
+            got = ingest_venues({"X": tmp_path / "feed.csv"}, tmp_path)
         assert_same_ingest(got, ingest_oracle.ingest_files({"X": tmp_path / "feed.csv"}), tmp_path)
         assert got[1].n_malformed_skipped == 0
         # at each tie NYSE applies before NASDAQ, which it outranks
@@ -670,15 +690,254 @@ class TestMergeOrder:
             [100.02, 100.015, 100.02, 100.03, 100.025, 100.03, 100.025, 100.02])
 
 
+CHUNKS = [(1, 1), (200, 7), (1 << 20, 1 << 16)]
+
+
+def venue_row(ts, venue, bid, ask, cond="R"):
+    return ts, venue, bid, 100, ask, 100, cond
+
+
+class TestDays:
+    """The feed is merged one local date at a time, each venue's standing
+    quote and the last uncrossed book carried from date to date; every
+    case reads as the scalar oracle reads the whole feed."""
+
+    @staticmethod
+    def same_as_oracle(tmp_path, files, strict=True, consolidated=False, chunks=CHUNKS,
+                       tz=ingest.DEFAULT_TZ):
+        """Write `files` (name -> rows) and ingest them under each of `chunks`;
+        returns the last result, checked against the oracle's."""
+        paths = {name.upper(): tmp_path / f"{name}.csv" for name in files}
+        for name, rows in files.items():
+            write_venue_file(paths[name.upper()], rows)
+        if consolidated:
+            [path] = paths.values()
+            want = ingest_oracle.ingest_consolidated(path, tz=tz, strict=strict)
+        else:
+            want = ingest_oracle.ingest_files(paths, tz=tz, strict=strict)
+        for batch_chars, fill_rows in chunks:
+            with chunked(batch_chars, fill_rows):
+                got = (ingest_nbbo(path, tmp_path, tz=tz, strict=strict) if consolidated
+                       else ingest_venues(paths, tmp_path, tz=tz, strict=strict))
+            assert_same_ingest(got, want, tmp_path)
+        return got
+
+    def test_standing_quote_carried_overnight(self, tmp_path):
+        # NYSE quotes only on the first day; its quote still sets the bid
+        series, _ = self.same_as_oracle(tmp_path, {
+            "nyse": [venue_row(ns_at(2019, 1, 2, 10, 0), "NYSE", 100.00, 100.05)],
+            "nasdaq": [venue_row(ns_at(2019, 1, 2, 10, 1), "NASDAQ", 99.99, 100.04),
+                       venue_row(ns_at(2019, 1, 3, 10, 0), "NASDAQ", 99.98, 100.03)],
+        })
+        assert [len(s) for s in series.sessions] == [2, 1]
+        assert series.mids[-1] == pytest.approx((100.00 + 100.03) / 2)
+
+    def test_first_event_of_a_day_equal_to_the_last_book_is_suppressed(self, tmp_path):
+        series, report = self.same_as_oracle(tmp_path, {"arca": [
+            venue_row(ns_at(2019, 1, 2, 10, 0), "ARCA", 100.00, 100.02),
+            venue_row(ns_at(2019, 1, 3, 10, 0), "ARCA", 100.00, 100.02),
+            venue_row(ns_at(2019, 1, 3, 10, 1), "ARCA", 100.01, 100.03),
+        ]})
+        assert [len(s) for s in series.sessions] == [1, 1]
+        assert report.n_unchanged_suppressed == 1
+
+    def test_book_left_crossed_at_the_end_of_a_day(self, tmp_path):
+        # NASDAQ's last quote of the day crosses NYSE's; the next day's NYSE
+        # quote uncrosses the book
+        series, report = self.same_as_oracle(tmp_path, {
+            "nyse": [venue_row(ns_at(2019, 1, 2, 10, 0), "NYSE", 100.00, 100.02),
+                     venue_row(ns_at(2019, 1, 3, 10, 0), "NYSE", 100.04, 100.06)],
+            "nasdaq": [venue_row(ns_at(2019, 1, 2, 15, 59), "NASDAQ", 100.05, 100.07)],
+        })
+        assert report.n_crossed_dropped == 1
+        assert series.mids.tolist() == pytest.approx([100.01, 100.055])
+
+    def test_multi_venue_file_whose_venues_pass_midnight_apart(self, tmp_path, caplog):
+        # NYSE's first record of the 3rd comes before NASDAQ's last of the 2nd
+        rows = [
+            venue_row(ns_at(2019, 1, 2, 10, 0), "NYSE", 100.00, 100.04),
+            venue_row(ns_at(2019, 1, 2, 10, 1), "NASDAQ", 99.99, 100.03),
+            venue_row(ns_at(2019, 1, 3, 9, 31), "NYSE", 100.01, 100.04),
+            venue_row(ns_at(2019, 1, 2, 15, 0), "NASDAQ", 100.00, 100.02),
+            venue_row(ns_at(2019, 1, 3, 9, 30), "NASDAQ", 100.02, 100.05),
+            venue_row(ns_at(2019, 1, 3, 9, 32), "NYSE", 100.03, 100.05),
+        ]
+        with caplog.at_level("INFO", logger="pushresp.ingest"):
+            series, report = self.same_as_oracle(tmp_path, {"feed": rows})
+        assert report.n_malformed_skipped == 0 and len(series.sessions) == 2
+        assert not any("whole" in r.getMessage() for r in caplog.records)
+
+    def test_venue_first_seen_past_a_merged_day_rereads_the_file(self, tmp_path, caplog):
+        # a file sorted by venue: NYSE's two days, then NASDAQ's; NASDAQ's
+        # first quote falls on a day already merged, so the file is read
+        # again and held whole
+        rows = [venue_row(ns_at(2019, 1, d, 10, 0), "NYSE", 100.00, 100.06 - 0.01 * d)
+                for d in (2, 3)]
+        rows += [venue_row(ns_at(2019, 1, d, 11, 0), "NASDAQ", 99.99 + 0.01 * d, 100.05)
+                 for d in (2, 3)]
+        with caplog.at_level("INFO", logger="pushresp.ingest"):
+            series, _ = self.same_as_oracle(tmp_path, {"feed": rows}, chunks=[(1, 1)])
+        assert [len(s) for s in series.sessions] == [2, 2]
+        assert [r.getMessage() for r in caplog.records if "whole" in r.getMessage()] == [
+            "feed.csv: a venue first seen past a date already merged; reading the file whole"]
+
+    def test_venue_first_seen_at_a_date_before_its_file_is_at(self, tmp_path):
+        # b.csv's NYSE sets it at November when a.csv's March date is merged;
+        # its NASDAQ then shows a March date, which is merged before November
+        series, _ = self.same_as_oracle(tmp_path, {
+            "a": [venue_row(local_ns(DAYS[0], NOON), "NYSE", 99.98, 99.99)],
+            "b": [venue_row(local_ns(DAYS[2], NOON), "NYSE", 100.00, 100.02),
+                  venue_row(local_ns(DAYS[1], NOON), "NASDAQ", 99.99, 100.01)],
+        })
+        assert [s.calendar_date for s in series.sessions] == list(DAYS[:3])
+
+    @pytest.mark.parametrize("consolidated", [False, True])
+    def test_days_either_side_of_the_dst_switches(self, tmp_path, consolidated):
+        # Friday and Monday around each 2024 switch, with records at the
+        # RTH edges and either side of local midnight
+        times = [datetime.time(0, 30), datetime.time(9, 30), datetime.time(12, 0),
+                 datetime.time(15, 59, 59), datetime.time(23, 30)]
+        rows = [venue_row(local_ns(day, t), venue, (9999 + i % 3) / 100, 100.02)
+                for day in DAYS for i, t in enumerate(times)
+                for venue in (("ARCA",) if consolidated else ("ARCA", "NYSE"))]
+        files = {"nbbo": rows} if consolidated else {
+            v.lower(): [r for r in rows if r[1] == v] for v in ("ARCA", "NYSE")}
+        series, report = self.same_as_oracle(tmp_path, files, consolidated=consolidated)
+        assert [s.calendar_date for s in series.sessions] == list(DAYS)
+        assert report.empty_session_dates == []
+
+    def test_zone_ahead_of_utc(self, tmp_path):
+        # in Tokyo a record at 00:30 local falls on the UTC date before
+        tokyo = ZoneInfo("Asia/Tokyo")
+        series, _ = self.same_as_oracle(tmp_path, {"arca": [
+            venue_row(ns_at(2019, 1, d, hh, 30, tz=tokyo), "ARCA", 100.00 + 0.01 * hh, 100.20)
+            for d in (2, 3) for hh in (0, 10, 11)
+        ]}, tz="Asia/Tokyo")
+        assert [s.calendar_date for s in series.sessions] == [
+            datetime.date(2019, 1, 2), datetime.date(2019, 1, 3)]
+
+    def test_lenient_out_of_order_record_at_a_day_boundary(self, tmp_path):
+        # ARCA's 15:30 record of the 2nd comes after its first of the 3rd
+        _, report = self.same_as_oracle(tmp_path, {"arca": [
+            venue_row(ns_at(2019, 1, 2, 15, 0), "ARCA", 100.00, 100.02),
+            venue_row(ns_at(2019, 1, 3, 10, 0), "ARCA", 100.01, 100.03),
+            venue_row(ns_at(2019, 1, 2, 15, 30), "ARCA", 100.02, 100.04),
+            venue_row(ns_at(2019, 1, 3, 10, 1), "ARCA", 100.03, 100.05),
+        ]}, strict=False)
+        assert report.n_malformed_skipped == 1
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_consolidated_late_record_just_after_midnight(self, tmp_path, strict):
+        rows = [
+            venue_row(ns_at(2019, 1, 2, 15, 0), "ARCA", 100.00, 100.02),
+            venue_row(ns_at(2019, 1, 3, 0, 0, 1), "NYSE", 100.00, 100.02),
+            venue_row(ns_at(2019, 1, 2, 23, 59, 59), "ARCA", 100.01, 100.03),  # late
+            venue_row(ns_at(2019, 1, 3, 10, 0), "ARCA", 100.02, 100.04),
+        ]
+        if strict:
+            write_venue_file(tmp_path / "nbbo.csv", rows)
+            with pytest.raises(MalformedRecord) as got:
+                ingest_nbbo(tmp_path / "nbbo.csv", tmp_path)
+            with pytest.raises(MalformedRecord) as want:
+                ingest_oracle.ingest_consolidated(tmp_path / "nbbo.csv")
+            assert (got.value.line_no, got.value.field) == (want.value.line_no, "timestamp_ns")
+            assert str(got.value).startswith("nbbo.csv: line 4:")
+        else:
+            _, report = self.same_as_oracle(tmp_path, {"nbbo": rows}, strict=False,
+                                            consolidated=True)
+            assert report.n_malformed_skipped == 1
+
+    def test_day_with_records_but_no_eligible_event(self, tmp_path):
+        series, report = self.same_as_oracle(tmp_path, {"arca": [
+            venue_row(ns_at(2019, 1, 2, 10, 0), "ARCA", 100.00, 100.02),
+            venue_row(ns_at(2019, 1, 3, 8, 0), "ARCA", 100.01, 100.03),
+            venue_row(ns_at(2019, 1, 3, 11, 0), "ARCA", 100.01, 100.03, cond="A"),
+            venue_row(ns_at(2019, 1, 3, 17, 0), "ARCA", 100.01, 100.03),
+            venue_row(ns_at(2019, 1, 4, 10, 0), "ARCA", 100.02, 100.04),
+        ]})
+        assert [s.calendar_date for s in series.sessions] == [
+            datetime.date(2019, 1, 2), datetime.date(2019, 1, 4)]
+        assert report.empty_session_dates == ["2019-01-03"]
+
+    @pytest.mark.parametrize("batch_chars, reported", [(1, "b.csv: line 2:"),
+                                                       (1 << 20, "a.csv: line 4:")])
+    def test_strict_reports_the_first_malformed_record_read(
+        self, tmp_path, batch_chars, reported
+    ):
+        # a.csv is bad on its third day, b.csv on its first. Batch by batch,
+        # each file's first batch is read in key order, then each day's in
+        # key order: in one-line batches b.csv's fault is met first, while
+        # a whole-file batch of a.csv meets a.csv's first.
+        days = (2, 3, 4)
+        a = [f"{ns_at(2019, 1, d, 10, 0)},NYSE,100.00,100,100.02,100,R" for d in days]
+        b = [f"{ns_at(2019, 1, d, 10, 0)},NASDAQ,100.00,100,100.02,100,R" for d in days]
+        a[2] = a[2].replace("100.00", "abc")
+        b[0] = b[0].replace("100.00", "abc")
+        files = {"A": write_lines(tmp_path / "a.csv", a), "B": write_lines(tmp_path / "b.csv", b)}
+        with chunked(batch_chars, 1 << 16), pytest.raises(MalformedRecord) as err:
+            ingest_venues(files, tmp_path)
+        assert str(err.value).startswith(reported)
+        assert err.value.field == "bid_price/ask_price"
+
+
+def test_config_tz_default_is_ingests():
+    # pipeline states the default itself, so that it imports ingest only to ingest
+    assert IngestOptions(venues_dir="quotes").tz == ingest.DEFAULT_TZ
+
+
+def write_days(directory, n_days, quotes_per_venue, seed=5) -> dict:
+    """A four-venue feed of `n_days` consecutive dates from 2024-01-02, each
+    venue quoting `quotes_per_venue` times a day inside regular hours; the
+    venue files by key."""
+    rng = np.random.default_rng(seed)
+    directory.mkdir()
+    files = {}
+    for venue in ("NYSE", "NASDAQ", "ARCA", "BZX"):
+        lines = []
+        for d in range(n_days):
+            t0 = ns_at(2024, 1, 2, 9, 30) + d * DAY_NS
+            ts = t0 + np.sort(rng.integers(0, 6 * 3600 * 10**9, quotes_per_venue))
+            bid = 10_000 + rng.integers(0, 4, quotes_per_venue)
+            ask = bid + rng.integers(1, 4, quotes_per_venue)
+            lines += [f"{t},{venue},{b / 100:.2f},100,{a / 100:.2f},100,R"
+                      for t, b, a in zip(ts.tolist(), bid.tolist(), ask.tolist())]
+        files[venue] = write_lines(directory / f"{venue}.csv", lines)
+    return files
+
+
+def test_ingest_peak_is_set_by_a_day_not_the_feed(tmp_path):
+    """Traced peak of `ingest_files` on a 30-day feed within 1.2x of that on
+    a 3-day feed with the same quotes per day: each date is merged and
+    written before the next is read past, so what is held grows with the
+    largest day, not with the number of days. Holding the feed would make
+    the 30-day peak about ten times the 3-day one."""
+    peaks = {}
+    for n_days in (3, 30):
+        files = write_days(tmp_path / f"days{n_days}", n_days, 1_500)
+        out = tmp_path / f"days{n_days}.prms"
+        with chunked(1 << 12, 1 << 10):
+            ingest_files({"NYSE": files["NYSE"]}, out)  # loads what numpy and zoneinfo keep
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                written, report = ingest_files(files, out)
+                peaks[n_days] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert len(written.sessions) == n_days and report.n_records == n_days * 6_000
+    assert peaks[30] < 1.2 * peaks[3]
+
+
 def test_ingest_holds_each_quote_once(tmp_path):
     """Traced peak of `ingest_files` per quote on a four-venue feed, with
     parse batches and merge chunks made small so that what is held per
-    quote shows. Held per quote are the merge's four columns (26 B), its
-    sort order (8 B) until the events are joined, and the events emitted
-    (about a fifth of the quotes here, 24 B each, twice while they are
-    joined, and 8 B of mid): about 44 B. A sorted copy of the merge
-    columns would add 26 B, and keeping all records' six columns through
-    the merge 35 B."""
+    quote shows. The feed is one date, so every quote is held at once.
+    Held per quote are the merge's four columns (26 B), kept per parse
+    batch until the date is merged and then joined, its sort order (8 B)
+    until the events are joined, and the events emitted (about a fifth
+    of the quotes here, 24 B each, twice while they are joined, and 8 B
+    of mid): about 42 B. A sorted copy of the merge columns would add
+    26 B, and keeping all records' six columns through the merge 35 B."""
     t0 = ns_at(2019, 1, 2, 9, 30)
     rng = np.random.default_rng(5)
     venue_files = {}
@@ -691,12 +950,13 @@ def test_ingest_holds_each_quote_once(tmp_path):
             f"{t},{venue},{b / 100:.2f},100,{a / 100:.2f},100,R"
             for t, b, a in zip(ts.tolist(), bid.tolist(), ask.tolist())
         ])
+    out = tmp_path / "mids.prms"
     with chunked(1 << 12, 1 << 10):
-        ingest_files({"NYSE": venue_files["NYSE"]})  # loads what numpy and zoneinfo keep
+        ingest_files({"NYSE": venue_files["NYSE"]}, out)  # loads what numpy and zoneinfo keep
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            _, report = ingest_files(venue_files)
+            _, report = ingest_files(venue_files, out)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -732,7 +992,7 @@ class TestConverters:
     ):
         p = write_lines(tmp_path / "feed.csv", canonical_lines(300))
         with chunked(batch_chars, 1 << 16), caplog.at_level("INFO", logger="pushresp.ingest"):
-            got = ingest_files({"X": p})
+            got = ingest_venues({"X": p}, tmp_path)
         assert_same_ingest(got, ingest_oracle.ingest_files({"X": p}), tmp_path)
         assert batch_tally(caplog) == (n_batches, n_batches)
 
@@ -752,7 +1012,7 @@ class TestConverters:
             ingest_oracle.ingest_files({"X": p})
         assert (got.value.line_no, got.value.field) == (want.value.line_no, want.value.field)
         assert got.value.line_no == 22
-        assert_same_ingest(ingest_files({"X": p}, strict=False),
+        assert_same_ingest(ingest_venues({"X": p}, tmp_path, strict=False),
                            ingest_oracle.ingest_files({"X": p}, strict=False), tmp_path)
 
     def test_unusual_spelling_sends_only_its_batch_to_the_builtins(self, tmp_path, caplog):
@@ -760,7 +1020,7 @@ class TestConverters:
         lines[20] = render(ns_at(2019, 1, 2, 10, 0) + 20_000, "NASDAQ", 10000, 1, "R", "size plus")
         p = write_lines(tmp_path / "feed.csv", lines)
         with chunked(200, 1 << 16), caplog.at_level("INFO", logger="pushresp.ingest"):
-            got = ingest_files({"X": p})
+            got = ingest_venues({"X": p}, tmp_path)
         assert_same_ingest(got, ingest_oracle.ingest_files({"X": p}), tmp_path)
         n_c, n_batches = batch_tally(caplog)
         assert n_c == n_batches - 1 > 0

@@ -527,6 +527,28 @@ class TestCliExitCodes:
         assert "absent.txt" in capsys.readouterr().err
         assert files(tmp_path) == before
 
+    def test_bad_lag_file_token_exit_1(self, tmp_path, capsys):
+        # one `error:` line naming the token, not a traceback
+        mids, lags = tmp_path / "mids.prms", tmp_path / "lags.txt"
+        lags.write_text("1 x 5\n")
+        assert main(["synth", "--kind", "null_walk", "--n", "2000", "--out", str(mids)]) == 0
+        capsys.readouterr()
+        before = files(tmp_path)
+        assert main(["surface", "--in", str(mids), "--lags", f"file:{lags}",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'x'" in err
+        assert files(tmp_path) == before
+
+    def test_bad_lag_file_token_in_pipeline_exit_1(self, tmp_path, capsys):
+        lags = tmp_path / "lags.txt"
+        lags.write_text("1\n10 2.5\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base_config(tmp_path / "wd"), "lags": f"file:{lags}"}))
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'2.5'" in err
+
     def test_missing_consolidated_file_exit_3(self, tmp_path, capsys):
         # like any other missing input, not a stage failure
         absent = tmp_path / "absent.csv"
