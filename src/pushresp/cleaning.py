@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .accum import cumsum_in_place
-from .errors import EmptyInput
+from .errors import EmptyInput, ValidationFailed
 from .series import MidSeries, PrmsReader, PrmsWriter, Session
 
 logger = logging.getLogger(__name__)
@@ -49,12 +49,15 @@ class CleaningConfig:
     jump_threshold: float = 1.50
 
     def __post_init__(self):
+        problems = []
         if not (0.0 < self.lower_q < self.upper_q < 1.0):
-            raise ValueError(
+            problems.append(
                 f"need 0 < lower_q < upper_q < 1, got {self.lower_q}, {self.upper_q}"
             )
         if self.jump_threshold <= 0:
-            raise ValueError(f"jump threshold must be > 0, got {self.jump_threshold}")
+            problems.append(f"jump threshold must be > 0, got {self.jump_threshold}")
+        if problems:
+            raise ValidationFailed(problems)
 
 
 @dataclass

@@ -56,14 +56,6 @@ def _run(stage) -> None:
     click.echo(f"wrote {', '.join(status.outputs)}")
 
 
-def _checked(make):
-    """Build a config object whose constructor raises ValueError on bad input."""
-    try:
-        return make()
-    except ValueError as exc:
-        raise ValidationFailed([str(exc)]) from exc
-
-
 @cli.command()
 @click.option("--venues", "venues_dir", type=click.Path(), default=None,
               help="Directory of per-venue quote CSV files.")
@@ -90,8 +82,7 @@ def ingest(venues_dir, consolidated, tz, strict, out):
               help="Cleaning report path (default: <out> with .report.json).")
 def clean(input_path, lower_q, upper_q, jump, out, report_path):
     """Winsorize increments, then drop intraday jumps."""
-    cfg = _checked(lambda: cleaning_mod.CleaningConfig(
-        lower_q=lower_q, upper_q=upper_q, jump_threshold=jump))
+    cfg = cleaning_mod.CleaningConfig(lower_q=lower_q, upper_q=upper_q, jump_threshold=jump)
     report = report_path or str(Path(out).with_suffix("")) + ".report.json"
     _run(clean_stage(Path(input_path), Path(out), Path(report), cfg))
 
@@ -142,7 +133,7 @@ def decompose(surface_path, n_replicates, seed, out_heatmap, out_summary):
     The bands resample anchor blocks from the block artifact that
     `pushresp surface` writes beside the surface CSV (`<stem>.blocks`).
     """
-    boot = _checked(lambda: decomp_mod.BootstrapConfig(n_replicates=n_replicates, seed=seed))
+    boot = decomp_mod.BootstrapConfig(n_replicates=n_replicates, seed=seed)
     _run(decompose_stage(Path(surface_path), Path(out_heatmap), Path(out_summary), boot))
 
 

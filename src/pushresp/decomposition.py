@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .cleaning import empirical_quantile
-from .errors import InvalidGrid
+from .errors import InvalidGrid, ValidationFailed
 from .series import read_table, write_csv
 from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
@@ -46,8 +46,13 @@ class BootstrapConfig:
     seed: int = 42
 
     def __post_init__(self):
+        problems = []
         if self.n_replicates < 1:
-            raise ValueError(f"need at least 1 replicate, got {self.n_replicates}")
+            problems.append(f"need at least 1 replicate, got {self.n_replicates}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
+        if problems:
+            raise ValidationFailed(problems)
 
 
 @dataclass(frozen=True, eq=False)

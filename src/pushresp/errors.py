@@ -94,7 +94,7 @@ class MissingMoments(PushRespError):
         super().__init__(f"no moments available for lag {lag}")
 
 
-class InvalidSpec(PushRespError):
+class InvalidSpec(ValidationFailed):
     """A synthetic-series spec violates its invariants."""
 
 

@@ -35,15 +35,6 @@ MARGIN_B = 50
 # Cells colored, formatted and written at a time by the cell figures.
 _CELL_BATCH = 1024
 
-FIGURE_KINDS = (
-    "surface_top",
-    "surface_side",
-    "dominance_heatmap",
-    "magnitude_curve",
-    "rho_curve",
-)
-
-
 @dataclass(frozen=True)
 class FigureSpec:
     kind: str
@@ -54,10 +45,13 @@ class FigureSpec:
     vmax: float = 0.5  # color scale bound for surface views
 
     def __post_init__(self):
-        if self.kind not in FIGURE_KINDS:
-            raise InvalidGrid(f"unknown figure kind '{self.kind}'")
+        problems = []
+        if self.kind not in _RENDERERS:
+            problems.append(f"unknown figure kind '{self.kind}'")
         if self.vmax <= 0:
-            raise InvalidGrid(f"vmax must be > 0, got {self.vmax}")
+            problems.append(f"vmax must be > 0, got {self.vmax}")
+        if problems:
+            raise InvalidGrid(problems)
 
 
 def _fmt(x: float) -> str:
@@ -297,6 +291,7 @@ _RENDERERS = {
     "magnitude_curve": (render_magnitude_curve, "summary"),
     "rho_curve": (render_rho_curve, "summary"),
 }
+FIGURE_KINDS = tuple(_RENDERERS)
 
 
 def render_figure(spec: FigureSpec) -> Path:

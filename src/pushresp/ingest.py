@@ -40,7 +40,6 @@ import datetime
 import logging
 import re
 import string
-import warnings
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from pathlib import Path
@@ -50,7 +49,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .errors import MalformedRecord
-from .series import MidSeries, PrmsWriter, Session
+from .series import MidSeries, PrmsWriter, Session, read_c_table
 
 logger = logging.getLogger(__name__)
 
@@ -230,29 +229,17 @@ def plainly_spelt(data: bytes, spelt: bytes) -> bool:
     return not (data.translate(None, spelt) or data.startswith(b"\n") or b"\n\n" in data)
 
 
-def c_columns(lines: list[str], dtype) -> np.ndarray | None:
-    """A quote batch's comma-separated `lines` as a structured array of
-    `dtype`, parsed by numpy's C text reader; None where it rejects a field
-    or warns about one, so the batch goes to `_str_fields`, which names the
-    field. The caller has held the lines to `plainly_spelt`. The C reader
-    takes short lines faster from str than from bytes."""
-    with warnings.catch_warnings():
-        # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                              ndmin=1, dtype=dtype, encoding="ascii")
-        except (ValueError, Warning):
-            return None
-
-
 def _c_fields(lines: list[str]) -> _Fields | None:
     """The batch parsed by numpy's C text reader, or None where the batch
-    is not plainly spelt and must go to `_str_fields`."""
+    is not plainly spelt, or the reader rejects a field or warns about one,
+    so the batch must go to `_str_fields`, which names the field. The C
+    reader takes short lines faster from str than from bytes."""
     # an undecodable byte goes back to itself, outside `_C_BYTES`
-    plain = plainly_spelt("".join(lines).encode(errors="surrogateescape"), _C_BYTES)
-    table = c_columns(lines, _C_DTYPE) if plain else None
-    if table is None:
+    if not plainly_spelt("".join(lines).encode(errors="surrogateescape"), _C_BYTES):
+        return None
+    try:
+        table = read_c_table(lines, _C_DTYPE)
+    except (ValueError, Warning):
         return None
     n = len(table)
     venue = np.full(n, -1, np.int16)

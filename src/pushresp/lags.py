@@ -23,11 +23,11 @@ DEFAULT_LONG_LAGS = tuple(range(1000, 500001, 1000))
 
 
 def validate_lags(lags) -> tuple[int, ...]:
-    lags = tuple(int(x) for x in lags)
+    lags = tuple(lags)
     if not lags:
         raise InvalidGrid("lag family is empty")
-    if any(x < 1 for x in lags):
-        raise InvalidGrid(f"lags must be >= 1, got {min(lags)}")
+    if wrong := [x for x in lags if type(x) is not int or x < 1]:
+        raise InvalidGrid(f"lags must be integers >= 1, got {wrong[0]!r}")
     if any(b <= a for a, b in zip(lags, lags[1:])):
         raise InvalidGrid("lags must be strictly increasing")
     return lags

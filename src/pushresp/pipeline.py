@@ -1,9 +1,7 @@
 """End-to-end orchestration: source -> clean -> surface -> decompose -> render.
 
 Each stage is one function here that takes explicit input paths, output
-paths and its section of the config, and returns a `Stage`: its name,
-the artifacts it reads, the artifacts it writes, the config that is
-hashed, and a producer that writes to the paths it is handed.
+paths and its section of the config, and returns a `Stage`.
 `run_pipeline` and the CLI subcommands run the same stage functions
 through `run_stage`, so a standalone artifact carries the same manifest
 as the pipeline's.
@@ -32,8 +30,7 @@ once.
 No key holds a path: artifacts have fixed names in the workdir, inputs
 are keyed by their manifests, and a render hashes only its figure's kind
 and scale, so a workdir that is moved or copied resumes where it was.
-The thread count is excluded from stage keys because it never changes
-results.
+The thread count, which never changes results, is in no key.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import resource
 import time
@@ -85,15 +83,16 @@ class IngestOptions:
     strict: bool = True
 
     def __post_init__(self):
+        problems = []
         if bool(self.venues_dir) == bool(self.consolidated):
-            raise ValidationFailed(
-                "ingest needs exactly one of venues_dir (--venues) "
-                "or consolidated (--consolidated)"
-            )
+            problems.append("ingest needs exactly one of venues_dir (--venues) "
+                            "or consolidated (--consolidated)")
         try:
             ZoneInfo(self.tz)
-        except (ZoneInfoNotFoundError, ValueError, TypeError):
-            raise ValidationFailed(f"tz: unknown time zone {self.tz!r}") from None
+        except (ZoneInfoNotFoundError, ValueError):
+            problems.append(f"tz: unknown time zone {self.tz!r}")
+        if problems:
+            raise ValidationFailed(problems)
 
 
 @dataclass
@@ -111,15 +110,9 @@ class PipelineConfig:
     threads: int = 1
 
     # The artifacts' names in the workdir (the block tables sit beside the surface).
-    DEFAULT_PATHS = {
-        "mids": "mids.prms",
-        "clean": "clean.prms",
-        "clean_report": "clean.json",
-        "moments": "moments.csv",
-        "surface": "surface.csv",
-        "heatmap": "heat.csv",
-        "summary": "lags.csv",
-    }
+    DEFAULT_PATHS = {"mids": "mids.prms", "clean": "clean.prms", "clean_report": "clean.json",
+                     "moments": "moments.csv", "surface": "surface.csv",
+                     "heatmap": "heat.csv", "summary": "lags.csv"}
 
     def path(self, name: str) -> Path:
         return Path(self.workdir) / self.DEFAULT_PATHS[name]
@@ -131,60 +124,74 @@ class PipelineConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+# The JSON value each annotation of a config field takes, by type and in words.
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
+               "bool": (bool, "true or false"), "str": (str, "a string"),
+               "str | None": ((str, type(None)), "a string or null"),
+               "str | list": ((str, list), "a string or a list"),
+               "list[figures_mod.FigureSpec]": (list, "a list")}
+
+
+def _wrong_types(cls, raw: dict) -> dict[str, str]:
+    """The problem with each value of `raw` whose type its field of `cls` does
+    not take, by field name: an `int` field takes an int, a `float` field a
+    finite int or float (Python reads NaN as JSON), only a `bool` a bool."""
+    wrong = {}
+    for f in fields(cls):
+        if f.name in raw:
+            (types, words), value = _JSON_TYPES[f.type], raw[f.name]
+            if (not isinstance(value, types) or isinstance(value, bool) != (types is bool)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                wrong[f.name] = f"{f.name} must be {words}, not {type(value).__name__!r} {value!r}"
+    return wrong
+
+
+def _typed(cls, raw):
+    """`cls(**raw)` once `_wrong_types` finds each value of `raw` typed."""
+    if wrong := isinstance(raw, dict) and _wrong_types(cls, raw):
+        raise ValidationFailed(list(wrong.values()))
+    return cls(**raw)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Build the pipeline config from its JSON form without touching data.
 
-    Each section is built by its own constructor, which holds that
-    section's checks; every error a constructor raises becomes one
-    problem. A top-level key the config does not know is a problem too.
-    The checks that span sections follow, and one ValidationFailed lists
-    every problem found.
-    """
+    `_wrong_types` types the values of each section and the top-level ones,
+    and each section's constructor checks its ranges; each error, or the
+    TypeError of a key unknown or missing, becomes one problem, as does an
+    unknown top-level key. The checks that span sections follow, and one
+    ValidationFailed lists every problem found."""
     problems = [f"unknown config key '{key}'" for key in raw if key not in _CONFIG_KEYS]
 
-    def build(section: str, make: Callable):
+    def build(section: str, make: Callable, *args):
         try:
-            return make()
-        except (ValueError, TypeError, PushRespError) as exc:
+            return make(*args)
+        except (ValidationFailed, TypeError) as exc:
             problems.append(f"{section}: {exc}")
-            return None
 
     has_synth, has_ingest = bool(raw.get("synth")), bool(raw.get("ingest"))
     if has_synth and has_ingest:
         problems.append("config sets both 'synth' and 'ingest'; pick one source")
     if not has_synth and not has_ingest:
         problems.append("config needs a source: either 'synth' or 'ingest'")
-    figures = raw.get("figures", [])
-    if not isinstance(figures, list):
-        problems.append(f"figures must be a list, got {figures!r}")
-        figures = []
+    top = {key: raw[key] for key in ("lags", "workdir", "threads", "figures") if key in raw}
+    problems += (wrong := _wrong_types(PipelineConfig, top)).values()
+    top = {key: value for key, value in top.items() if key not in wrong}
     cfg = PipelineConfig(
-        synth=build("synth", lambda: synth_mod.SyntheticSpec(**raw["synth"]))
-        if has_synth else None,
-        ingest=build("ingest", lambda: IngestOptions(**raw["ingest"]))
-        if has_ingest else None,
-        cleaning=build(
-            "cleaning", lambda: cleaning_mod.CleaningConfig(**raw.get("cleaning", {}))
-        ),
-        lags=raw.get("lags", "short"),
-        grid=build("grid", lambda: surface_mod.BinGrid(**raw.get("grid", {}))),
-        bootstrap=build(
-            "bootstrap", lambda: decomp_mod.BootstrapConfig(**raw.get("bootstrap", {}))
-        ),
-        figures=[
-            build(f"figures[{i}]", lambda f=f: _pipeline_figure(f))
-            for i, f in enumerate(figures)
-        ],
-        workdir=raw.get("workdir", "."),
-        threads=raw.get("threads", 1),
+        synth=build("synth", _typed, synth_mod.SyntheticSpec, raw["synth"]) if has_synth else None,
+        ingest=build("ingest", _typed, IngestOptions, raw["ingest"]) if has_ingest else None,
+        cleaning=build("cleaning", _typed, cleaning_mod.CleaningConfig, raw.get("cleaning", {})),
+        grid=build("grid", _typed, surface_mod.BinGrid, raw.get("grid", {})),
+        bootstrap=build("bootstrap", _typed, decomp_mod.BootstrapConfig, raw.get("bootstrap", {})),
+        figures=[build(f"figures[{i}]", _pipeline_figure, f)
+                 for i, f in enumerate(top.pop("figures", []))],
+        **top,
     )
 
     if not (isinstance(cfg.lags, str) and cfg.lags.startswith("file:")):
         build("lags", cfg.lag_list)  # a lag file is read when the surface stage runs
     if cfg.grid is not None:
-        build("grid", lambda: decomp_mod.check_mirror_grid(cfg.grid))
+        build("grid", decomp_mod.check_mirror_grid, cfg.grid)
     problems += _threads_problems(cfg.threads) + _figure_clashes(cfg.figures)
 
     if problems:
@@ -192,19 +199,17 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     return cfg
 
 
-def _pipeline_figure(raw: dict) -> figures_mod.FigureSpec:
-    """A figure of the pipeline, which always reads the workdir's tables,
-    so an entry that names one is refused."""
+def _pipeline_figure(raw) -> figures_mod.FigureSpec:
+    """A pipeline figure, which reads the workdir's tables, so names none."""
+    spec = _typed(figures_mod.FigureSpec, raw)
     if named := [name for name in ("surface", "heatmap", "summary") if name in raw]:
-        raise ValueError(f"a pipeline figure reads the workdir's tables; drop '{named[0]}'")
-    return figures_mod.FigureSpec(**raw)
+        raise ValidationFailed(f"a pipeline figure reads the workdir's tables; drop '{named[0]}'")
+    return spec
 
 
-def _threads_problems(threads) -> list[str]:
-    """The problem with a worker-thread count that is not an integer >= 1."""
-    if isinstance(threads, int) and not isinstance(threads, bool) and threads >= 1:
-        return []
-    return [f"threads must be an integer >= 1, got {threads!r}"]
+def _threads_problems(threads: int) -> list[str]:
+    """The problem with a worker-thread count below 1."""
+    return [] if threads >= 1 else [f"threads must be an integer >= 1, got {threads}"]
 
 
 def _figure_clashes(figures: list) -> list[str]:
@@ -319,24 +324,19 @@ def _overwrites(stage: Stage) -> list[str]:
 
 
 def run_stage(stage: Stage, force: bool = False) -> StageStatus:
-    """Run a stage unless `force` is off and its outputs are fresh.
+    """Run a stage unless `force` is off and its outputs are fresh, behind
+    the input gate and in the commit order of the module docstring.
 
     A stage whose outputs name one another, one of its inputs or a
     directory is refused (ValidationFailed, exit 1) before any file is
-    touched, and a stage that is to run is refused (exit 3) when an input
-    is missing or unlike its manifest. The old manifests go before
-    `produce` runs. `produce` writes each output to its `.partial`
-    sibling; each is then renamed onto its output and the new manifests
-    are written last, so an interrupted stage leaves no manifest and
-    reruns. A failed run removes the stage's outputs, and every exit,
+    touched. A failed run removes the stage's outputs, and every exit,
     `KeyboardInterrupt` included, removes the `.partial` files. Errors of
     this package keep their own exit codes, an OSError becomes an
     ArtifactIOError (exit 3) naming the stage, and any other exception a
     StageFailure.
     Each stage that ran or was skipped logs one INFO line: its wall and
     CPU seconds, the process's peak RSS so far and how much the stage
-    raised it, so one run's log shows which stage sets the peak.
-    """
+    raised it, so one run's log shows which stage sets the peak."""
     if problems := _overwrites(stage):
         raise ValidationFailed(problems)
     wall, cpu, peak = time.perf_counter(), time.process_time(), _peak_rss_mib()

@@ -84,14 +84,10 @@ class MidSeries:
         expect = 0
         for s in self.sessions:
             if s.start != expect:
-                raise ValueError(
-                    f"session starting at {s.start} leaves a gap (expected {expect})"
-                )
+                raise ValueError(f"session starting at {s.start} leaves a gap (expected {expect})")
             expect = s.end + 1
         if expect != len(self.mids):
-            raise ValueError(
-                f"sessions cover {expect} events but array holds {len(self.mids)}"
-            )
+            raise ValueError(f"sessions cover {expect} events but array holds {len(self.mids)}")
 
     def __len__(self) -> int:
         return len(self.mids)
@@ -323,19 +319,25 @@ def write_csv(path: str | Path, header: list[str], columns) -> None:
             f.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
+def read_c_table(lines, dtype) -> np.ndarray:
+    """`lines` (a file or a list of str) as a structured array of `dtype`;
+    a field numpy's C text reader rejects or warns about raises."""
+    with warnings.catch_warnings():
+        # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                          ndmin=1, dtype=dtype, encoding="ascii")
+
+
 def read_table(
     path: str | Path, header: list[str], dtypes: dict[str, type],
 ) -> dict[str, np.ndarray]:
     """The columns named in `dtypes` of a table artifact whose header row is
     `header`, each as a numpy array of its dtype (`np.int64`, `np.float64`
     or `bool`). A column not in `dtypes` is held to the field count but not
-    read.
-
-    numpy's C text reader parses the table from the open file, so its
-    bytes are never held whole. The stage that reads the table has already
-    checked it against its manifest's `data_sha256`; a table whose header
-    row differs from `header`, or whose field the C reader rejects, is an
-    ArtifactIOError (exit 3)."""
+    read. `read_c_table` parses the table from the open file, so its bytes
+    are never held whole; a table whose header row differs from `header`,
+    or whose field the C reader rejects, is an ArtifactIOError (exit 3)."""
     head = (",".join(header) + "\n").encode()
     # a bool field is read as text, whose first five bytes tell `true` from `false`
     dtype = [(name, "S5" if dtypes.get(name) is bool else dtypes.get(name, "S1"))
@@ -346,11 +348,7 @@ def read_table(
             raise ArtifactIOError(f"{path}: header is not {','.join(header)}")
         if f.peek(1):
             try:
-                with warnings.catch_warnings():
-                    # numpy 1.23-1.26 read `1.5` in an int column through float, with a warning.
-                    warnings.simplefilter("error")
-                    table = np.loadtxt(f, delimiter=",", comments=None, quotechar=None,
-                                       ndmin=1, dtype=dtype, encoding="ascii")
+                table = read_c_table(f, dtype)
             except (ValueError, Warning) as exc:
                 raise ArtifactIOError(f"{path}: not a table the C reader reads: {exc}") from None
     return {name: table[name] == b"true" if kind is bool else table[name]

@@ -74,18 +74,22 @@ class BinGrid:
     n_min_support: int = 200
 
     def __post_init__(self):
+        problems = []
         if not (self.z_min < self.z_max):
-            raise InvalidGrid(f"need z_min < z_max, got {self.z_min}, {self.z_max}")
+            problems.append(f"need z_min < z_max, got {self.z_min}, {self.z_max}")
         if self.step <= 0:
-            raise InvalidGrid(f"bin step must be > 0, got {self.step}")
-        ratio = (self.z_max - self.z_min) / self.step
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise InvalidGrid(
-                f"bin step {self.step} yields a non-integer bin count {ratio:.6g} "
-                f"over [{self.z_min}, {self.z_max})"
-            )
+            problems.append(f"bin step must be > 0, got {self.step}")
+        else:
+            ratio = (self.z_max - self.z_min) / self.step
+            if abs(ratio - round(ratio)) > 1e-9:
+                problems.append(
+                    f"bin step {self.step} yields a non-integer bin count {ratio:.6g} "
+                    f"over [{self.z_min}, {self.z_max})"
+                )
         if self.n_min_support < 1:
-            raise InvalidGrid(f"n_min_support must be >= 1, got {self.n_min_support}")
+            problems.append(f"n_min_support must be >= 1, got {self.n_min_support}")
+        if problems:
+            raise InvalidGrid(problems)
 
     @property
     def n_bins(self) -> int:

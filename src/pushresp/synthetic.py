@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .accum import cumsum_in_place
-from .errors import InvalidSpec
+from .errors import InsufficientSupport, InvalidSpec
 from .lags import LagMoments
 from .series import MidSeries, PrmsWriter, Session
 from .surface import BinGrid
@@ -62,6 +62,8 @@ class SyntheticSpec:
             problems.append(f"n_sessions must be >= 1, got {self.n_sessions}")
         if self.tick <= 0:
             problems.append(f"tick must be > 0, got {self.tick}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if self.increments not in ("gauss", "coin"):
             problems.append(f"unknown increment kind '{self.increments}'")
         if self.n_sessions >= 1 and self.n_events < 2 * self.n_sessions:
@@ -82,7 +84,7 @@ class SyntheticSpec:
                     f"{self.inject_lag} and {self.n_sessions} sessions (need {need})"
                 )
         if problems:
-            raise InvalidSpec("; ".join(problems))
+            raise InvalidSpec(problems)
 
 
 def echo_cancel_coefficient(phi: float) -> float:
@@ -185,7 +187,7 @@ def expected_response_oracle(
         pushes.append(series.mids[anchors] - series.mids[anchors - lag])
         responses.append(series.mids[anchors + lag] - series.mids[anchors])
     if not pushes:
-        raise InvalidSpec(f"no admissible anchors at lag {lag}")
+        raise InsufficientSupport(lag, 0)
     p = np.concatenate(pushes)
     r = np.concatenate(responses)
     mu_p, sigma_p = float(p.mean()), float(p.std())

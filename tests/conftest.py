@@ -5,10 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import pushresp
 from pushresp.lags import MOMENTS_HEADER, LagMoments, MomentRow
 from pushresp.series import MidSeries, Session
+
+# HYPOTHESIS_PROFILE=ci makes every property test draw the same examples on
+# each run, so a CI result does not hang on the draw; a run without it draws
+# new examples each time.
+settings.register_profile("ci", derandomize=True, database=None)
+if profile := os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(profile)
 
 
 def from_session_arrays(dates: list[int], arrays: list[np.ndarray]) -> MidSeries:

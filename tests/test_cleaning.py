@@ -12,7 +12,7 @@ from pushresp.cleaning import (
     remove_jumps,
     winsorize_returns,
 )
-from pushresp.errors import EmptyInput
+from pushresp.errors import EmptyInput, ValidationFailed
 from pushresp.series import MidSeries
 from pushresp.synthetic import SyntheticSpec, generate
 
@@ -255,10 +255,13 @@ def test_clean_allocates_one_series_beyond_its_input(jumps):
 
 
 def test_cleaning_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationFailed):
         CleaningConfig(lower_q=0.5, upper_q=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationFailed):
         CleaningConfig(jump_threshold=0.0)
+    with pytest.raises(ValidationFailed) as err:  # every problem, not the first
+        CleaningConfig(lower_q=0.5, upper_q=0.5, jump_threshold=0.0)
+    assert len(err.value.problems) == 2
 
 
 # Mids either walk by steps that include jumps (|2.0|, |3.0| > 1.5), a step

@@ -130,14 +130,35 @@ class TestConfigFaults:
         # a pipeline figure always reads the workdir's tables
         ("figures", [{"kind": "rho_curve", "out": "rho.svg", "summary": "other.csv"}],
          "figures[0]: a pipeline figure reads the workdir's tables; drop 'summary'"),
+        # a JSON value of the wrong type is refused, not truncated, coerced or
+        # left to fail in a stage
+        ("lags", [1.7, "5"], "lags must be integers >= 1, got 1.7"),
+        ("lags", [True], "lags must be integers >= 1, got True"),
+        ("lags", [50.0], "lags must be integers >= 1, got 50.0"),
+        ("bootstrap", {"n_replicates": 2.5}, "bootstrap: n_replicates must be an integer"),
+        ("bootstrap", {"seed": -3}, "bootstrap: seed must be >= 0, got -3"),
+        ("synth", {"n_events": 2e4}, "synth: n_events must be an integer, not 'float'"),
+        ("synth", {"seed": 1.5}, "synth: seed must be an integer"),
+        ("synth", {"seed": -3}, "synth: seed must be >= 0, got -3"),
+        ("workdir", 5, "workdir must be a string, not 'int' 5"),
+        ("ingest", {"venues_dir": "quotes", "strict": "false"},
+         "ingest: strict must be true or false, not 'str' 'false'"),
+        # Python's JSON reader takes NaN and Infinity, which JSON has not
+        ("grid", {"step": float("nan")}, "grid: step must be a finite number, not 'float' nan"),
+        ("grid", {"z_max": float("inf")}, "grid: z_max must be a finite number"),
     ], ids=["grid_key", "figure_out", "ingest_input", "grid_step_type", "grid_asymmetric",
             "ingest_tz", "threads_bool", "paths", "local_index", "bootstrap_quantiles",
-            "grid_n_bins", "unknown_key", "figure_input"])
+            "grid_n_bins", "unknown_key", "figure_input", "lags_float_str", "lags_bool",
+            "lags_float", "replicates_float", "bootstrap_seed", "synth_n_events_float",
+            "synth_seed_float", "synth_seed", "workdir_int", "ingest_strict_str",
+            "grid_step_nan", "grid_z_max_inf"])
     def test_validate_and_pipeline_exit_1(self, tmp_path, capsys, section, value, word):
         workdir = tmp_path / "wd"
         raw = base_config(workdir)
         if section == "ingest":
             del raw["synth"]  # so the ingest section is the one source
+        if section in ("synth", "bootstrap"):  # one entry of an otherwise valid section
+            value = {**raw[section], **value}
         raw[section] = value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
@@ -797,11 +818,23 @@ class TestCliSubcommands:
                      "--out-summary", str(tmp_path / "lags.csv")]) == 3
 
     def test_synth_rejects_invalid_spec(self, tmp_path):
+        # a bad spec is a validation failure (exit 1), as in `pipeline`
         code = main([
             "synth", "--kind", "momentum", "--n", "50", "--lag", "50",
             "--phi", "0.3", "--out", str(tmp_path / "x.prms"),
         ])
-        assert code == 2
+        assert code == 1
+
+    @pytest.mark.parametrize("args, word", [
+        (["--n", "1"], "n_events must be >= 2, got 1"),
+        (["--n", "100", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["n_1", "seed_negative"])
+    def test_synth_bad_value_exit_1(self, tmp_path, capsys, args, word):
+        assert main(["synth", "--kind", "null_walk", *args,
+                     "--out", str(tmp_path / "x.prms")]) == 1
+        err = capsys.readouterr().err
+        assert word in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pushresp.errors import InvalidSpec
+from pushresp.errors import InsufficientSupport, InvalidSpec
 from pushresp.lags import compute_moments
 from pushresp.surface import BinGrid
 from pushresp.synthetic import (
@@ -40,6 +40,19 @@ class TestSpecValidation:
     def test_phi_bounds(self):
         with pytest.raises(InvalidSpec):
             SyntheticSpec(kind="momentum", n_events=10**5, inject_lag=50, phi=1.0)
+
+    def test_every_problem_listed(self):
+        with pytest.raises(InvalidSpec) as err:
+            SyntheticSpec(kind="chaos", n_events=1, seed=-1)
+        assert any("seed must be >= 0" in p for p in err.value.problems)
+        assert len(err.value.problems) >= 3
+
+
+def test_oracle_without_anchors_is_insufficient_support():
+    # a lag no session can hold is a data shortfall, not a bad spec
+    s = generate(SyntheticSpec(kind="null_walk", n_events=100, seed=1))
+    with pytest.raises(InsufficientSupport):
+        expected_response_oracle(s, 60, BinGrid())
 
 
 class TestDeterminism:
