@@ -36,19 +36,19 @@ from typing import Iterator
 import numpy as np
 
 from .accum import cumsum_in_place
-from .errors import EmptyInput, ValidationFailed
+from .errors import ConfigSection, EmptyInput
 from .series import MidSeries, PrmsReader, PrmsWriter, Session
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class CleaningConfig:
+class CleaningConfig(ConfigSection):
     lower_q: float = 0.00001
     upper_q: float = 0.99999
     jump_threshold: float = 1.50
 
-    def __post_init__(self):
+    def problems(self) -> list[str]:
         problems = []
         if not (0.0 < self.lower_q < self.upper_q < 1.0):
             problems.append(
@@ -56,8 +56,7 @@ class CleaningConfig:
             )
         if self.jump_threshold <= 0:
             problems.append(f"jump threshold must be > 0, got {self.jump_threshold}")
-        if problems:
-            raise ValidationFailed(problems)
+        return problems
 
 
 @dataclass

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .cleaning import empirical_quantile
-from .errors import InvalidGrid, ValidationFailed
+from .errors import ConfigSection, InvalidGrid
 from .series import read_table, write_csv
 from .surface import BinGrid, BlockTables, LagBlocks, Surface
 
@@ -41,18 +41,17 @@ BAND_QUANTILES = (0.025, 0.975)
 
 
 @dataclass(frozen=True)
-class BootstrapConfig:
+class BootstrapConfig(ConfigSection):
     n_replicates: int = 1000
     seed: int = 42
 
-    def __post_init__(self):
+    def problems(self) -> list[str]:
         problems = []
         if self.n_replicates < 1:
             problems.append(f"need at least 1 replicate, got {self.n_replicates}")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
-        if problems:
-            raise ValidationFailed(problems)
+        return problems
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,9 @@ Exit-code contract for the CLI: 0 success, 1 validation failure,
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 
 class PushRespError(Exception):
     """Base class for all pushresp errors."""
@@ -23,6 +26,40 @@ class ValidationFailed(PushRespError):
             problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+# The values each annotation of a config field takes, by type and in words.
+FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
+               "bool": (bool, "true or false"), "str": (str, "a string"),
+               "str | None": ((str, type(None)), "a string or null"),
+               "str | list": ((str, list), "a string or a list"), "list": (list, "a list")}
+
+
+def wrong_types(cls, values: dict) -> dict[str, str]:
+    """The problem with each of `values` whose type its field of the
+    dataclass `cls` does not take, by field name: an `int` field takes an
+    int, a `float` field a finite int or float, only a `bool` a bool."""
+    wrong = {}
+    for f in fields(cls):
+        if f.name in values:
+            (types, words), value = FIELD_TYPES[f.type], values[f.name]
+            if (not isinstance(value, types) or isinstance(value, bool) != (types is bool)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                wrong[f.name] = f"{f.name} must be {words}, not {type(value).__name__!r} {value!r}"
+    return wrong
+
+
+class ConfigSection:
+    """Base of the config sections, frozen dataclasses: constructing one
+    checks each field's type by `wrong_types`, then, once every type is
+    right, the ranges its `problems()` lists, and raises one `error`
+    naming every problem found."""
+
+    error = ValidationFailed
+
+    def __post_init__(self):
+        if problems := list(wrong_types(type(self), vars(self)).values()) or self.problems():
+            raise self.error(problems)
 
 
 class StageFailure(PushRespError):

@@ -22,7 +22,7 @@ from typing import TextIO
 import numpy as np
 
 from .decomposition import read_heatmap_csv, read_summary_csv
-from .errors import InvalidGrid, MissingArtifact
+from .errors import ConfigSection, InvalidGrid, MissingArtifact
 from .series import manifest_fields, read_manifest
 from . import surface as surface_mod
 
@@ -36,7 +36,7 @@ MARGIN_B = 50
 _CELL_BATCH = 1024
 
 @dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(ConfigSection):
     kind: str
     out: str
     surface: str | None = None
@@ -44,14 +44,15 @@ class FigureSpec:
     summary: str | None = None
     vmax: float = 0.5  # color scale bound for surface views
 
-    def __post_init__(self):
+    error = InvalidGrid
+
+    def problems(self) -> list[str]:
         problems = []
         if self.kind not in _RENDERERS:
             problems.append(f"unknown figure kind '{self.kind}'")
         if self.vmax <= 0:
             problems.append(f"vmax must be > 0, got {self.vmax}")
-        if problems:
-            raise InvalidGrid(problems)
+        return problems
 
 
 def _fmt(x: float) -> str:

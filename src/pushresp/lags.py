@@ -33,8 +33,13 @@ def validate_lags(lags) -> tuple[int, ...]:
     return lags
 
 
+def session_anchors(session: Session, lag: int) -> int:
+    """The admissible anchors of one session at `lag`."""
+    return max(0, len(session) - 2 * lag)
+
+
 def anchor_count(sessions: list[Session], lag: int) -> int:
-    return sum(max(0, len(s) - 2 * lag) for s in sessions)
+    return sum(session_anchors(s, lag) for s in sessions)
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,7 @@ def _moment_sums(source, lags: tuple[int, ...]) -> list[tuple[MomentAccumulator,
     diffs, scratch = np.empty((2, max(0, longest - min(lags, default=0))))
     for s, mids in source.blocks():
         for lag, (acc_p, acc_r) in zip(lags, accs):
-            a = len(s) - 2 * lag
-            if a <= 0:
+            if not (a := session_anchors(s, lag)):
                 continue
             d = np.subtract(mids[lag:], mids[: len(s) - lag], out=diffs[: a + lag])
             acc_p.add_batch(d[:a], scratch)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import resource
 import time
@@ -55,10 +54,12 @@ from . import surface as surface_mod
 from . import synthetic as synth_mod
 from .errors import (
     ArtifactIOError,
+    ConfigSection,
     MissingArtifact,
     PushRespError,
     StageFailure,
     ValidationFailed,
+    wrong_types,
 )
 from .series import (
     PrmsReader,
@@ -76,13 +77,13 @@ from .series import read_prms, write_prms  # noqa: F401
 logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
-class IngestOptions:
+class IngestOptions(ConfigSection):
     venues_dir: str | None = None
     consolidated: str | None = None
     tz: str = "America/New_York"  # ingest.DEFAULT_TZ, which is imported only to ingest
     strict: bool = True
 
-    def __post_init__(self):
+    def problems(self) -> list[str]:
         problems = []
         if bool(self.venues_dir) == bool(self.consolidated):
             problems.append("ingest needs exactly one of venues_dir (--venues) "
@@ -91,8 +92,7 @@ class IngestOptions:
             ZoneInfo(self.tz)
         except (ZoneInfoNotFoundError, ValueError):
             problems.append(f"tz: unknown time zone {self.tz!r}")
-        if problems:
-            raise ValidationFailed(problems)
+        return problems
 
 
 @dataclass
@@ -105,7 +105,7 @@ class PipelineConfig:
     lags: str | list = "short"
     grid: surface_mod.BinGrid = field(default_factory=surface_mod.BinGrid)
     bootstrap: decomp_mod.BootstrapConfig = field(default_factory=decomp_mod.BootstrapConfig)
-    figures: list[figures_mod.FigureSpec] = field(default_factory=list)
+    figures: list = field(default_factory=list)  # of figures_mod.FigureSpec
     workdir: str = "."
     threads: int = 1
 
@@ -124,43 +124,17 @@ class PipelineConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
-# The JSON value each annotation of a config field takes, by type and in words.
-_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
-               "bool": (bool, "true or false"), "str": (str, "a string"),
-               "str | None": ((str, type(None)), "a string or null"),
-               "str | list": ((str, list), "a string or a list"),
-               "list[figures_mod.FigureSpec]": (list, "a list")}
-
-
-def _wrong_types(cls, raw: dict) -> dict[str, str]:
-    """The problem with each value of `raw` whose type its field of `cls` does
-    not take, by field name: an `int` field takes an int, a `float` field a
-    finite int or float (Python reads NaN as JSON), only a `bool` a bool."""
-    wrong = {}
-    for f in fields(cls):
-        if f.name in raw:
-            (types, words), value = _JSON_TYPES[f.type], raw[f.name]
-            if (not isinstance(value, types) or isinstance(value, bool) != (types is bool)
-                    or isinstance(value, float) and not math.isfinite(value)):
-                wrong[f.name] = f"{f.name} must be {words}, not {type(value).__name__!r} {value!r}"
-    return wrong
-
-
-def _typed(cls, raw):
-    """`cls(**raw)` once `_wrong_types` finds each value of `raw` typed."""
-    if wrong := isinstance(raw, dict) and _wrong_types(cls, raw):
-        raise ValidationFailed(list(wrong.values()))
-    return cls(**raw)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Build the pipeline config from its JSON form without touching data.
 
-    `_wrong_types` types the values of each section and the top-level ones,
-    and each section's constructor checks its ranges; each error, or the
-    TypeError of a key unknown or missing, becomes one problem, as does an
-    unknown top-level key. The checks that span sections follow, and one
-    ValidationFailed lists every problem found."""
+    Each section's constructor checks its types and ranges, and
+    `wrong_types` the top-level values; each error, or the TypeError of a
+    key unknown or missing, becomes one problem, as does an unknown
+    top-level key. (Python reads NaN as JSON, so the finite rule counts.)
+    The checks that span sections follow, and one ValidationFailed lists
+    every problem found."""
     problems = [f"unknown config key '{key}'" for key in raw if key not in _CONFIG_KEYS]
 
     def build(section: str, make: Callable, *args):
@@ -169,20 +143,23 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         except (ValidationFailed, TypeError) as exc:
             problems.append(f"{section}: {exc}")
 
+    def section(name: str, cls):
+        return build(name, lambda: cls(**raw.get(name, {})))
+
     has_synth, has_ingest = bool(raw.get("synth")), bool(raw.get("ingest"))
     if has_synth and has_ingest:
         problems.append("config sets both 'synth' and 'ingest'; pick one source")
     if not has_synth and not has_ingest:
         problems.append("config needs a source: either 'synth' or 'ingest'")
     top = {key: raw[key] for key in ("lags", "workdir", "threads", "figures") if key in raw}
-    problems += (wrong := _wrong_types(PipelineConfig, top)).values()
+    problems += (wrong := wrong_types(PipelineConfig, top)).values()
     top = {key: value for key, value in top.items() if key not in wrong}
     cfg = PipelineConfig(
-        synth=build("synth", _typed, synth_mod.SyntheticSpec, raw["synth"]) if has_synth else None,
-        ingest=build("ingest", _typed, IngestOptions, raw["ingest"]) if has_ingest else None,
-        cleaning=build("cleaning", _typed, cleaning_mod.CleaningConfig, raw.get("cleaning", {})),
-        grid=build("grid", _typed, surface_mod.BinGrid, raw.get("grid", {})),
-        bootstrap=build("bootstrap", _typed, decomp_mod.BootstrapConfig, raw.get("bootstrap", {})),
+        synth=section("synth", synth_mod.SyntheticSpec) if has_synth else None,
+        ingest=section("ingest", IngestOptions) if has_ingest else None,
+        cleaning=section("cleaning", cleaning_mod.CleaningConfig),
+        grid=section("grid", surface_mod.BinGrid),
+        bootstrap=section("bootstrap", decomp_mod.BootstrapConfig),
         figures=[build(f"figures[{i}]", _pipeline_figure, f)
                  for i, f in enumerate(top.pop("figures", []))],
         **top,
@@ -201,7 +178,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 def _pipeline_figure(raw) -> figures_mod.FigureSpec:
     """A pipeline figure, which reads the workdir's tables, so names none."""
-    spec = _typed(figures_mod.FigureSpec, raw)
+    spec = figures_mod.FigureSpec(**raw)
     if named := [name for name in ("surface", "heatmap", "summary") if name in raw]:
         raise ValidationFailed(f"a pipeline figure reads the workdir's tables; drop '{named[0]}'")
     return spec

@@ -46,11 +46,12 @@ import numpy as np
 from .accum import CompensatedSums
 from .errors import (
     ArtifactIOError,
+    ConfigSection,
     InvalidGrid,
     MissingArtifact,
     MissingMoments,
 )
-from .lags import LagMoments, MomentRow
+from .lags import LagMoments, MomentRow, session_anchors
 from .series import manifest_fields, read_table, write_csv
 
 BLOCK_TARGET = 50
@@ -67,13 +68,15 @@ def block_size(lag: int, n_anchors: int) -> int:
 
 
 @dataclass(frozen=True)
-class BinGrid:
+class BinGrid(ConfigSection):
     z_min: float = -4.0
     z_max: float = 4.0
     step: float = 0.025
     n_min_support: int = 200
 
-    def __post_init__(self):
+    error = InvalidGrid
+
+    def problems(self) -> list[str]:
         problems = []
         if not (self.z_min < self.z_max):
             problems.append(f"need z_min < z_max, got {self.z_min}, {self.z_max}")
@@ -81,15 +84,14 @@ class BinGrid:
             problems.append(f"bin step must be > 0, got {self.step}")
         else:
             ratio = (self.z_max - self.z_min) / self.step
-            if abs(ratio - round(ratio)) > 1e-9:
+            if np.isinf(ratio) or abs(ratio - round(ratio)) > 1e-9:
                 problems.append(
                     f"bin step {self.step} yields a non-integer bin count {ratio:.6g} "
                     f"over [{self.z_min}, {self.z_max})"
                 )
         if self.n_min_support < 1:
             problems.append(f"n_min_support must be >= 1, got {self.n_min_support}")
-        if problems:
-            raise InvalidGrid(problems)
+        return problems
 
     @property
     def n_bins(self) -> int:
@@ -207,12 +209,8 @@ class _PassBuffers:
         self.slots = np.empty(width, dtype=np.int64)
 
 
-def _anchors(lag: int, session) -> int:
-    return max(0, len(session) - 2 * lag)
-
-
 def _n_blocks(moments: LagMoments, session) -> int:
-    a = _anchors(moments.lag, session)
+    a = session_anchors(session, moments.lag)
     return max(1, a // block_size(moments.lag, moments.n_pairs)) if a else 0
 
 
@@ -231,19 +229,17 @@ def _block_tables(n_blocks: list[int], n_bins: int) -> list[tuple[np.ndarray, np
 
 
 class _LagAccumulator:
-    """Per-lag bin tables: exact counts, compensated sums, and the block
-    tables `counts` and `sum_zr`, one row per block the sessions will hold."""
+    """Per-lag bin tables: compensated sums, and the block tables `counts`
+    and `sum_zr`, one row per block the sessions will hold."""
 
     def __init__(self, grid: BinGrid, moments: LagMoments, counts: np.ndarray,
                  sum_zr: np.ndarray):
         self.grid = grid
         self.moments = moments
         n = grid.n_bins
-        self.counts = np.zeros(n, dtype=np.int64)
         self.sum_zp = CompensatedSums((n,))
         self.sum_zr = CompensatedSums((n,))
         self.sum_r = CompensatedSums((n,))
-        self.out_of_grid = 0
         self.n_seen = 0
         self.blocks = LagBlocks(
             lag=moments.lag,
@@ -254,12 +250,10 @@ class _LagAccumulator:
         )
         self._next_block = 0
 
-    def anchors(self, session) -> int:
-        return _anchors(self.moments.lag, session)
-
     def add_session(self, session, mids: np.ndarray, buf: _PassBuffers) -> None:
         """Bin the anchors of one session, whose mids are `mids`."""
-        lag, a = self.moments.lag, self.anchors(session)
+        lag = self.moments.lag
+        a = session_anchors(session, lag)
         n_blocks = _n_blocks(self.moments, session)
         edges = [lag + i * a // n_blocks for i in range(n_blocks + 1)] if a else []
         t = self.blocks
@@ -289,9 +283,7 @@ class _LagAccumulator:
         z_r /= m.sigma_r
         counts = np.bincount(j, minlength=n + 2)[1 : n + 1]  # slots 0, n+1: off the grid
         self.n_seen += k
-        self.out_of_grid += k - int(counts.sum())
         sum_zr = np.bincount(j, weights=z_r, minlength=n + 2)[1 : n + 1]
-        self.counts += counts
         self.sum_zp.add(np.bincount(j, weights=z_p, minlength=n + 2)[1 : n + 1])
         self.sum_zr.add(sum_zr)
         self.sum_r.add(np.bincount(j, weights=r, minlength=n + 2)[1 : n + 1])
@@ -331,12 +323,12 @@ def accumulate_surface(
     accs = [_LagAccumulator(grid, m, *tables)
             for m, tables in zip(usable, _block_tables(n_blocks, grid.n_bins))]
     threads = max(1, min(threads, len(accs)))
-    widest = max((acc.anchors(s) for acc in accs for s in source.sessions), default=0)
+    widest = max((session_anchors(s, m.lag) for m in usable for s in source.sessions), default=0)
     max_lag = max((m.lag for m in usable), default=0)
     bufs = [_PassBuffers(min(CHUNK_ANCHORS, widest), max_lag) for _ in range(threads)]
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for s, mids in source.blocks():
-            busy = [acc for acc in accs if acc.anchors(s)]
+            busy = [acc for acc in accs if session_anchors(s, acc.moments.lag)]
             if pool is None:
                 _add_session(busy, s, mids, bufs[0])
                 continue
@@ -349,18 +341,15 @@ def accumulate_surface(
 
     n_lags, n_bins = len(usable), grid.n_bins
     counts = np.zeros((n_lags, n_bins), dtype=np.int64)
-    mean_zp = np.full((n_lags, n_bins), np.nan)
-    mean_zr = np.full((n_lags, n_bins), np.nan)
-    mean_r = np.full((n_lags, n_bins), np.nan)
-    oog = np.zeros(n_lags, dtype=np.int64)
+    mean_zp, mean_zr, mean_r = np.full((3, n_lags, n_bins), np.nan)
     tables = {acc.moments.lag: blocks for acc, blocks in done}
-    for i, (acc, _) in enumerate(done):
-        counts[i] = acc.counts
-        oog[i] = acc.out_of_grid
-        nz = acc.counts > 0
-        mean_zp[i, nz] = acc.sum_zp.total[nz] / acc.counts[nz]
-        mean_zr[i, nz] = acc.sum_zr.total[nz] / acc.counts[nz]
-        mean_r[i, nz] = acc.sum_r.total[nz] / acc.counts[nz]
+    for i, (acc, blocks) in enumerate(done):  # a lag's counts are its blocks' summed
+        c = counts[i] = blocks.counts.sum(axis=0)
+        nz = c > 0
+        mean_zp[i, nz] = acc.sum_zp.total[nz] / c[nz]
+        mean_zr[i, nz] = acc.sum_zr.total[nz] / c[nz]
+        mean_r[i, nz] = acc.sum_r.total[nz] / c[nz]
+    oog = np.array([acc.n_seen for acc in accs], dtype=np.int64) - counts.sum(axis=1)
     return Surface(
         grid=grid,
         moments=usable,

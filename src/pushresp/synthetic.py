@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .accum import cumsum_in_place
-from .errors import InsufficientSupport, InvalidSpec
+from .errors import ConfigSection, InsufficientSupport, InvalidSpec
 from .lags import LagMoments
 from .series import MidSeries, PrmsWriter, Session
 from .surface import BinGrid
@@ -41,7 +41,7 @@ BASE_PRICE = 100.0
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(ConfigSection):
     kind: str
     n_events: int
     n_sessions: int = 1
@@ -52,7 +52,9 @@ class SyntheticSpec:
     seed: int = 0
     increments: str = "gauss"  # or "coin"
 
-    def __post_init__(self):
+    error = InvalidSpec
+
+    def problems(self) -> list[str]:
         problems = []
         if self.kind not in KINDS:
             problems.append(f"unknown kind '{self.kind}'")
@@ -83,8 +85,7 @@ class SyntheticSpec:
                     f"n_events {self.n_events} too small for inject_lag "
                     f"{self.inject_lag} and {self.n_sessions} sessions (need {need})"
                 )
-        if problems:
-            raise InvalidSpec(problems)
+        return problems
 
 
 def echo_cancel_coefficient(phi: float) -> float:

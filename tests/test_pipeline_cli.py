@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,10 +12,18 @@ import pytest
 
 from pushresp import pipeline
 from pushresp import surface as surface_mod
+from pushresp.cleaning import CleaningConfig
 from pushresp.cli import main
-from pushresp.decomposition import write_summary_csv
-from pushresp.errors import StageFailure, ValidationFailed
-from pushresp.figures import FIGURE_KINDS
+from pushresp.decomposition import BootstrapConfig, write_summary_csv
+from pushresp.errors import (
+    FIELD_TYPES,
+    ConfigSection,
+    InvalidGrid,
+    InvalidSpec,
+    StageFailure,
+    ValidationFailed,
+)
+from pushresp.figures import FIGURE_KINDS, FigureSpec
 from pushresp.pipeline import (
     apply_override,
     config_from_dict,
@@ -180,6 +189,64 @@ class TestConfigFaults:
         with pytest.raises(ValidationFailed) as err:
             config_from_dict(raw)
         assert err.value.problems == problems
+
+
+# Each config section with the fewest arguments that make it valid.
+SECTIONS = {
+    pipeline.synth_mod.SyntheticSpec: {"kind": "momentum", "n_events": 2000},
+    pipeline.IngestOptions: {"venues_dir": "quotes"},
+    CleaningConfig: {},
+    surface_mod.BinGrid: {},
+    BootstrapConfig: {},
+    FigureSpec: {"kind": "rho_curve", "out": "rho.svg"},
+}
+
+
+def _section_fields(annotation: str) -> list:
+    return [(cls, f.name) for cls in SECTIONS for f in dataclasses.fields(cls)
+            if f.type == annotation]
+
+
+class TestSectionTypes:
+    """Every section constructor checks its own types, so a value from a
+    flag, a script or a test meets the check a JSON value meets."""
+
+    def test_every_section_listed(self):
+        assert set(ConfigSection.__subclasses__()) == set(SECTIONS)
+        for cls, valid in SECTIONS.items():
+            cls(**valid)
+
+    @pytest.mark.parametrize("cls", list(SECTIONS), ids=lambda cls: cls.__name__)
+    def test_every_annotation_typed(self, cls):
+        # an annotation missing from the table would be a KeyError at construction
+        assert [f.name for f in dataclasses.fields(cls) if f.type not in FIELD_TYPES] == []
+
+    def test_top_level_annotations_typed(self):
+        top = {f.name: f.type for f in dataclasses.fields(pipeline.PipelineConfig)}
+        assert all(top[name] in FIELD_TYPES for name in ("lags", "workdir", "threads", "figures"))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("cls, name", _section_fields("float"),
+                             ids=lambda x: getattr(x, "__name__", x))
+    def test_float_field_rejects_non_finite(self, cls, name, value):
+        with pytest.raises(ValidationFailed) as err:
+            cls(**{**SECTIONS[cls], name: value})
+        assert err.value.problems == [f"{name} must be a finite number, not 'float' {value!r}"]
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    @pytest.mark.parametrize("cls, name", _section_fields("int"),
+                             ids=lambda x: getattr(x, "__name__", x))
+    def test_int_field_rejects_other_types(self, cls, name, value):
+        with pytest.raises(ValidationFailed) as err:
+            cls(**{**SECTIONS[cls], name: value})
+        assert err.value.problems == [f"{name} must be an integer, not "
+                                      f"{type(value).__name__!r} {value!r}"]
+
+    def test_section_keeps_its_error_class(self):
+        with pytest.raises(InvalidSpec, match="tick must be a finite"):
+            pipeline.synth_mod.SyntheticSpec(kind="null_walk", n_events=100, tick=float("inf"))
+        with pytest.raises(InvalidGrid, match="step must be a finite"):
+            surface_mod.BinGrid(step=float("nan"))
 
 
 class TestPipeline:
@@ -835,6 +902,32 @@ class TestCliSubcommands:
         err = capsys.readouterr().err
         assert word in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, word", [
+        (["surface", "--in", "mids.prms", "--lags", "1,5", "--grid=-inf:4:0.025",
+          "--out", "s.csv"], "z_min must be a finite number, not 'float' -inf"),
+        (["surface", "--in", "mids.prms", "--lags", "1,5", "--grid=-4:4:5e-324",
+          "--out", "s.csv"], "bin step 5e-324 yields a non-integer bin count inf"),
+        (["clean", "--in", "mids.prms", "--jump", "nan", "--out", "c.prms"],
+         "jump_threshold must be a finite number, not 'float' nan"),
+        (["synth", "--kind", "asymmetric", "--n", "2000", "--asym-gain", "nan",
+          "--out", "a.prms"], "asym_gain must be a finite number, not 'float' nan"),
+        (["synth", "--kind", "null_walk", "--n", "2000", "--tick", "inf", "--out", "a.prms"],
+         "tick must be a finite number, not 'float' inf"),
+        (["render", "--kind", "surface_top", "--surface", "surface.csv", "--vmax", "nan",
+          "--out", "top.svg"], "vmax must be a finite number, not 'float' nan"),
+    ], ids=["grid_inf", "grid_step_tiny", "clean_jump_nan", "synth_asym_gain_nan",
+            "synth_tick_inf", "render_vmax_nan"])
+    def test_non_finite_flag_exit_1(self, tmp_path, table_artifacts, monkeypatch, capsys,
+                                    args, word):
+        # a flag meets the type rule of the JSON config
+        shutil.copytree(table_artifacts, tmp_path / "wd")
+        monkeypatch.chdir(tmp_path / "wd")
+        before = files(tmp_path / "wd")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert word in err and "Traceback" not in err
+        assert files(tmp_path / "wd") == before
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
